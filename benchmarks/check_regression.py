@@ -34,6 +34,7 @@ GATES = {
     ],
     "BENCH_diagnosis.json": [
         "batched_vs_loop_speedup",
+        "fused_vs_reference_kernel_speedup",
     ],
     "BENCH_extraction.json": [
         "fast_vs_loop_speedup",

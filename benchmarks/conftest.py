@@ -3,8 +3,10 @@
 The actual Table I cell runner lives in :mod:`table1_harness` (a plain module,
 importable by the benchmark files with an absolute import) so the suite works
 both from the repository root (``pytest benchmarks``) and from inside the
-``benchmarks/`` directory.  This conftest only contributes the terminal
-summary that prints the reproduced table.
+``benchmarks/`` directory; the repository root is put on the path too, for
+the test-only reference implementations under ``tests/reference/``.  This
+conftest otherwise only contributes the terminal summary that prints the
+reproduced table.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 import os
 import sys
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+_HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path[:0] = [_HERE, os.path.dirname(_HERE)]
 
 from table1_harness import _TABLE1_RESULTS
 

@@ -12,8 +12,14 @@ purpose: :func:`repro.core.compute_specifics` (one footprint at a time
 against the library) feeding ``DefectCaseClassifier.aggregate_reference``
 (one matrix-vector product and softmax per case).
 
-The measured rates and the batched-vs-loop ratio are written to
-``BENCH_diagnosis.json`` so CI can archive the perf trajectory across PRs.
+A second measurement isolates the JS cross kernel under the batched core:
+the entropy-form kernel against a broadcast of the two-KL
+:func:`repro.analysis.divergence.js_divergence` over every pair (the test
+oracle in ``tests/reference/js_oracle.py``), on the shapes of the LeNet
+benchmark library.
+
+The measured rates and ratios are written to ``BENCH_diagnosis.json`` so CI
+can archive the perf trajectory across PRs.
 """
 
 from __future__ import annotations
@@ -22,8 +28,10 @@ import json
 import os
 import time
 
+import numpy as np
 import pytest
 
+from repro.analysis.trajectory import cross_trajectory_layer_divergences
 from repro.core import (
     DefectCaseClassifier,
     DiagnosisContext,
@@ -35,12 +43,28 @@ from repro.core import (
 )
 from repro.data import SyntheticConfig, SyntheticImageClassification
 from repro.models import LeNet
+from tests.reference import js_oracle
 
 NUM_CASES = 256
 REPEATS = 3
 MIN_SPEEDUP = 3.0  # acceptance floor at N=256; locally this measures far higher
 PARITY_BOUND = 1e-12
 RESULT_PATH = os.environ.get("BENCH_DIAGNOSIS_JSON", "BENCH_diagnosis.json")
+
+#: (cases, members, layers, classes) of the LeNet benchmark library: its 127
+#: faulty production cases against a class's fitted members (at most 60).
+KERNEL_SHAPE = (127, 60, 5, 10)
+KERNEL_REPEATS = 7
+MIN_KERNEL_SPEEDUP = 3.0
+
+_RECORD: dict = {}
+
+
+def _write_record(**values) -> None:
+    """Merge ``values`` into this module's ``BENCH_diagnosis.json`` record."""
+    _RECORD.update(values)
+    with open(RESULT_PATH, "w", encoding="utf-8") as handle:
+        json.dump(_RECORD, handle, indent=2, sort_keys=True)
 
 
 @pytest.fixture(scope="module")
@@ -119,14 +143,12 @@ def test_batched_diagnosis_beats_per_case_reference(diagnosis_scenario):
         f"({n / batched_seconds:8.1f} cases/s)  speedup x{speedup:.2f}"
     )
 
-    payload = {
-        "num_cases": n,
-        "cases_per_sec_batched": n / batched_seconds,
-        "cases_per_sec_reference": n / reference_seconds,
-        "batched_vs_loop_speedup": speedup,
-    }
-    with open(RESULT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+    _write_record(
+        num_cases=n,
+        cases_per_sec_batched=n / batched_seconds,
+        cases_per_sec_reference=n / reference_seconds,
+        batched_vs_loop_speedup=speedup,
+    )
 
     # Same diagnosis, radically different cost.
     for defect, ratio in report_reference.ratios.items():
@@ -135,6 +157,46 @@ def test_batched_diagnosis_beats_per_case_reference(diagnosis_scenario):
     assert speedup >= MIN_SPEEDUP, (
         f"batched diagnosis only reached x{speedup:.2f} over the per-case "
         f"reference at N={n} (floor: x{MIN_SPEEDUP})"
+    )
+
+
+def test_fused_cross_kernel_beats_js_divergence_oracle():
+    """The entropy-form cross kernel against a broadcast of ``js_divergence``."""
+    n, m, num_layers, num_classes = KERNEL_SHAPE
+    rng = np.random.default_rng(0)
+    # Peaked probe-like distributions (Dirichlet alpha < 1).
+    cases = rng.dirichlet(np.full(num_classes, 0.5), size=(n, num_layers))
+    members = rng.dirichlet(np.full(num_classes, 0.5), size=(m, num_layers))
+
+    fused = cross_trajectory_layer_divergences(cases, members)
+    reference = js_oracle.cross_layer_divergences(cases, members)
+    max_error = float(np.max(np.abs(fused - reference)))
+
+    fused_seconds = _best_of(
+        lambda: cross_trajectory_layer_divergences(cases, members), KERNEL_REPEATS
+    )
+    reference_seconds = _best_of(
+        lambda: js_oracle.cross_layer_divergences(cases, members), KERNEL_REPEATS
+    )
+    speedup = reference_seconds / max(fused_seconds, 1e-9)
+    print(
+        f"\nJS cross kernel {n}x{m}x{num_layers}x{num_classes}: "
+        f"js_divergence oracle {reference_seconds * 1e3:7.2f} ms, "
+        f"fused {fused_seconds * 1e3:7.2f} ms  speedup x{speedup:.2f}  "
+        f"max |diff| {max_error:.1e}"
+    )
+    _write_record(
+        kernel_shape=list(KERNEL_SHAPE),
+        fused_kernel_ms=fused_seconds * 1e3,
+        reference_kernel_ms=reference_seconds * 1e3,
+        fused_vs_reference_kernel_speedup=speedup,
+        fused_kernel_max_abs_error=max_error,
+    )
+
+    assert max_error <= PARITY_BOUND
+    assert speedup >= MIN_KERNEL_SPEEDUP, (
+        f"the fused JS cross kernel only reached x{speedup:.2f} over the "
+        f"js_divergence oracle (floor: x{MIN_KERNEL_SPEEDUP})"
     )
 
 

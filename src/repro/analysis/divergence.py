@@ -39,24 +39,30 @@ def normalize_distribution(p: np.ndarray, axis: int = -1) -> np.ndarray:
     return normalized
 
 
-def _check_pair(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_pair(p: np.ndarray, q: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ShapeError(f"distributions must have the same shape, got {p.shape} vs {q.shape}")
-    return normalize_distribution(p), normalize_distribution(q)
+    return normalize_distribution(p, axis=axis), normalize_distribution(q, axis=axis)
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray, axis: int = -1) -> np.ndarray:
     """Kullback–Leibler divergence ``KL(p || q)`` in nats along ``axis``."""
-    p, q = _check_pair(p, q)
+    p, q = _check_pair(p, q, axis)
     ratio = np.log(np.maximum(p, _EPS)) - np.log(np.maximum(q, _EPS))
     return np.where(p > 0, p * ratio, 0.0).sum(axis=axis)
 
 
 def js_divergence(p: np.ndarray, q: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Jensen–Shannon divergence (symmetric, bounded by ``log 2``)."""
-    p, q = _check_pair(p, q)
+    """Jensen–Shannon divergence (symmetric, bounded by ``log 2``).
+
+    Computed directly as ``½ KL(p ‖ m) + ½ KL(q ‖ m)`` with ``m = ½(p + q)``.
+    This is the reference definition: the batched cross kernel in
+    :mod:`repro.analysis.trajectory` uses the equivalent entropy form and is
+    tested against this function.
+    """
+    p, q = _check_pair(p, q, axis)
     m = 0.5 * (p + q)
     return 0.5 * kl_divergence(p, m, axis=axis) + 0.5 * kl_divergence(q, m, axis=axis)
 
@@ -73,7 +79,7 @@ def js_similarity(p: np.ndarray, q: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def total_variation(p: np.ndarray, q: np.ndarray, axis: int = -1) -> np.ndarray:
     """Total-variation distance ``0.5 * sum |p - q|`` in ``[0, 1]``."""
-    p, q = _check_pair(p, q)
+    p, q = _check_pair(p, q, axis)
     return 0.5 * np.abs(p - q).sum(axis=axis)
 
 

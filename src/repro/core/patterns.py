@@ -11,18 +11,18 @@ Faulty-case footprints are later judged against these patterns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..analysis.divergence import normalized_entropy
 from ..analysis.trajectory import (
-    _layer_weights,
-    batch_trajectory_divergence,
+    JSOperand,
+    _unit_layer_weights,
     check_trajectory_stack,
-    cross_trajectory_divergences,
-    cross_trajectory_layer_divergences,
+    cross_js_layer_divergences,
     pairwise_trajectory_divergences,
+    prepare_js_operand,
     trajectory_divergence,
     trajectory_divergence_to_stack,
     trajectory_similarity,
@@ -181,11 +181,22 @@ class PatternMatches:
 
 @dataclass(frozen=True)
 class _PatternIndex:
-    """Stacked per-class arrays backing the batched queries (built lazily)."""
+    """The pattern side of the batched queries, prepared once per pattern set.
+
+    Class means and member stacks are normalized, laid out class-first and
+    carry their entropy terms (:func:`prepare_js_operand`), so a query only
+    prepares its own stack; the layer weights are normalized to sum to one.
+    """
 
     class_ids: np.ndarray  # (K,) ascending
-    mean_stack: np.ndarray  # (K, L, C)
+    means: JSOperand  # the K class means
     dispersions: np.ndarray  # (K,)
+    # class id -> (members, member_nn_scale).  A class without stored members
+    # is represented by its mean, the fallback of nearest_member_divergence.
+    members: Dict[int, Tuple[JSOperand, float]]
+    similarity_weights: np.ndarray  # (L,) at the library's late_layer_emphasis
+    divergence_weights: np.ndarray  # (L,) at divergence_from's emphasis 0.5
+    nn_weights: np.ndarray  # (L,) at nearest_member_divergence's emphasis 1.0
 
 
 class _WelfordMoments:
@@ -697,65 +708,76 @@ class PatternLibrary:
     # -- batched queries ----------------------------------------------------------
 
     def _batch_index(self) -> _PatternIndex:
-        """Stacked per-class arrays, rebuilt lazily when the pattern set changes.
+        """The prepared pattern side of the batched queries, rebuilt when patterns change.
 
         Lazy (rather than built in ``fit``) because deserialization and tests
-        assemble ``patterns`` directly.  The cache is keyed on the *identities*
-        of the pattern objects (not just the class ids), so replacing a class's
-        pattern in place — recalibration, hand-assembled libraries — rebuilds
-        the stacks instead of serving stale means and dispersions.
+        assemble ``patterns`` directly; ``fit`` and ``partial_fit`` drop it.
+        The cache is keyed on the *identities* of the pattern objects (not
+        just the class ids), so replacing a class's pattern in place —
+        recalibration, hand-assembled libraries — rebuilds the prepared means
+        and members instead of serving stale ones.
         """
         self._require_fitted()
         ids = tuple(sorted(self.patterns))
+        patterns = tuple(self.patterns[i] for i in ids)
+        key = (ids, self.late_layer_emphasis)
         if self._batch_cache is not None:
-            cached_ids, cached_patterns, index = self._batch_cache
-            if cached_ids == ids and all(
-                self.patterns[class_id] is pattern
-                for class_id, pattern in zip(cached_ids, cached_patterns)
+            cached_key, cached_patterns, index = self._batch_cache
+            if cached_key == key and all(
+                cached is pattern for cached, pattern in zip(cached_patterns, patterns)
             ):
                 return index
+        means = prepare_js_operand(np.stack([p.mean_trajectory for p in patterns]))
+        members: Dict[int, Tuple[JSOperand, float]] = {}
+        for class_id, pattern in zip(ids, patterns):
+            stack = pattern.member_trajectories
+            if stack is None or stack.shape[0] == 0:
+                stack = pattern.mean_trajectory[None]
+            members[class_id] = (prepare_js_operand(stack), float(pattern.member_nn_scale))
+        num_layers = means.shape[1]
         index = _PatternIndex(
             class_ids=np.asarray(ids, dtype=np.int64),
-            mean_stack=np.stack(
-                [np.asarray(self.patterns[i].mean_trajectory, dtype=np.float64) for i in ids]
-            ),
-            dispersions=np.asarray(
-                [self.patterns[i].dispersion for i in ids], dtype=np.float64
-            ),
+            means=means,
+            dispersions=np.asarray([p.dispersion for p in patterns], dtype=np.float64),
+            members=members,
+            similarity_weights=_unit_layer_weights(num_layers, self.late_layer_emphasis),
+            # ClassExecutionPattern.divergence_from (the per-case atypicality
+            # path) uses its own default emphasis of 0.5, independent of the
+            # library's similarity emphasis, and nearest_member_divergence
+            # defaults to 1.0 (early-layer beliefs are pixel-noise dominated).
+            divergence_weights=_unit_layer_weights(num_layers, 0.5),
+            nn_weights=_unit_layer_weights(num_layers, 1.0),
         )
-        self._batch_cache = (ids, tuple(self.patterns[i] for i in ids), index)
+        self._batch_cache = (key, patterns, index)
         return index
+
+    def _prepare_query(self, stack: np.ndarray, index: _PatternIndex) -> JSOperand:
+        """Prepare a query stack, checking it against the patterns' (L, C)."""
+        query = prepare_js_operand(stack)
+        _, num_layers, num_classes = index.means.shape
+        if query.shape[1:] != (num_layers, num_classes):
+            raise ShapeError(
+                f"trajectories must have shape (N, {num_layers}, {num_classes}), "
+                f"got {query.shape}"
+            )
+        return query
 
     def batch_pattern_matches(self, stack: np.ndarray) -> PatternMatches:
         """Compare a whole ``(N, L, C)`` stack against every class pattern at once.
 
-        One broadcasted JS kernel yields the per-layer divergences of every
-        (case, class) pair; the similarity matrix applies the library's layer
-        emphasis and the divergence matrix applies the atypicality emphasis
-        used by :meth:`ClassExecutionPattern.divergence_from` — the batched
+        One cross kernel against the prepared class means yields the
+        per-layer divergences of every (case, class) pair; the similarity
+        matrix applies the library's layer emphasis and the divergence matrix
+        applies the atypicality emphasis used by
+        :meth:`ClassExecutionPattern.divergence_from` — the batched
         equivalents of N·K per-case queries.
         """
         index = self._batch_index()
-        stack = check_trajectory_stack(stack)
-        if stack.shape[1:] != index.mean_stack.shape[1:]:
-            raise ShapeError(
-                f"trajectories must have shape (N, {index.mean_stack.shape[1]}, "
-                f"{index.mean_stack.shape[2]}), got {stack.shape}"
-            )
-        layer_divs = cross_trajectory_layer_divergences(stack, index.mean_stack)
-        layer_sims = 1.0 - layer_divs / np.log(2.0)
-        num_layers = stack.shape[1]
+        layer_divs = cross_js_layer_divergences(self._prepare_query(stack, index), index.means)
         return PatternMatches(
             class_ids=index.class_ids,
-            similarities=np.average(
-                layer_sims, axis=2, weights=_layer_weights(num_layers, self.late_layer_emphasis)
-            ),
-            # ClassExecutionPattern.divergence_from (the per-case atypicality
-            # path) uses its own default emphasis of 0.5, independent of the
-            # library's similarity emphasis — mirrored here for parity.
-            divergences=np.average(
-                layer_divs, axis=2, weights=_layer_weights(num_layers, 0.5)
-            ),
+            similarities=1.0 - (layer_divs @ index.similarity_weights) / np.log(2.0),
+            divergences=layer_divs @ index.divergence_weights,
             dispersions=index.dispersions,
             num_classes=self.num_classes,
         )
@@ -765,41 +787,33 @@ class PatternLibrary:
     ) -> np.ndarray:
         """Nearest-member typicality of every stack member w.r.t. its own target class.
 
-        The batched form of :meth:`nn_typicality`: cases are grouped by target
-        class and each group is compared against that class's member stack in
-        one cross-divergence kernel (classes without a pattern score 0, empty
-        member sets fall back to the mean-trajectory divergence — exactly the
-        per-case semantics).
+        The batched form of :meth:`nn_typicality`: the stack is prepared
+        once, cases are grouped by target class and each group is compared
+        against that class's prepared member stack in one cross kernel
+        (classes without a pattern score 0, empty member sets fall back to
+        the mean-trajectory divergence — exactly the per-case semantics).
         """
-        self._require_fitted()
-        stack = check_trajectory_stack(stack)
+        index = self._batch_index()
+        query = self._prepare_query(stack, index)
         class_ids = np.asarray(class_ids, dtype=np.int64)
-        if class_ids.shape != (stack.shape[0],):
+        if class_ids.shape != (query.shape[0],):
             raise ShapeError(
                 f"class_ids must be 1-D with one entry per case, got shape "
-                f"{class_ids.shape} for {stack.shape[0]} cases"
+                f"{class_ids.shape} for {query.shape[0]} cases"
             )
-        out = np.zeros(stack.shape[0], dtype=np.float64)
+        out = np.zeros(query.shape[0], dtype=np.float64)
         for class_value in np.unique(class_ids):
-            class_id = int(class_value)
-            pattern = self.patterns.get(class_id)
-            if pattern is None:
+            entry = index.members.get(int(class_value))
+            if entry is None:
                 continue  # unknown class: typicality stays 0
+            members, nn_scale = entry
             rows = np.nonzero(class_ids == class_value)[0]
-            members = pattern.member_trajectories
-            # nearest_member_divergence defaults to late_layer_emphasis=1.0
-            # (early-layer beliefs are pixel-noise dominated).
-            if members is None or members.shape[0] == 0:
-                nearest = batch_trajectory_divergence(
-                    stack[rows], pattern.mean_trajectory, late_layer_emphasis=1.0
-                )
-            else:
-                divergences = cross_trajectory_divergences(
-                    stack[rows], members, late_layer_emphasis=1.0
-                )
-                kk = max(1, min(int(k), divergences.shape[1]))
-                nearest = np.sort(divergences, axis=1)[:, :kk].mean(axis=1)
-            scale = max(float(pattern.member_nn_scale), scale_floor)
+            divergences = (
+                cross_js_layer_divergences(query.select(rows), members) @ index.nn_weights
+            )
+            kk = max(1, min(int(k), divergences.shape[1]))
+            nearest = np.partition(divergences, kk - 1, axis=1)[:, :kk].mean(axis=1)
+            scale = max(nn_scale, scale_floor)
             out[rows] = scale / (scale + nearest)
         return out
 
@@ -808,15 +822,14 @@ class PatternLibrary:
 
         Well-separated classes (a sound backbone) score low; a backbone whose
         hidden layers cannot tell the classes apart scores high.  Computed
-        loop-free as one cross kernel over the stacked class means.
+        loop-free as one cross kernel over the prepared class means.
         """
-        self._require_fitted()
         index = self._batch_index()
         k = index.class_ids.shape[0]
         if k < 2:
             return 0.0
-        divergences = cross_trajectory_divergences(
-            index.mean_stack, index.mean_stack, late_layer_emphasis=self.late_layer_emphasis
+        divergences = (
+            cross_js_layer_divergences(index.means, index.means) @ index.similarity_weights
         )
         similarities = 1.0 - divergences / np.log(2.0)
         upper = np.triu_indices(k, 1)

@@ -20,6 +20,8 @@ class _BatchNormBase(Layer):
     scale/shift parameters, running statistics, and the backward pass.
     """
 
+    buffer_names = ("running_mean", "running_var")
+
     def __init__(
         self,
         num_features: int,

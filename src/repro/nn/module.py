@@ -85,6 +85,10 @@ class Layer:
     batch-norm uses batch statistics) from inference behaviour.
     """
 
+    #: Attributes holding non-trainable state arrays (e.g. batch-norm running
+    #: statistics) that serialization saves alongside the parameters.
+    buffer_names: Tuple[str, ...] = ()
+
     def __init__(self, name: Optional[str] = None):
         self.name = name or type(self).__name__.lower()
         self.training = True

@@ -9,7 +9,9 @@ the whole fitted state once and reloads it in milliseconds.
 Everything is stored in a single ``.npz`` file: a JSON ``__config__`` entry
 holds every scalar (hyper-parameters, probe accuracies, pattern statistics,
 the classifier weights) and namespaced arrays hold the model parameters
-(``model/<name>``), probe parameters (``probe/<layer>/weight|bias``), and
+(``model/<name>``), the model's layer buffers such as batch-norm running
+statistics (``buffer/<name>``; artifacts written before they were stored load
+with initial values), probe parameters (``probe/<layer>/weight|bias``), and
 pattern arrays (``pattern/<class>/...``).  No pickle is involved — the file
 stays inspectable and loadable with ``allow_pickle=False``.
 """
@@ -30,7 +32,7 @@ from ..defects.spec import DefectType
 from ..exceptions import NotFittedError, SerializationError
 from ..models.registry import build_from_config
 from ..nn.layers import Dense
-from .persistence import _model_parameter_arrays
+from .persistence import _model_buffer_arrays, _model_parameter_arrays, _restore_buffers
 
 __all__ = ["save_deepmorph", "load_deepmorph"]
 
@@ -51,6 +53,7 @@ def save_deepmorph(morph: DeepMorph, path: PathLike) -> Path:
     arrays: Dict[str, np.ndarray] = {}
     for name, param in _model_parameter_arrays(morph.model).items():
         arrays[f"model/{name}"] = param
+    arrays.update(_model_buffer_arrays(morph.model))
 
     probes_config: Dict[str, Dict] = {}
     for layer_name in instrumented.layer_names:
@@ -138,6 +141,7 @@ def _restore_model(config: Dict, arrays: Dict[str, np.ndarray]):
         raise SerializationError(
             f"saved DeepMorph contains unknown model parameters: {sorted(saved)}"
         )
+    _restore_buffers(model, arrays)
     model.eval()
     return model
 

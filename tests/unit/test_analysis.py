@@ -83,6 +83,15 @@ class TestDivergences:
         assert divs[0] == pytest.approx(0.0, abs=1e-12)
         assert divs[1] > 0
 
+    @pytest.mark.parametrize("divergence", [kl_divergence, js_divergence, total_variation])
+    def test_axis_selects_the_normalized_axis(self, divergence):
+        """Unnormalized rows: the distributions along ``axis`` are what gets compared."""
+        rng = np.random.default_rng(3)
+        p, q = rng.random((3, 5)), rng.random((3, 5))
+        np.testing.assert_allclose(
+            divergence(p.T, q.T, axis=0), divergence(p, q, axis=1), rtol=0, atol=1e-15
+        )
+
 
 def make_trajectory(rows):
     return np.array(rows, dtype=np.float64)
