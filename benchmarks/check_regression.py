@@ -38,6 +38,7 @@ GATES = {
     ],
     "BENCH_extraction.json": [
         "fast_vs_loop_speedup",
+        "banded_vs_im2col_conv_speedup",
     ],
     "BENCH_serve.json": [
         "batched_vs_loop_speedup",

@@ -31,7 +31,6 @@ from .instrument import (
     SoftmaxInstrumentedModel,
     SoftmaxProbe,
     pool_activation,
-    pool_activation_reference,
 )
 from .patterns import ClassExecutionPattern, PatternLibrary, PatternMatches
 from .specifics import (
@@ -47,7 +46,6 @@ __all__ = [
     "SoftmaxProbe",
     "SoftmaxInstrumentedModel",
     "pool_activation",
-    "pool_activation_reference",
     "Footprint",
     "FootprintExtractor",
     "ClassExecutionPattern",

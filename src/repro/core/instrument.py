@@ -10,6 +10,7 @@ layers, forms a data-flow footprint.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,17 +30,29 @@ __all__ = [
     "SoftmaxProbe",
     "SoftmaxInstrumentedModel",
     "pool_activation",
-    "pool_activation_reference",
 ]
 
 
-def _pool_geometry(h: int, w: int, max_spatial: int):
-    """Ceil-sized block shape and output grid for block-average pooling."""
+@functools.lru_cache(maxsize=64)
+def _block_average_matrix(h: int, w: int, max_spatial: int, dtype: np.dtype) -> np.ndarray:
+    """Read-only ``(h · w, out_h · out_w)`` matrix that block-averages an ``h × w`` map.
+
+    Blocks are ceil-sized so at most ``max_spatial × max_spatial`` of them
+    cover the map; the trailing blocks may be ragged.  Column ``(i, j)``
+    holds ``1 / |block|`` at the block's pixels and zeros elsewhere, so one
+    matmul averages every block, even or ragged.  A map no larger than
+    ``max_spatial`` on both sides has 1×1 blocks: the matrix is the identity.
+    """
     block_h = -(-h // max_spatial)
     block_w = -(-w // max_spatial)
-    out_h = -(-h // block_h)
-    out_w = -(-w // block_w)
-    return block_h, block_w, out_h, out_w
+    rows = np.arange(h) // block_h  # block row of each pixel row
+    cols = np.arange(w) // block_w
+    row_weights = np.eye(rows[-1] + 1)[rows] / np.bincount(rows)[rows, None]
+    col_weights = np.eye(cols[-1] + 1)[cols] / np.bincount(cols)[cols, None]
+    matrix = np.einsum("yi,xj->yxij", row_weights, col_weights).reshape(h * w, -1)
+    matrix = matrix.astype(dtype)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def pool_activation(activation: np.ndarray, max_spatial: int = 4) -> np.ndarray:
@@ -50,12 +63,12 @@ def pool_activation(activation: np.ndarray, max_spatial: int = 4) -> np.ndarray:
     small without discarding the spatial layout entirely.  Dense activations
     are returned as-is.
 
-    Loop-free: when the map divides evenly into blocks, the pooling is a
-    single reshape + mean; otherwise the map is zero-padded up to a multiple
-    of the block size and each block's sum is divided by the number of *real*
-    elements it covers — numerically identical to averaging the ragged
-    trailing blocks directly.  float32/float64 input keeps its dtype, so the
-    extraction fast path stays in the active compute precision.
+    The pooling is one matmul of the ``(batch · channels, h · w)`` maps
+    against a cached block-averaging matrix (:func:`_block_average_matrix`,
+    one per ``(h, w, max_spatial, dtype)``), which covers even and ragged
+    blocks, and maps already small enough, in one path.  float32/float64
+    input keeps its dtype, so the extraction fast path stays in the active
+    compute precision.
     """
     activation = np.asarray(activation)
     if activation.dtype not in (np.float32, np.float64):
@@ -67,47 +80,9 @@ def pool_activation(activation: np.ndarray, max_spatial: int = 4) -> np.ndarray:
             f"activations must be 2-D or 4-D, got shape {activation.shape}"
         )
     n, c, h, w = activation.shape
-    if h <= max_spatial and w <= max_spatial:
-        return activation.reshape(n, -1)
-    block_h, block_w, out_h, out_w = _pool_geometry(h, w, max_spatial)
-    pad_h = out_h * block_h - h
-    pad_w = out_w * block_w - w
-    if pad_h == 0 and pad_w == 0:
-        pooled = activation.reshape(n, c, out_h, block_h, out_w, block_w).mean(axis=(3, 5))
-    else:
-        padded = np.pad(activation, ((0, 0), (0, 0), (0, pad_h), (0, pad_w)))
-        sums = padded.reshape(n, c, out_h, block_h, out_w, block_w).sum(axis=(3, 5))
-        rows = np.minimum((np.arange(out_h) + 1) * block_h, h) - np.arange(out_h) * block_h
-        cols = np.minimum((np.arange(out_w) + 1) * block_w, w) - np.arange(out_w) * block_w
-        counts = (rows[:, None] * cols[None, :]).astype(activation.dtype)
-        pooled = sums / counts
-    return pooled.reshape(n, -1)
-
-
-def pool_activation_reference(activation: np.ndarray, max_spatial: int = 4) -> np.ndarray:
-    """The original O(out_h · out_w) block-loop :func:`pool_activation`.
-
-    Kept as the parity/benchmark baseline for the vectorized fast path.
-    """
-    activation = np.asarray(activation, dtype=np.float64)
-    if activation.ndim == 2:
-        return activation
-    if activation.ndim != 4:
-        raise ShapeError(
-            f"activations must be 2-D or 4-D, got shape {activation.shape}"
-        )
-    n, c, h, w = activation.shape
-    if h <= max_spatial and w <= max_spatial:
-        return activation.reshape(n, -1)
-    # Block-average pooling with ceil-sized blocks covers the whole map.
-    block_h, block_w, out_h, out_w = _pool_geometry(h, w, max_spatial)
-    pooled = np.zeros((n, c, out_h, out_w), dtype=np.float64)
-    for i in range(out_h):
-        for j in range(out_w):
-            ys = slice(i * block_h, min((i + 1) * block_h, h))
-            xs = slice(j * block_w, min((j + 1) * block_w, w))
-            pooled[:, :, i, j] = activation[:, :, ys, xs].mean(axis=(2, 3))
-    return pooled.reshape(n, -1)
+    matrix = _block_average_matrix(h, w, max_spatial, activation.dtype)
+    pooled = activation.reshape(n * c, h * w) @ matrix
+    return pooled.reshape(n, c * matrix.shape[1])
 
 
 class SoftmaxProbe:
@@ -262,9 +237,9 @@ class SoftmaxInstrumentedModel:
         (``collect_activations`` / ``layer_distributions``).  ``"float32"``
         (also the meaning of ``None``) is the default — the backbone is
         frozen, so extraction is pure inference and float32 halves the memory
-        traffic through the im2col/matmul hot path.  Probe *training*
-        (``fit``) always collects activations in float64, as does every
-        gradient-carrying path.  Pass ``"float64"`` to force full precision
+        traffic through the banded-convolution gathers and matmuls.  Probe
+        *training* (``fit``) always collects activations in float64, as does
+        every gradient-carrying path.  Pass ``"float64"`` to force full precision
         end to end.
     """
 
@@ -352,7 +327,9 @@ class SoftmaxInstrumentedModel:
             pooled: Dict[str, List[np.ndarray]] = {name: [] for name in self.layer_names}
             logits_parts: List[np.ndarray] = []
             with autocast(compute):
-                for start in range(0, inputs.shape[0], batch_size):
+                # An empty input still runs one (empty) batch, so every layer
+                # reports its (0, features) shape.
+                for start in range(0, max(inputs.shape[0], 1), batch_size):
                     batch = inputs[start:start + batch_size]
                     logits, acts = self.model.forward_collect(batch)
                     logits_parts.append(logits)
@@ -361,12 +338,7 @@ class SoftmaxInstrumentedModel:
                             pool_activation(acts[name], max_spatial=self.max_spatial)
                         )
             activations = {name: np.concatenate(parts, axis=0) for name, parts in pooled.items()}
-            all_logits = (
-                np.concatenate(logits_parts, axis=0)
-                if logits_parts
-                else np.zeros((0, self.model.num_classes), dtype=compute)
-            )
-            return activations, all_logits
+            return activations, np.concatenate(logits_parts, axis=0)
         finally:
             self.model.train(was_training)
 
@@ -465,9 +437,6 @@ class SoftmaxInstrumentedModel:
         if not groups:
             return []
         sizes = [g.shape[0] for g in groups]
-        if sum(sizes) == 0:
-            empty = np.zeros((0, self.num_layers, self.num_classes), dtype=np.float64)
-            return [(empty, empty[:, 0, :]) for _ in groups]
         trajectories, final_probs = self.layer_distributions(
             np.concatenate(groups, axis=0), batch_size=batch_size
         )

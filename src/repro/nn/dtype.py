@@ -8,8 +8,8 @@ The substrate serves two masters with different numerical needs:
 * **Frozen-backbone extraction** (``collect_activations`` →
   ``layer_distributions`` → the serving layer's batched extraction) is pure
   inference over immutable parameters.  float32 halves memory traffic through
-  the im2col/matmul hot path at an accuracy cost far below the probe
-  distributions' meaningful resolution.
+  the banded-convolution gathers and matmuls at an accuracy cost far below
+  the probe distributions' meaningful resolution.
 
 This module makes that split explicit instead of implicit.  The *compute
 dtype* is a thread-local setting (each serving/engine thread gets its own)

@@ -13,17 +13,35 @@ Conventions
   decides the precision (see :mod:`repro.nn.dtype`).  Training and
   gradient-check paths feed float64; the frozen-backbone extraction fast path
   feeds float32.
-* The extraction hot paths (``im2col``, pooling) are loop-free, built on
-  :func:`numpy.lib.stride_tricks.sliding_window_view`; ``col2im`` (backward
-  only) keeps a deliberate per-kernel-offset loop of strided adds, the
-  fastest safe form of an overlapping scatter-add (see its docstring).
-  Every hot function has a ``*_reference`` twin implemented independently;
-  the parity test suite pins the production path to them.
+* Forward kernels move contiguous rows and leave the arithmetic to one BLAS
+  call or to whole-array ufunc passes:
+
+  - :func:`conv2d_forward` is a width-tiled *banded* convolution.  It reads
+    the input channels-last (padded into one copy when needed); for every
+    output row the ``kh`` input rows beneath it are gathered in tiles of
+    ``span`` contiguous columns (each a run of ``span · C_in`` floats) and
+    multiplied by a banded ``(kh · span · C_in, tile · C_out)`` weight that
+    computes ``tile`` neighbouring output columns at once.  The tile is
+    fixed by kernel and stride (:func:`_band_tile`: 8 output columns at
+    stride 1, 4 at stride 2, one for 1×1 kernels), so the band does not grow
+    with the input width; for a 1×1 kernel the band is the plain weight
+    matrix.
+  - Max and average pooling are ``kernel²`` strided ``np.maximum`` /
+    ``np.add`` passes over the padded input; max pooling records its argmax
+    only when asked (training mode).
+
+  The backward passes keep the im2col formulation: :func:`conv2d_backward`
+  builds :func:`im2col` (a :func:`~numpy.lib.stride_tricks.sliding_window_view`
+  gather) from the cached input, and :func:`col2im` keeps a deliberate
+  per-kernel-offset loop of strided adds, the fastest safe form of an
+  overlapping scatter-add (see its docstring).  Independent loop-based
+  oracles live in ``tests/reference/backbone_oracle.py``; the parity suites
+  pin the convolution and pooling kernels here to them.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -44,8 +62,6 @@ __all__ = [
     "one_hot",
     "im2col",
     "col2im",
-    "im2col_reference",
-    "col2im_reference",
     "conv2d_forward",
     "conv2d_backward",
     "maxpool2d_forward",
@@ -137,7 +153,7 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Convolution via im2col
+# Convolution: banded forward, im2col backward
 # ---------------------------------------------------------------------------
 
 def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
@@ -215,9 +231,10 @@ def col2im(
     :func:`~numpy.lib.stride_tricks.sliding_window_view` cannot express safely
     (``+=`` through overlapping views is undefined).  The ``kernel_h ×
     kernel_w`` loop of vectorized strided adds is deliberate: the fully
-    index-bucketed alternative (:func:`col2im_reference`) materializes an
-    int64 index array larger than the gradient itself and measures ~2x slower
-    at training scale.  col2im is only on the training/backward path —
+    index-bucketed alternative (``col2im_reference`` in
+    ``tests/reference/backbone_oracle.py``) materializes an int64 index array
+    larger than the gradient itself and measures ~2x slower at training
+    scale.  col2im is only on the training/backward path —
     inference never calls it.  Gradient that lands in the padded border is
     cropped away (padding is a constant, it receives no gradient).
     """
@@ -238,14 +255,61 @@ def col2im(
     return img[:, :, pad:-pad, pad:-pad]
 
 
+def _band_tile(kernel_w: int, stride: int, out_w: int) -> int:
+    """Output columns computed per band tile of :func:`conv2d_forward`.
+
+    Neighbouring windows share ``kernel_w - stride`` input columns, and a tile
+    reads each shared column once instead of once per window, at the cost of
+    multiplying the band's zeros.  Eight output columns at stride 1 and four
+    at stride 2 (a span of 9-12 input columns for 3×3 and 5×5 kernels) ran
+    ahead of im2col on every LeNet/ResNet 3×3 and 5×5 shape from 4 to 64 px,
+    in float32 and float64, on a 2-core VM; a full-width band fell behind
+    im2col on the ResNet shapes at 32-64 px.  Kernels whose windows do not
+    overlap (1×1, or a stride of at least the kernel width) have nothing to
+    share and take the one-column tile, where the band is the plain weight
+    matrix.  The tile never exceeds the output width.
+    """
+    if kernel_w <= stride:
+        return 1
+    return max(1, min(8 // stride, out_w))
+
+
+def _conv_band(weight: np.ndarray, tile: int, stride: int, dtype) -> np.ndarray:
+    """Banded ``(kh · span · C_in, tile · C_out)`` weight of one tile, in ``dtype``.
+
+    Rows are ordered like a gathered tile, ``(ky, column, c_in)`` with
+    ``span = (tile - 1) · stride + kw`` columns; output column ``t`` of the
+    tile sees the filter taps at columns ``t · stride .. t · stride + kw - 1``
+    and zeros elsewhere.  Built per call from the (float64) parameter, so it
+    always reflects the current weights.
+    """
+    c_out, c_in, kh, kw = weight.shape
+    span = (tile - 1) * stride + kw
+    band = np.zeros((kh, span, c_in, tile, c_out), dtype=dtype)
+    taps = weight.transpose(2, 3, 1, 0)  # (kh, kw, C_in, C_out)
+    for t in range(tile):
+        band[:, t * stride:t * stride + kw, :, t, :] = taps
+    return band.reshape(kh * span * c_in, tile * c_out)
+
+
 def conv2d_forward(
     x: np.ndarray,
     weight: np.ndarray,
     bias: np.ndarray | None,
     stride: int,
     pad: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """2-D convolution forward pass.
+) -> np.ndarray:
+    """2-D convolution forward pass as a width-tiled banded matmul.
+
+    The input is read channels-last, ``(N, H, W, C)``.  When the kernel pads
+    or the last, partial, tile reaches past the input, it is first copied
+    once into a zero buffer widened on the right (a 1×1 kernel, or an
+    unpadded one whose tiles fit, reads the input in place).  For every
+    output row the ``kh`` input rows beneath it are gathered in tiles of
+    ``span`` contiguous columns, so each copied run is ``span · C_in`` floats
+    long for channels-last input, and one matmul against :func:`_conv_band`
+    yields ``tile`` output columns per gathered row.  Columns past the output
+    width are cropped.
 
     Parameters
     ----------
@@ -258,9 +322,10 @@ def conv2d_forward(
 
     Returns
     -------
-    ``(output, col)`` where ``col`` is the im2col matrix cached for the
-    backward pass.  The matmul runs in the input's dtype: float64 parameters
-    are narrowed to match a float32 input rather than widening the input.
+    The ``(N, C_out, out_h, out_w)`` output: a channels-last array viewed in
+    NCHW order, so it is not C-contiguous.  The matmul runs in the input's
+    dtype: float64 parameters are narrowed to match a float32 input rather
+    than widening the input.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d expects NCHW input, got shape {x.shape}")
@@ -270,41 +335,54 @@ def conv2d_forward(
         raise ShapeError(
             f"input has {x.shape[1]} channels but weight expects {weight.shape[1]}"
         )
-    n, _, h, w = x.shape
+    n, c_in, h, w = x.shape
     c_out, _, kh, kw = weight.shape
     out_h = conv_output_size(h, kh, stride, pad)
     out_w = conv_output_size(w, kw, stride, pad)
+    tile = _band_tile(kw, stride, out_w)
+    tiles = -(-out_w // tile)
+    span = (tile - 1) * stride + kw
 
-    col = im2col(x, kh, kw, stride, pad)
-    w_mat = weight.reshape(c_out, -1).T  # (C_in*KH*KW, C_out)
-    if w_mat.dtype != col.dtype:
-        w_mat = w_mat.astype(col.dtype)
-    out = col @ w_mat
+    img = x.transpose(0, 2, 3, 1)
+    width = (tiles * tile - 1) * stride + kw  # input columns the tiles read
+    if pad or width > w:
+        padded = np.zeros((n, h + 2 * pad, max(width, w + 2 * pad), c_in), dtype=x.dtype)
+        padded[:, pad:pad + h, pad:pad + w] = img
+        img = padded
+    # (N, out_h, tiles, C_in, kh, span): the rows under each output row, tiled.
+    windows = sliding_window_view(img, (kh, span), axis=(1, 2))
+    windows = windows[:, ::stride, ::tile * stride][:, :out_h, :tiles]
+    rows = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * out_h * tiles, kh * span * c_in)
+
+    out = rows @ _conv_band(weight, tile, stride, x.dtype)
     if bias is not None:
-        out = out + (bias if bias.dtype == out.dtype else bias.astype(out.dtype))
-    out = out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
-    return out, col
+        # One bias copy per tile column keeps the add's inner loop tile·C_out long.
+        out += np.tile(bias.astype(out.dtype, copy=False), tile)
+    out = out.reshape(n, out_h, tiles * tile, c_out)[:, :, :out_w]
+    return out.transpose(0, 3, 1, 2)
 
 
 def conv2d_backward(
     grad_out: np.ndarray,
-    x_shape: Tuple[int, int, int, int],
-    col: np.ndarray,
+    x: np.ndarray,
     weight: np.ndarray,
     stride: int,
     pad: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """2-D convolution backward pass.
+    """2-D convolution backward pass from the forward input ``x``.
 
+    The im2col matrix is built here from ``x`` (which the layer caches, ``k²``
+    times smaller than the matrix), not carried over from the forward pass.
     Returns ``(grad_input, grad_weight, grad_bias)``.
     """
     c_out, c_in, kh, kw = weight.shape
+    col = im2col(x, kh, kw, stride, pad)
     grad_flat = grad_out.transpose(0, 2, 3, 1).reshape(-1, c_out)
 
     grad_bias = grad_flat.sum(axis=0)
     grad_weight = (col.T @ grad_flat).T.reshape(c_out, c_in, kh, kw)
     grad_col = grad_flat @ weight.reshape(c_out, -1)
-    grad_input = col2im(grad_col, x_shape, kh, kw, stride, pad)
+    grad_input = col2im(grad_col, x.shape, kh, kw, stride, pad)
     return grad_input, grad_weight, grad_bias
 
 
@@ -337,29 +415,40 @@ def _window_real_counts(
     return overlap(h, out_h)[:, None] * overlap(w, out_w)[None, :]
 
 
-def _pool_windows(
-    x: np.ndarray, kernel: int, stride: int, pad: int, pad_value: float
-) -> np.ndarray:
-    """Zero-copy ``(N, C, out_h, out_w, kernel, kernel)`` view of pooling windows."""
-    img = pad_nchw(x, pad, value=pad_value)
-    return sliding_window_view(img, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
+def _pool_offsets(
+    img: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int
+) -> Iterator[np.ndarray]:
+    """The ``kernel²`` strided ``(N, C, out_h, out_w)`` views of a padded input.
+
+    The view at offset ``(ky, kx)`` holds element ``(ky, kx)`` of every
+    pooling window, yielded in row-major offset order ``ky · kernel + kx``
+    (the order of a window's entries in an im2col row).  Reducing the views
+    elementwise pools the input without materializing any window.
+    """
+    for ky in range(kernel):
+        for kx in range(kernel):
+            yield img[
+                :, :,
+                ky:ky + stride * (out_h - 1) + 1:stride,
+                kx:kx + stride * (out_w - 1) + 1:stride,
+            ]
 
 
 def maxpool2d_forward(
     x: np.ndarray, kernel: int, stride: int, pad: int = 0, return_argmax: bool = True
 ) -> Tuple[np.ndarray, "np.ndarray | None"]:
-    """Max pooling forward pass.
+    """Max pooling forward pass: ``kernel²`` strided ``np.maximum`` passes.
 
     Padding is filled with ``-inf`` rather than zero so a padded position can
     never be selected: with an all-negative window, the max is the true
     (negative) maximum, not a phantom zero from the border.
 
-    Returns ``(output, argmax)`` where ``argmax`` records, per output
-    position, which element of the receptive field was selected (needed to
-    route gradients in the backward pass).  Inference callers pass
-    ``return_argmax=False`` (and get ``argmax=None``): the max then reduces
-    directly over the sliding-window view without materializing the column
-    matrix, which is the single largest cost of the extraction hot path.
+    Returns ``(output, argmax)``.  ``argmax`` is the ``(N · out_h · out_w, C)``
+    window offset ``ky · kernel + kx`` of each selected element, the layout
+    :func:`maxpool2d_backward` reads; on ties the first offset wins, as with
+    ``argmax`` over an im2col row.  It costs a comparison per pass, so
+    inference callers pass ``return_argmax=False`` and get ``argmax=None``.
+    The output follows the memory layout of the (padded) input.
     """
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d expects NCHW input, got shape {x.shape}")
@@ -368,14 +457,17 @@ def maxpool2d_forward(
     out_h = conv_output_size(h, kernel, stride, pad)
     out_w = conv_output_size(w, kernel, stride, pad)
 
-    windows = _pool_windows(x, kernel, stride, pad, -np.inf)
-    if not return_argmax:
-        return windows.max(axis=(4, 5)), None
-    col = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, c, kernel * kernel)
-    argmax = col.argmax(axis=2)
-    out = np.take_along_axis(col, argmax[:, :, None], axis=2)[:, :, 0]
-    out = out.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
-    return out, argmax
+    views = _pool_offsets(pad_nchw(x, pad, value=-np.inf), kernel, stride, out_h, out_w)
+    out = next(views).copy(order="K")
+    argmax = np.zeros_like(out, dtype=np.intp) if return_argmax else None
+    for offset, view in enumerate(views, start=1):
+        if argmax is not None:
+            # Strictly greater: on a tie the earlier offset keeps the argmax.
+            argmax[view > out] = offset
+        np.maximum(out, view, out=out)
+    if argmax is None:
+        return out, None
+    return out, argmax.transpose(0, 2, 3, 1).reshape(n * out_h * out_w, c)
 
 
 def maxpool2d_backward(
@@ -413,7 +505,9 @@ def avgpool2d_forward(
     pad: int = 0,
     count_include_pad: bool = True,
 ) -> np.ndarray:
-    """Average pooling forward pass.
+    """Average pooling forward pass: ``kernel²`` strided ``np.add`` passes.
+
+    The output follows the memory layout of the (padded) input.
 
     Parameters
     ----------
@@ -429,11 +523,15 @@ def avgpool2d_forward(
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel, stride, pad)
     out_w = conv_output_size(w, kernel, stride, pad)
-    windows = _pool_windows(x, kernel, stride, pad, 0.0)
+    views = _pool_offsets(pad_nchw(x, pad), kernel, stride, out_h, out_w)
+    out = next(views).copy(order="K")
+    for view in views:
+        out += view
     if count_include_pad or pad == 0:
-        return windows.mean(axis=(4, 5))
-    counts = _window_real_counts(h, w, kernel, stride, pad, out_h, out_w)
-    return windows.sum(axis=(4, 5)) / counts.astype(x.dtype)[None, None, :, :]
+        out /= kernel * kernel
+    else:
+        out /= _window_real_counts(h, w, kernel, stride, pad, out_h, out_w).astype(out.dtype)
+    return out
 
 
 def avgpool2d_backward(
@@ -465,78 +563,3 @@ def avgpool2d_backward(
         scaled[:, :, None], (n * out_h * out_w, c, kernel * kernel)
     ).reshape(n * out_h * out_w, c * kernel * kernel)
     return col2im(grad_col, x_shape, kernel, kernel, stride, pad)
-
-
-# ---------------------------------------------------------------------------
-# Reference implementations (per-kernel-offset loops)
-# ---------------------------------------------------------------------------
-# The original implementations are kept verbatim as the slow-but-obviously-
-# correct baseline: the parity test suite pins the loop-free fast path above
-# to these, and the extraction benchmark measures the speedup against them.
-
-def im2col_reference(
-    x: np.ndarray,
-    kernel_h: int,
-    kernel_w: int,
-    stride: int,
-    pad: int,
-    pad_value: float = 0.0,
-) -> np.ndarray:
-    """Loop-based :func:`im2col` (one slice-copy per kernel offset)."""
-    if x.ndim != 4:
-        raise ShapeError(f"im2col expects NCHW input, got shape {x.shape}")
-    n, c, h, w = x.shape
-    out_h = conv_output_size(h, kernel_h, stride, pad)
-    out_w = conv_output_size(w, kernel_w, stride, pad)
-
-    img = pad_nchw(x, pad, value=pad_value)
-    col = np.zeros((n, c, kernel_h, kernel_w, out_h, out_w), dtype=x.dtype)
-    for ky in range(kernel_h):
-        y_max = ky + stride * out_h
-        for kx in range(kernel_w):
-            x_max = kx + stride * out_w
-            col[:, :, ky, kx, :, :] = img[:, :, ky:y_max:stride, kx:x_max:stride]
-
-    return col.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, -1)
-
-
-def col2im_reference(
-    col: np.ndarray,
-    input_shape: Tuple[int, int, int, int],
-    kernel_h: int,
-    kernel_w: int,
-    stride: int,
-    pad: int,
-) -> np.ndarray:
-    """Index-bucketed :func:`col2im`: an independent cross-check implementation.
-
-    Every column entry's flat destination index in the padded image is
-    computed by broadcasting and the overlapping scatter-add is a single
-    :func:`numpy.bincount` — direct index bookkeeping that shares no strided
-    slice arithmetic with the production :func:`col2im`, which is what makes
-    it a useful parity baseline.  Not used at runtime: the index array it
-    materializes makes it ~2x slower than the strided-add loop at training
-    scale.
-    """
-    n, c, h, w = input_shape
-    out_h = conv_output_size(h, kernel_h, stride, pad)
-    out_w = conv_output_size(w, kernel_w, stride, pad)
-    hp, wp = h + 2 * pad, w + 2 * pad
-
-    # Rows of `col` are (n, out_h, out_w); columns are (c, kernel_h, kernel_w).
-    weights = (
-        col.reshape(n, out_h, out_w, c, kernel_h, kernel_w)
-        .transpose(0, 3, 1, 2, 4, 5)
-        .reshape(n * c, -1)
-    )
-    # Flat spatial index in the padded image for every (oy, ox, ky, kx).
-    ys = (np.arange(out_h) * stride)[:, None] + np.arange(kernel_h)[None, :]
-    xs = (np.arange(out_w) * stride)[:, None] + np.arange(kernel_w)[None, :]
-    spatial = (ys[:, None, :, None] * wp + xs[None, :, None, :]).reshape(-1)
-    index = (np.arange(n * c)[:, None] * (hp * wp) + spatial[None, :]).ravel()
-
-    img = np.bincount(index, weights=weights.ravel(), minlength=n * c * hp * wp)
-    img = img.reshape(n, c, hp, wp).astype(col.dtype, copy=False)
-    if pad == 0:
-        return img
-    return img[:, :, pad:-pad, pad:-pad]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -17,7 +17,14 @@ __all__ = ["Conv2D"]
 
 
 class Conv2D(Layer):
-    """2-D convolution over NCHW inputs, implemented with im2col.
+    """2-D convolution over NCHW inputs.
+
+    The forward pass, in training and eval mode alike, is the width-tiled
+    banded matmul of :func:`repro.nn.functional.conv2d_forward`: a tile of
+    8 output columns at stride 1 and 4 at stride 2 (one column for 1×1
+    kernels), so the band does not grow with the input width.  Training-mode
+    forwards cache the input, and the backward pass builds its im2col matrix
+    from it.
 
     Parameters
     ----------
@@ -97,31 +104,25 @@ class Conv2D(Layer):
                 Parameter(b_init((out_channels,), generator), name=f"{self.name}.bias"),
             )
 
-        self._input_shape: Optional[Tuple[int, int, int, int]] = None
-        self._col: Optional[np.ndarray] = None
+        self._input: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = as_compute(x)
-        self._input_shape = x.shape  # type: ignore[assignment]
-        out, col = F.conv2d_forward(
+        self._input = self.cache_for_backward(x)
+        return F.conv2d_forward(
             x,
             self.weight.data,
             self.bias.data if self.bias is not None else None,
             self.stride,
             self.padding,
         )
-        # The column matrix is the largest extraction buffer; never retain it
-        # across inference-mode forwards.
-        self._col = self.cache_for_backward(col)
-        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._input_shape is None or self._col is None:
+        if self._input is None:
             raise RuntimeError("backward called before forward on Conv2D")
         grad_in, grad_w, grad_b = F.conv2d_backward(
             np.asarray(grad_out, dtype=np.float64),
-            self._input_shape,
-            self._col,
+            self._input,
             self.weight.data,
             self.stride,
             self.padding,

@@ -46,7 +46,7 @@ class MaxPool2D(Layer):
         x = as_compute(x)
         self._input_shape = x.shape  # type: ignore[assignment]
         # The argmax is only needed to route gradients; inference-mode
-        # forwards skip it (and the column-matrix materialization it forces).
+        # forwards skip it (and the comparison it adds to every pass).
         out, argmax = F.maxpool2d_forward(
             x, self.kernel_size, self.stride, self.padding,
             return_argmax=self.training,

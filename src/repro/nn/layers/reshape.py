@@ -22,7 +22,7 @@ class Flatten(Layer):
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = as_compute(x)
         self._input_shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], self.output_shape(x.shape[1:])[0])
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._input_shape is None:

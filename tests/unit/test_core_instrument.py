@@ -256,6 +256,28 @@ class TestGroupedExtraction:
         empty_only = instrumented.layer_distributions_grouped([inputs[:0]])
         assert empty_only[0][0].shape == (0, instrumented.num_layers, instrumented.num_classes)
 
+    def test_zero_row_batches_extract_empty_arrays(self, fitted_deepmorph, tiny_splits):
+        """A 0-row batch yields (0, L, C) / (0, C) arrays and no footprints."""
+        _, test = tiny_splits
+        empty = test.arrays()[0][:0]
+        instrumented = fitted_deepmorph.instrumented
+        layers, classes = instrumented.num_layers, instrumented.num_classes
+
+        activations, logits = instrumented.collect_activations(empty)
+        assert logits.shape == (0, classes)
+        for name, features in activations.items():
+            assert features.shape == (0, instrumented.probes[name].num_features)
+        trajectories, final_probs = instrumented.layer_distributions(empty)
+        assert trajectories.shape == (0, layers, classes)
+        assert final_probs.shape == (0, classes)
+
+        extractor = FootprintExtractor(instrumented)
+        trajectories, final_probs = extractor.extract_arrays(empty)
+        assert trajectories.shape == (0, layers, classes)
+        assert final_probs.shape == (0, classes)
+        assert extractor.extract(empty) == []
+        assert extractor.extract(empty, np.zeros(0, dtype=int)) == []
+
     def test_extract_coalesced_roundtrips_through_from_arrays(self, fitted_deepmorph, tiny_splits):
         _, test = tiny_splits
         inputs, labels = test.arrays()

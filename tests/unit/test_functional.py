@@ -95,7 +95,7 @@ class TestConvolution:
         x = rng.random((2, 2, 6, 6))
         w = rng.random((3, 2, 3, 3))
         b = rng.random(3)
-        out, _ = F.conv2d_forward(x, w, b, stride=1, pad=1)
+        out = F.conv2d_forward(x, w, b, stride=1, pad=1)
 
         padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
         expected = np.zeros_like(out)
@@ -117,9 +117,9 @@ class TestConvolution:
         rng = np.random.default_rng(4)
         x = rng.random((2, 2, 6, 6))
         w = rng.random((3, 2, 3, 3))
-        out, col = F.conv2d_forward(x, w, None, stride=1, pad=0)
+        out = F.conv2d_forward(x, w, None, stride=1, pad=0)
         grad_in, grad_w, grad_b = F.conv2d_backward(
-            np.ones_like(out), x.shape, col, w, stride=1, pad=0
+            np.ones_like(out), x, w, stride=1, pad=0
         )
         assert grad_in.shape == x.shape
         assert grad_w.shape == w.shape

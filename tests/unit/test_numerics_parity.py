@@ -3,9 +3,10 @@
 Three obligations are pinned here:
 
 1. **Fast path == reference path.**  The vectorized ``im2col``/``col2im``/
-   ``pool_activation`` implementations must reproduce the original
-   per-kernel-offset loop implementations (kept as ``*_reference``) to within
-   float tolerance, over kernels, strides, paddings, and dtypes.
+   convolution/``pool_activation`` implementations must reproduce the
+   per-kernel-offset loop oracles in ``tests/reference/backbone_oracle.py``
+   to within float tolerance, over kernels, strides, paddings, and dtypes
+   (``tests/property/test_backbone_kernels.py`` draws these cases at random).
 2. **Pooling/padding bugfixes.**  Padded max pooling must never let a padded
    zero beat a real negative activation, and padded average pooling must use
    a divisor consistent with its ``count_include_pad`` mode in forward and
@@ -19,10 +20,16 @@ Three obligations are pinned here:
 import numpy as np
 import pytest
 
-from repro.core import pool_activation, pool_activation_reference
+from repro.core import pool_activation
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn import functional as F
 from repro.nn import dtype as dt
+from tests.reference.backbone_oracle import (
+    col2im_reference,
+    conv2d_forward as conv2d_reference,
+    im2col_reference,
+    pool_activation_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -48,14 +55,14 @@ class TestIm2colParity:
         n, c, h, w, kh, kw, stride, pad = case
         x = np.random.default_rng(0).standard_normal((n, c, h, w)).astype(dtype)
         fast = F.im2col(x, kh, kw, stride, pad)
-        ref = F.im2col_reference(x, kh, kw, stride, pad)
+        ref = im2col_reference(x, kh, kw, stride, pad)
         assert fast.dtype == dtype
         np.testing.assert_array_equal(fast, ref)
 
     def test_im2col_pad_value_matches_reference(self):
         x = np.random.default_rng(1).standard_normal((2, 2, 5, 5))
         fast = F.im2col(x, 3, 3, 1, 1, pad_value=-np.inf)
-        ref = F.im2col_reference(x, 3, 3, 1, 1, pad_value=-np.inf)
+        ref = im2col_reference(x, 3, 3, 1, 1, pad_value=-np.inf)
         np.testing.assert_array_equal(fast, ref)
 
     @pytest.mark.parametrize("case", IM2COL_CASES)
@@ -68,7 +75,7 @@ class TestIm2colParity:
             (n * out_h * out_w, c * kh * kw)
         ).astype(dtype)
         fast = F.col2im(col, (n, c, h, w), kh, kw, stride, pad)
-        ref = F.col2im_reference(col, (n, c, h, w), kh, kw, stride, pad)
+        ref = col2im_reference(col, (n, c, h, w), kh, kw, stride, pad)
         assert fast.dtype == dtype
         tol = 1e-12 if dtype == np.float64 else 1e-5
         np.testing.assert_allclose(fast, ref, atol=tol)
@@ -78,16 +85,22 @@ class TestIm2colParity:
         x = rng.standard_normal((2, 3, 7, 7))
         w = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
-        out, col = F.conv2d_forward(x, w, b, stride=1, pad=1)
-        ref_col = F.im2col_reference(x, 3, 3, 1, 1)
-        np.testing.assert_array_equal(col, ref_col)
+        out = F.conv2d_forward(x, w, b, stride=1, pad=1)
+        np.testing.assert_allclose(out, conv2d_reference(x, w, b, 1, 1), atol=1e-12)
+        # Backward builds its column matrix from the input with im2col.
+        ref_col = im2col_reference(x, 3, 3, 1, 1)
+        np.testing.assert_array_equal(F.im2col(x, 3, 3, 1, 1), ref_col)
 
         grad_out = rng.standard_normal(out.shape)
-        grad_in, grad_w, grad_b = F.conv2d_backward(grad_out, x.shape, col, w, 1, 1)
-        # Backward against the loop-based col2im.
-        grad_col = grad_out.transpose(0, 2, 3, 1).reshape(-1, 4) @ w.reshape(4, -1)
-        ref_grad_in = F.col2im_reference(grad_col, x.shape, 3, 3, 1, 1)
+        grad_in, grad_w, grad_b = F.conv2d_backward(grad_out, x, w, 1, 1)
+        # Backward against the loop-based im2col/col2im.
+        grad_flat = grad_out.transpose(0, 2, 3, 1).reshape(-1, 4)
+        ref_grad_in = col2im_reference(grad_flat @ w.reshape(4, -1), x.shape, 3, 3, 1, 1)
         np.testing.assert_allclose(grad_in, ref_grad_in, atol=1e-12)
+        np.testing.assert_allclose(
+            grad_w, (ref_col.T @ grad_flat).T.reshape(w.shape), atol=1e-12
+        )
+        np.testing.assert_allclose(grad_b, grad_flat.sum(axis=0), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
