@@ -6,7 +6,7 @@ record against the committed baseline in ``benchmarks/baselines/`` and fails
 (exit code 1) when a metric drops more than ``--tolerance`` (default 30%)
 below its baseline value.
 
-Gated metrics are *ratios* (batched-vs-loop, gateway-vs-threading, ...)
+Gated metrics are *ratios* (batched-vs-loop, cache-on-vs-off, ...)
 rather than absolute cases/sec: ratios compare two measurements taken on the
 same machine in the same process, so they transfer between a laptop and a
 shared CI runner, while absolute throughput does not.  The committed
@@ -30,7 +30,7 @@ from pathlib import Path
 #: file name -> gated metric keys (higher is better for every one of them).
 GATES = {
     "BENCH_gateway.json": [
-        "gateway_vs_threading_speedup",
+        "gateway_cache_vs_nocache_speedup",
     ],
     "BENCH_diagnosis.json": [
         "batched_vs_loop_speedup",

@@ -1,7 +1,7 @@
 """``RemoteDiagnoser``: the HTTP client backend for a ``repro-serve`` gateway.
 
 A thin, dependency-free (stdlib ``http.client`` + ``socket``) counterpart of
-the serving front ends:
+the serving gateway:
 
 * **pluggable wire codec** — requests are encoded by the codec named in
   ``DiagnoserConfig.wire_codec`` (``"json"``, the compatibility default, or
@@ -92,7 +92,7 @@ def _parse_retry_after(value: Optional[str]) -> Optional[float]:
 
 
 class RemoteDiagnoser(Diagnoser):
-    """Diagnose against a remote ``repro-serve`` front end (gateway or threading).
+    """Diagnose against a remote ``repro-serve`` gateway.
 
     Parameters
     ----------
@@ -524,7 +524,7 @@ class RemoteDiagnoser(Diagnoser):
                         response = self._read_pipelined_response(reader)
                         responses.append(response)
                         status, headers, _payload = response
-                        # Both front ends close after an error; stop reading
+                        # The server may close after an error; stop reading
                         # there — the caller raises on it (or re-pipelines the
                         # unanswered tail on a fresh connection).
                         if status != 200 or headers.get("connection", "").lower() == "close":

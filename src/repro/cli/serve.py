@@ -5,12 +5,11 @@ API), register the fitted instance in an artifact registry directory, then::
 
     repro-serve --registry ./registry --port 8421
 
-and POST production batches to ``/diagnose``.  ``--async`` serves through
-the scale-out asyncio gateway instead (``--replicas`` service shards,
-``--max-inflight`` admission control, ``GET /metrics``); the default
-threading server remains the compatibility path.  ``--list`` prints the
-registry's contents without starting a server, and ``--bootstrap-demo`` fits
-and registers a small demo model first so the quickstart works from an empty
+and POST production batches to ``/diagnose``.  Requests are served by the
+asyncio gateway over ``--replicas`` service shards, with ``--max-inflight``
+admission control and ``GET /metrics``.  ``--list`` prints the registry's
+contents without starting a server, and ``--bootstrap-demo`` fits and
+registers a small demo model first so the quickstart works from an empty
 directory.
 """
 
@@ -24,10 +23,8 @@ from ..api import DiagnoserConfig
 from ..resilience import configure_chaos
 from ..serve import (
     ArtifactRegistry,
-    DiagnosisService,
     MetricsRegistry,
     ReplicaPool,
-    serve_forever,
     serve_gateway_forever,
 )
 from .common import add_settings_arguments, run_main, settings_from_args
@@ -60,14 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="footprint cache capacity in cases (0 disables caching)",
     )
     parser.add_argument(
-        "--async", action="store_true", dest="async_gateway",
-        help="serve through the asyncio gateway (replica shards + admission control) "
-             "instead of the thread-per-connection server",
-    )
-    parser.add_argument(
         "--replicas", type=int, default=2,
-        help="service replicas behind the async gateway (each with its own "
-             "engine thread and cache; implies --async semantics only with --async)",
+        help="service replicas behind the gateway (each with its own "
+             "engine thread and cache)",
     )
     parser.add_argument(
         "--max-inflight", type=int, default=None,
@@ -214,41 +206,26 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
         sink = args.trace_jsonl or "in-memory ring (GET /debug/traces)"
         print(f"tracing enabled; spans -> {sink}")
 
-    if args.async_gateway:
-        pool = ReplicaPool.from_registry(
-            registry,
-            num_replicas=args.replicas,
-            max_queue_per_replica=args.max_queue_per_replica,
-            max_inflight=args.max_inflight,
-            **service_kwargs,
-        )
-        try:
-            serve_gateway_forever(
-                pool,
-                host=args.host,
-                port=args.port,
-                verbose=args.verbose,
-                metrics=front_end_metrics,
-                default_codec=config.wire_codec,
-            )
-        finally:
-            # serve_gateway_forever already drained; this is the idempotent
-            # backstop for failures before the serve loop started.
-            pool.shutdown()
-            obs.get_tracer().flush()
-        return 0
-
-    service = DiagnosisService(registry, metrics=front_end_metrics, **service_kwargs)
+    pool = ReplicaPool.from_registry(
+        registry,
+        num_replicas=args.replicas,
+        max_queue_per_replica=args.max_queue_per_replica,
+        max_inflight=args.max_inflight,
+        **service_kwargs,
+    )
     try:
-        serve_forever(
-            service,
+        serve_gateway_forever(
+            pool,
             host=args.host,
             port=args.port,
             verbose=args.verbose,
+            metrics=front_end_metrics,
             default_codec=config.wire_codec,
         )
     finally:
-        service.close()
+        # serve_gateway_forever already drained; this is the idempotent
+        # backstop for failures before the serve loop started.
+        pool.shutdown()
         obs.get_tracer().flush()
     return 0
 

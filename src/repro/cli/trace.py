@@ -11,7 +11,7 @@ Given a file produced by ``repro-serve --trace-jsonl`` (or a
 
 Typical flow when chasing a latency regression::
 
-    repro-serve --registry ./registry --async --trace-jsonl spans.jsonl
+    repro-serve --registry ./registry --trace-jsonl spans.jsonl
     # ... send traffic ...
     repro-trace spans.jsonl                 # aggregate: which stage dominates
     repro-trace spans.jsonl --tree --slowest 3   # drill into the outliers

@@ -14,7 +14,7 @@ site                      where it fires
 ``replica.dispatch``      ``DiagnosisService.diagnose``, before any pipeline work
 ``batching.drain``        the batching engine's drain thread, per coalesced batch
 ``remote.send``           ``RemoteDiagnoser``, before a request is written
-``codec.decode``          both front ends, before the request body is decoded
+``codec.decode``          asyncio gateway, before the request body is decoded
 ========================  =========================================================
 
 A :class:`FaultPlan` arms one site with a mode:

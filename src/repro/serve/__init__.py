@@ -17,10 +17,8 @@ turns it into a long-lived service for production traffic:
   the pieces together.
 * :mod:`~repro.serve.replicas` — :class:`ReplicaPool`: N service replicas
   with queue-depth-aware routing and admission control.
-* :mod:`~repro.serve.http` — the legacy thread-per-connection JSON/HTTP
-  front end (compatibility path).
-* :mod:`~repro.serve.gateway` — the asyncio event-loop front end
-  (``repro-serve --async`` on the command line).
+* :mod:`~repro.serve.gateway` — :class:`DiagnosisGateway`, the asyncio HTTP
+  front end over a replica pool (what ``repro-serve`` runs).
 
 Quickstart::
 
@@ -33,18 +31,20 @@ Quickstart::
         report = service.diagnose("prod-lenet", inputs, labels)
         print(report.summary())
 
-Scale-out::
+Over HTTP::
 
     from repro.serve import DiagnosisGateway, ReplicaPool
 
     pool = ReplicaPool.from_registry("./registry", num_replicas=4)
     gateway = DiagnosisGateway(pool, port=8421).start()
+
+An embedder with a single service wraps it in a one-replica pool:
+``DiagnosisGateway(ReplicaPool(lambda _: service, num_replicas=1))``.
 """
 
 from .batching import BatchingEngine, ExtractionRequest
 from .cache import FootprintCache, LRUCache, input_digest
 from .gateway import DiagnosisGateway, parse_request_head, serve_gateway_forever
-from .http import DiagnosisHTTPServer, serve_forever
 from .jobs import Job, JobStatus, JobStore, WorkerPool
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, merge_counters
 from .registry import ArtifactRecord, ArtifactRegistry
@@ -57,7 +57,6 @@ __all__ = [
     "BatchingEngine",
     "Counter",
     "DiagnosisGateway",
-    "DiagnosisHTTPServer",
     "DiagnosisService",
     "ExtractionRequest",
     "FootprintCache",
@@ -75,6 +74,5 @@ __all__ = [
     "input_digest",
     "merge_counters",
     "parse_request_head",
-    "serve_forever",
     "serve_gateway_forever",
 ]

@@ -1,17 +1,16 @@
-"""Asyncio scale-out gateway: event-loop HTTP over a replica pool.
+"""Asyncio gateway: the event-loop HTTP front end over a replica pool.
 
-The legacy :class:`~repro.serve.http.DiagnosisHTTPServer` spends a thread per
-connection and funnels every request through one service instance.  Under
-concurrent load that design pays twice: the interpreter context-switches
-across dozens of runnable threads (GIL convoy), and every diagnosis
-serializes on a single batching engine.  The gateway replaces both halves:
+This is the one HTTP front end ``repro-serve`` runs.  Under concurrent load a
+thread per connection would pay twice: the interpreter context-switches
+across dozens of runnable threads (GIL convoy), and every diagnosis would
+serialize on a single batching engine.  The gateway avoids both:
 
 * **one event loop** accepts connections and parses HTTP/1.1 with a minimal
   reader (`readuntil(b"\\r\\n\\r\\n")` + `readexactly(content_length)`), so
   idle and slow connections cost a coroutine, not a thread;
 * **a small executor** (sized to the replica pool, not the connection count)
-  runs the blocking diagnosis work, bounding how many threads ever compete
-  for the GIL;
+  runs the blocking work — diagnosis, and the routes that read the
+  registry directory — bounding how many threads ever compete for the GIL;
 * **admission control happens on the loop** before any work is scheduled:
   saturated requests are shed in microseconds with ``503`` +
   ``Retry-After`` instead of queueing without bound;
@@ -27,9 +26,27 @@ serializes on a single batching engine.  The gateway replaces both halves:
 Every request, shed, latency, and queue depth is recorded in
 :mod:`~repro.serve.metrics` registries and exposed at ``GET /metrics``.
 
-The endpoint surface is a superset of the threading server's (``/health``,
-``/models``, ``/stats``, ``/diagnose``, ``/jobs``, ``/jobs/<id>``, plus
-``/metrics``), so clients can move between the two front ends unchanged.
+Routes (:meth:`DiagnosisGateway._dispatch_get` and
+:meth:`DiagnosisGateway._dispatch_post` are the route table):
+
+``GET /health``, ``GET /healthz``
+    Registered model names; replica health for probes.
+``GET /models``
+    Manifest records of every registered artifact version.
+``GET /stats``
+    Gateway, pool, and per-replica engine/cache/job counters.
+``GET /metrics``
+    Counters/gauges/histograms as JSON, or Prometheus text
+    (``?format=text`` or ``Accept: text/plain``).
+``GET /monitor``
+    Drift/alert snapshot per replica (``?refresh=1`` re-evaluates first).
+``POST /diagnose``
+    Synchronous diagnosis of a ``v1`` request body; the report is encoded
+    per ``Accept``.
+``POST /jobs``, ``GET /jobs``, ``GET /jobs/<id>``
+    Asynchronous diagnosis: submit, list, poll.
+``GET /debug/traces``, ``GET|POST /debug/chaos``
+    Tracing ring and fault-injector control (``POST`` from loopback only).
 """
 
 from __future__ import annotations
@@ -167,9 +184,8 @@ def parse_request_head(blob: bytes) -> ParsedRequest:
 class DiagnosisGateway:
     """The asyncio front end over a :class:`~repro.serve.replicas.ReplicaPool`.
 
-    Mirrors the lifecycle API of the threading server — construct, then
-    either :meth:`start` (background thread, for tests/embedding) or
-    :meth:`serve_forever` (blocking, for the CLI); ``port=0`` binds an
+    Construct, then either :meth:`start` (background thread, for
+    tests/embedding) or :meth:`serve_forever` (blocking); ``port=0`` binds an
     ephemeral port readable from :attr:`port` once running.
     """
 
@@ -434,7 +450,7 @@ class DiagnosisGateway:
         if length > self.max_body_bytes:
             # The body is never read, so the stream is desynchronized: close.
             # Mapped through the shared protocol table so the payload carries
-            # error_type exactly like the threading front end's 413.
+            # error_type like every other error response.
             status, payload, extra = error_response(
                 PayloadTooLargeError(
                     f"request body of {length} bytes exceeds {self.max_body_bytes}"
@@ -577,7 +593,8 @@ class DiagnosisGateway:
             records = await self._run_blocking(self.pool.records)
             return 200, {"models": records}, ()
         if path == "/stats":
-            return 200, self._stats_payload(), ()
+            # Replica stats list the registry directory — executor work.
+            return 200, await self._run_blocking(self._stats_payload), ()
         if path == "/metrics":
             if wants_text_metrics(query, headers.get("accept")):
                 text = self._metrics_text()

@@ -1,13 +1,10 @@
-"""Wire protocol shared by both HTTP front ends.
+"""Wire protocol of the HTTP front end (:mod:`repro.serve.gateway`).
 
-The thread-per-connection server (:mod:`repro.serve.http`) and the asyncio
-gateway (:mod:`repro.serve.gateway`) accept the same ``/diagnose`` and
-``/jobs`` body schema and emit the same error documents.  Both halves are
-derived from single sources:
+Each part of the protocol comes from one source:
 
 * request parsing is :meth:`repro.api.schema.DiagnosisRequest.from_dict` —
   the wire format *is* the library's ``v1`` schema, so a schema change lands
-  in both front ends and every client at once;
+  in the server and every client at once;
 * error responses come from :func:`error_response`, the one place an
   exception is mapped to a status code, an ``{"error", "error_type"}``
   payload, and transport headers (``Retry-After``).  Clients invert the
@@ -24,7 +21,6 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..api.schema import DiagnosisRequest
 from ..exceptions import (
     ArtifactNotFoundError,
     DeadlineExceededError,
@@ -45,8 +41,6 @@ from ..wire import (
 
 __all__ = [
     "parse_json_body",
-    "parse_diagnosis_request",
-    "diagnosis_args",
     "error_status",
     "error_response",
     "resolve_request_id",
@@ -79,19 +73,14 @@ def resolve_request_id(supplied: Optional[str], generate) -> str:
     return generate()
 
 
-def resolve_deadline(headers) -> Optional[Deadline]:
-    """The request's deadline from ``X-Deadline-Ms``, shared by both front ends.
+def resolve_deadline(headers: Dict[str, str]) -> Optional[Deadline]:
+    """The request's deadline from ``X-Deadline-Ms``.
 
-    ``headers`` is any case-insensitive-get mapping (the gateway's lowercased
-    dict, the threading server's ``email.message``-style headers).  Absent or
-    malformed values mean "no deadline" — a garbage header must not reject a
-    request that never asked for one.
+    ``headers`` maps lower-cased header names to values, as the gateway
+    parses them.  Absent or malformed values mean "no deadline" — a garbage
+    header must not reject a request that never asked for one.
     """
-    getter = getattr(headers, "get", None)
-    if getter is None:
-        return None
-    value = getter(DEADLINE_HEADER.lower()) or getter(DEADLINE_HEADER)
-    return Deadline.from_header_ms(value)
+    return Deadline.from_header_ms(headers.get(DEADLINE_HEADER.lower()))
 
 
 #: Loopback addresses allowed to reconfigure chaos at runtime.  The debug
@@ -134,24 +123,8 @@ def parse_json_body(raw: bytes) -> Dict:
     return payload
 
 
-def parse_diagnosis_request(payload: Dict) -> DiagnosisRequest:
-    """Validate a diagnosis request body against the ``v1`` schema."""
-    return DiagnosisRequest.from_dict(payload)
-
-
-def diagnosis_args(payload: Dict) -> Tuple[str, list, list, Optional[str], Optional[Dict]]:
-    """Deprecated shim: unpack a request body as a plain tuple.
-
-    Kept for callers written against the pre-``repro.api`` protocol; new code
-    should use :func:`parse_diagnosis_request` and work with the typed
-    :class:`~repro.api.schema.DiagnosisRequest`.
-    """
-    request = parse_diagnosis_request(payload)
-    return request.model, request.inputs, request.labels, request.version, request.metadata
-
-
 def error_status(error: BaseException) -> int:
-    """The HTTP status both front ends use for ``error`` (the single mapping)."""
+    """The HTTP status for ``error`` (the single mapping)."""
     if isinstance(error, ServiceSaturatedError):
         return 503
     if isinstance(error, ArtifactNotFoundError):

@@ -99,7 +99,7 @@ class DiagnosisService:
         Optional shared :class:`~repro.serve.metrics.MetricsRegistry`; by
         default the service creates its own.  The registry is threaded through
         the batching engine, footprint cache, and worker pool, and exposed at
-        ``GET /metrics`` by the HTTP front ends.
+        ``GET /metrics`` by the gateway, one snapshot per replica.
     monitor:
         When ``True``, a :class:`~repro.monitor.MonitorSink` watches the
         served traffic: freshly extracted cases feed a per-model drift window

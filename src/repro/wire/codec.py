@@ -236,7 +236,7 @@ def codec_for_content_type(value: Optional[str]) -> Codec:
 
     Parameters after ``;`` (``charset=...``) are ignored.  An unregistered
     media type raises :class:`~repro.exceptions.UnsupportedMediaTypeError`,
-    which both HTTP front ends map to a 415 response.
+    which the gateway maps to a 415 response.
     """
     if value is None or not value.strip():
         return default_codec()
@@ -283,7 +283,7 @@ def negotiate(
 ) -> Tuple[Codec, Codec]:
     """``(request codec, response codec)`` for one request's headers.
 
-    ``headers`` must be lower-cased keys (both front ends already normalize).
+    ``headers`` must be lower-cased keys (the gateway already normalizes).
     The request body is decoded per ``Content-Type`` (absent → JSON), the
     response encoded per ``Accept`` (absent/wildcard → ``default``, itself
     defaulting to JSON).  Unknown media types on either side raise

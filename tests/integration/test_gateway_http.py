@@ -1,28 +1,33 @@
-"""End-to-end gateway test: fit → register → async HTTP diagnose → parity.
+"""End-to-end gateway test: fit → register → HTTP diagnose → report parity.
 
-Mirrors ``test_serve_http.py`` for the asyncio gateway, then goes further:
-the gateway must agree with the legacy threading server *and* the direct
-``DeepMorph.diagnose_dataset`` call, survive the documented error paths
-(malformed JSON, oversized body, unknown model/version, saturation), and
-publish a well-formed ``/metrics`` document.
+A fitted model registered in the artifact registry serves a batched
+diagnosis over HTTP and returns the same report as an in-process
+``DiagnosisService`` (bitwise) and ``DeepMorph.diagnose_dataset`` (ratios).
+The gateway must also survive the documented error paths (malformed JSON,
+oversized body, unknown model/version, saturation) and publish well-formed
+``/stats`` and ``/metrics`` documents.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import threading
 import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.exceptions import ServeError
 from repro.serve import (
     ArtifactRegistry,
     DiagnosisGateway,
-    DiagnosisHTTPServer,
     DiagnosisService,
     ReplicaPool,
 )
+from repro.wire import JsonCodec
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +74,17 @@ def _get(url: str) -> dict:
         return json.loads(response.read())
 
 
+def _read_until_closed(sock: socket.socket) -> bytes:
+    chunks = []
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
 class TestGatewayDiagnosis:
-    def test_matches_direct_and_threading_server(
+    def test_matches_in_process_service_and_direct_diagnosis(
         self, gateway, registry_dir, fitted_deepmorph, tiny_splits
     ):
         _, test = tiny_splits
@@ -79,23 +93,20 @@ class TestGatewayDiagnosis:
 
         via_gateway = _post(gateway.url + "/diagnose", payload)
 
-        service = DiagnosisService(registry_dir, batch_wait_seconds=0.001, num_workers=1)
-        server = DiagnosisHTTPServer(service, port=0).start()
-        try:
-            via_threads = _post(server.url + "/diagnose", payload)
-        finally:
-            server.shutdown()
-            service.close()
-
+        with DiagnosisService(registry_dir, batch_wait_seconds=0.001, num_workers=1) as service:
+            in_process = service.diagnose_dict("tiny", inputs.tolist(), labels.tolist())
         # Bitwise-identical payloads: same artifact, same batch composition,
         # same extraction pipeline — the front end must not change the answer.
-        assert via_gateway == via_threads
+        assert via_gateway == json.loads(JsonCodec().encode_report(in_process))
 
         direct = fitted_deepmorph.diagnose_dataset(test)
         assert via_gateway["num_cases"] == direct.num_cases
         for defect, ratio in direct.ratios.items():
             assert via_gateway["ratios"][defect.value] == pytest.approx(ratio, abs=1e-9)
         assert via_gateway["dominant_defect"] == direct.dominant_defect.value
+        assert via_gateway["metadata"]["num_production_cases"] == len(test)
+        assert via_gateway["metadata"]["model"] == "tiny"
+        assert via_gateway["metadata"]["version"] == "v1"
 
     def test_pinned_version_and_repeat_requests(self, gateway, tiny_splits):
         _, test = tiny_splits
@@ -111,7 +122,7 @@ class TestGatewayDiagnosis:
         assert first["ratios"] == second["ratios"]
         assert first["metadata"]["version"] == "v1"
 
-    def test_async_job_roundtrip(self, gateway, tiny_splits):
+    def test_async_job_roundtrip(self, gateway, fitted_deepmorph, tiny_splits):
         _, test = tiny_splits
         inputs, labels = test.arrays()
         submitted = _post(gateway.url + "/jobs", {
@@ -130,9 +141,31 @@ class TestGatewayDiagnosis:
                 break
             time.sleep(0.02)
         assert job["status"] == "succeeded", job.get("error")
-        assert job["result"]["num_cases"] >= 1
+        direct = fitted_deepmorph.diagnose_dataset(test)
+        for defect, ratio in direct.ratios.items():
+            assert job["result"]["ratios"][defect.value] == pytest.approx(ratio, abs=1e-9)
         listed = _get(gateway.url + "/jobs")["jobs"]
         assert any(record["job_id"] == job_id for record in listed)
+
+    def test_one_replica_pool_over_an_existing_service(self, registry_dir, tiny_splits):
+        # The embedding recipe for a caller that already holds one service.
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        service = DiagnosisService(registry_dir, batch_wait_seconds=0.001, num_workers=1)
+        pool = ReplicaPool(lambda _: service, num_replicas=1)
+        gateway = DiagnosisGateway(pool, port=0, response_cache_size=0).start()
+        try:
+            via_gateway = _post(gateway.url + "/diagnose", {
+                "model": "tiny", "inputs": inputs.tolist(), "labels": labels.tolist(),
+            })
+            in_process = service.diagnose_dict("tiny", inputs.tolist(), labels.tolist())
+            assert _get(gateway.url + "/stats")["pool"]["num_replicas"] == 1
+        finally:
+            gateway.shutdown()
+            pool.close()
+        assert via_gateway == json.loads(JsonCodec().encode_report(in_process))
+        assert pool.replicas == [service]
+        assert not service.engine.is_running  # closing the pool closed the service
 
 
 class TestGatewayErrorPaths:
@@ -186,8 +219,70 @@ class TestGatewayErrorPaths:
             document = json.loads(excinfo.value.read())
             assert document["error_type"] == "PayloadTooLargeError"
             assert "request_id" in document
+            # The 413 closed its connection; the next one is served.
+            assert _get(small.url + "/health")["status"] == "ok"
         finally:
             small.shutdown()
+
+    def test_other_methods_are_405(self, gateway):
+        request = urllib.request.Request(
+            gateway.url + "/diagnose", data=b"{}", method="PUT",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=60)
+        assert excinfo.value.code == 405
+        assert "request_id" in json.loads(excinfo.value.read())
+
+    def test_unknown_job_is_404(self, gateway):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _get(gateway.url + "/jobs/no-such-job")
+        assert excinfo.value.code == 404
+        assert "unknown job" in json.loads(excinfo.value.read())["error"]
+
+    def test_deadline_header_name_is_case_insensitive(self, gateway):
+        # A spent budget is refused before admission, whatever the case of
+        # the header name: the gateway matches header names lower-cased.
+        body = json.dumps({"model": "tiny", "inputs": [[0.0]], "labels": [0]}).encode()
+        for name in ("X-DEADLINE-MS", "x-deadline-ms", "X-Deadline-Ms"):
+            connection = http.client.HTTPConnection(gateway.host, gateway.port, timeout=60)
+            try:
+                connection.putrequest("POST", "/diagnose")
+                connection.putheader("Content-Type", "application/json")
+                connection.putheader("Content-Length", str(len(body)))
+                connection.putheader(name, "0")
+                connection.endheaders(body)
+                response = connection.getresponse()
+                assert response.status == 504, name
+                assert json.loads(response.read())["error_type"] == "DeadlineExceededError"
+            finally:
+                connection.close()
+
+    def test_idle_connection_is_closed_after_idle_timeout(self, pool):
+        quick = DiagnosisGateway(pool, port=0, idle_timeout=0.2).start()
+        try:
+            with socket.create_connection((quick.host, quick.port), timeout=10) as sock:
+                started = time.monotonic()
+                assert sock.recv(1) == b""
+                assert time.monotonic() - started < 5
+        finally:
+            quick.shutdown()
+
+    def test_truncated_body_times_out_with_408(self, pool):
+        quick = DiagnosisGateway(pool, port=0, body_timeout=0.2).start()
+        try:
+            with socket.create_connection((quick.host, quick.port), timeout=10) as sock:
+                sock.sendall(
+                    b"POST /diagnose HTTP/1.1\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: 100\r\n\r\n"
+                    b'{"model": "tiny"'
+                )
+                response = _read_until_closed(sock)
+        finally:
+            quick.shutdown()
+        assert response.startswith(b"HTTP/1.1 408")
+        assert b"Connection: close" in response
 
     def test_saturated_pool_sheds_503_with_retry_after(self, gateway, pool, tiny_splits):
         _, test = tiny_splits
@@ -216,11 +311,97 @@ class TestGatewayIntrospection:
         assert health["status"] == "ok"
         assert "tiny" in health["models"]
         models = _get(gateway.url + "/models")["models"]
-        assert any(m["name"] == "tiny" and m["version"] == "v1" for m in models)
+        tiny = [m for m in models if m["name"] == "tiny"]
+        assert tiny and tiny[0]["version"] == "v1"
+        assert tiny[0]["metadata"] == {"suite": "gateway"}
         stats = _get(gateway.url + "/stats")
         assert stats["pool"]["num_replicas"] == 2
         assert len(stats["pool"]["inflight_per_replica"]) == 2
         assert stats["gateway"]["requests_total"] >= 1
+
+    def test_stats_runs_off_the_event_loop(self, gateway, pool, monkeypatch):
+        # Replica stats list the registry directory; on the loop thread that
+        # scan would stall every open connection.
+        threads = []
+        for service in pool.replicas:
+            models = service.registry.models
+
+            def spy(models=models):
+                threads.append(threading.current_thread().name)
+                return models()
+
+            monkeypatch.setattr(service.registry, "models", spy)
+        _get(gateway.url + "/stats")
+        assert len(threads) == pool.num_replicas
+        assert all(name.startswith("repro-gateway-worker") for name in threads), threads
+
+    def test_loop_keeps_answering_while_stats_is_blocked(self, gateway, pool, monkeypatch):
+        entered = threading.Event()
+        release = threading.Event()
+        for service in pool.replicas:
+            models = service.registry.models
+
+            def blocked(models=models):
+                entered.set()
+                release.wait(30)
+                return models()
+
+            monkeypatch.setattr(service.registry, "models", blocked)
+        result = {}
+        stats_call = threading.Thread(
+            target=lambda: result.update(stats=_get(gateway.url + "/stats"))
+        )
+        stats_call.start()
+        try:
+            assert entered.wait(10)
+            # /healthz is answered on the event loop itself.
+            with urllib.request.urlopen(gateway.url + "/healthz", timeout=5) as response:
+                assert response.status == 200
+        finally:
+            release.set()
+            stats_call.join(30)
+        assert result["stats"]["pool"]["num_replicas"] == 2
+
+    def test_stats_reports_configured_limits(self, pool):
+        with pytest.raises(ServeError):
+            DiagnosisGateway(pool, max_body_bytes=0)
+        with pytest.raises(ServeError):
+            DiagnosisGateway(pool, executor_workers=0)
+        configured = DiagnosisGateway(
+            pool, port=0, max_body_bytes=123, executor_workers=2,
+            response_cache_size=5, response_cache_ttl=1.5,
+        ).start()
+        try:
+            url = configured.url
+            stats = _get(url + "/stats")["gateway"]
+        finally:
+            configured.shutdown()
+        assert stats["url"] == url
+        assert stats["max_body_bytes"] == 123
+        assert stats["executor_workers"] == 2
+        assert stats["response_cache"]["maxsize"] == 5
+        assert stats["response_cache"]["ttl_seconds"] == 1.5
+
+    def test_repeat_request_is_served_from_footprint_cache(self, registry_dir, tiny_splits):
+        # One replica: a two-replica pool can route the repeat to a cold cache.
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        payload = {"model": "tiny", "inputs": inputs.tolist(), "labels": labels.tolist()}
+        single = ReplicaPool.from_registry(
+            registry_dir, num_replicas=1, batch_wait_seconds=0.001, num_workers=1
+        )
+        gateway = DiagnosisGateway(single, port=0, response_cache_size=0).start()
+        try:
+            first = _post(gateway.url + "/diagnose", payload)
+            before = _get(gateway.url + "/stats")["pool"]["replicas"][0]["engine"]
+            second = _post(gateway.url + "/diagnose", payload)
+            after = _get(gateway.url + "/stats")["pool"]["replicas"][0]["engine"]
+        finally:
+            gateway.shutdown()
+            single.close()
+        assert second["ratios"] == first["ratios"]
+        assert after["cases_from_cache"] >= before["cases_from_cache"] + len(test)
+        assert after["cases_extracted"] == before["cases_extracted"]
 
     def test_metrics_schema(self, gateway, tiny_splits):
         _, test = tiny_splits
@@ -417,6 +598,31 @@ class TestGatewayWireNegotiation:
             {"Content-Type": "application/x-repro-binary"},
         )
         assert headers["Content-Type"] == "application/json"
+        assert json.loads(body)["num_cases"] >= 1
+
+    def test_server_default_codec_answers_wildcard_accept(self, pool, payload):
+        from repro.wire import BinaryCodec
+
+        binary_default = DiagnosisGateway(
+            pool, port=0, response_cache_size=0, default_codec="binary"
+        ).start()
+        try:
+            body, headers = self._exchange(
+                binary_default.url + "/diagnose",
+                json.dumps(payload).encode(),
+                {"Content-Type": "application/json", "Accept": "*/*"},
+            )
+            assert headers["Content-Type"] == "application/x-repro-binary"
+            assert BinaryCodec().decode_report(body).num_cases >= 1
+            # An explicit Accept still overrides the server default.
+            body, headers = self._exchange(
+                binary_default.url + "/diagnose",
+                json.dumps(payload).encode(),
+                {"Content-Type": "application/json", "Accept": "application/json"},
+            )
+            assert headers["Content-Type"] == "application/json"
+        finally:
+            binary_default.shutdown()
 
     def test_unknown_content_type_is_415(self, gateway, payload):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -516,43 +722,3 @@ class TestGatewayWireNegotiation:
             },
         )
         assert headers["X-Request-ID"] == "wire-echo-1"
-
-
-class TestThreadingServerHardening:
-    """The legacy front end's new limits (the bugfix satellite)."""
-
-    def test_oversized_body_is_413_and_next_request_succeeds(self, registry_dir):
-        service = DiagnosisService(registry_dir, batch_wait_seconds=0.001, num_workers=1)
-        server = DiagnosisHTTPServer(service, port=0, max_body_bytes=64).start()
-        try:
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                _post(server.url + "/diagnose", {"model": "tiny", "inputs": [[0.0] * 64]})
-            assert excinfo.value.code == 413
-            assert _get(server.url + "/health")["status"] == "ok"
-        finally:
-            server.shutdown()
-            service.close()
-
-    def test_metrics_endpoint_on_threading_server(self, registry_dir):
-        service = DiagnosisService(registry_dir, batch_wait_seconds=0.001, num_workers=1)
-        server = DiagnosisHTTPServer(service, port=0).start()
-        try:
-            metrics = _get(server.url + "/metrics")["service"]
-            assert "service.diagnoses_total" in metrics
-            assert metrics["service.diagnoses_total"]["type"] == "counter"
-        finally:
-            server.shutdown()
-            service.close()
-
-    def test_handler_timeout_and_body_cap_configured(self, registry_dir):
-        service = DiagnosisService(registry_dir, batch_wait_seconds=0.001, num_workers=1)
-        server = DiagnosisHTTPServer(
-            service, port=0, socket_timeout=7.5, max_body_bytes=123
-        ).start()
-        try:
-            assert server._server.daemon_threads is True
-            assert server._server.max_body_bytes == 123
-            assert server._server.RequestHandlerClass.timeout == 7.5
-        finally:
-            server.shutdown()
-            service.close()

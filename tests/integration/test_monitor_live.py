@@ -7,10 +7,9 @@ pinning the pre-drift version in the request — replays the pre-drift
 diagnosis bit for bit, because registry artifacts are immutable and the
 update never touched ``v1``'s bytes.
 
-Also covered here: the ``GET /monitor`` route on both front ends (the
-threading server and the asyncio gateway, including ``?refresh=1`` and the
-disabled payload), monitor gauges on ``GET /metrics``, and the
-``repro-monitor`` CLI replaying a JSONL trace offline.
+Also covered here: the gateway's ``GET /monitor`` route (including
+``?refresh=1`` and the disabled payload), monitor gauges on ``GET /metrics``,
+and the ``repro-monitor`` CLI replaying a JSONL trace offline.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from repro.cli import monitor as monitor_cli
 from repro.serve import (
     ArtifactRegistry,
     DiagnosisGateway,
-    DiagnosisHTTPServer,
     DiagnosisService,
     ReplicaPool,
 )
@@ -122,51 +120,25 @@ class TestDriftAlertAndRollback:
 
 
 class TestMonitorEndpoints:
-    def test_http_server_monitor_route_and_metrics(
-        self, monitored_registry, tiny_splits
-    ):
-        service = DiagnosisService(
-            ArtifactRegistry(monitored_registry),
-            monitor=True,
-            monitor_window=128,
-            **MONITOR_KWARGS,
-        )
-        server = DiagnosisHTTPServer(service, port=0).start()
-        try:
-            _, test = tiny_splits
-            inputs, labels = test.arrays()
-            _post(server.url + "/diagnose", {
-                "model": "tiny",
-                "inputs": inputs.tolist(),
-                "labels": labels.tolist(),
-            })
-            payload = _get(server.url + "/monitor?refresh=1")
-            assert payload["enabled"] is True
-            assert payload["level"] in ("ok", "warn", "critical")
-            model = payload["models"]["tiny@v1"]
-            assert model["window"]["cases"] > 0
-            assert model["drift"] is not None
-
-            metrics = _get(server.url + "/metrics")["service"]
-            assert metrics["monitor.observed_cases"]["value"] >= len(test)
-            assert "monitor.alert_level" in metrics
-        finally:
-            server.shutdown()
-            service.close()
-
-    def test_http_server_monitor_disabled_payload(self, monitored_registry):
+    def test_gateway_monitor_disabled_payload(self, monitored_registry):
         service = DiagnosisService(
             ArtifactRegistry(monitored_registry), **MONITOR_KWARGS
         )
-        server = DiagnosisHTTPServer(service, port=0).start()
+        pool = ReplicaPool(lambda _: service, num_replicas=1)
+        gateway = DiagnosisGateway(pool, port=0).start()
         try:
-            payload = _get(server.url + "/monitor")
+            payload = _get(gateway.url + "/monitor")
             assert payload == {
-                "enabled": False, "level": "ok", "models": {}, "alerts": {},
+                "enabled": False,
+                "level": "ok",
+                "level_severity": 0,
+                "replicas": {
+                    "0": {"enabled": False, "level": "ok", "models": {}, "alerts": {}},
+                },
             }
         finally:
-            server.shutdown()
-            service.close()
+            gateway.shutdown()
+            pool.close()
 
     def test_gateway_monitor_route_aggregates_replicas(
         self, monitored_registry, tiny_splits
@@ -193,12 +165,18 @@ class TestMonitorEndpoints:
             assert payload["level"] in ("ok", "warn", "critical")
             assert set(payload["replicas"]) == {"0", "1"}
             # The request landed on one replica; its window holds the cases.
-            windows = [
-                replica["models"]["tiny@v1"]["window"]["cases"]
+            models = [
+                replica["models"]["tiny@v1"]
                 for replica in payload["replicas"].values()
                 if replica["models"]
             ]
-            assert sum(windows) >= len(test)
+            assert sum(model["window"]["cases"] for model in models) >= len(test)
+            assert all(model["drift"] is not None for model in models)
+
+            metrics = _get(gateway.url + "/metrics")
+            observed = metrics["aggregate_counters"]["monitor.observed_cases"]
+            assert observed >= len(test)
+            assert all("monitor.alert_level" in replica for replica in metrics["replicas"])
         finally:
             gateway.shutdown()
             pool.close()

@@ -28,7 +28,7 @@ from repro.exceptions import (
     ServiceSaturatedError,
     exception_from_wire,
 )
-from repro.serve.protocol import diagnosis_args, error_response, error_status
+from repro.serve.protocol import error_response, error_status
 
 
 def make_specifics(true_label: int = 0) -> FootprintSpecifics:
@@ -116,13 +116,6 @@ class TestDiagnosisRequestSchema:
             validate_arrays(np.zeros((0, 2)), [])  # empty batch
         with pytest.raises(ConfigurationError):
             validate_arrays([[1.0], [2.0]], [0])  # length mismatch
-
-    def test_legacy_diagnosis_args_shim(self):
-        name, inputs, labels, version, metadata = diagnosis_args(
-            {"model": "m", "inputs": [[0.0]], "labels": [0], "version": "v1"}
-        )
-        assert (name, version, metadata) == ("m", "v1", None)
-        assert inputs == [[0.0]] and labels == [0]
 
 
 class TestDiagnosisReportSchema:

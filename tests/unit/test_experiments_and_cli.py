@@ -7,11 +7,12 @@ import pytest
 
 from repro.cli import diagnose as cli_diagnose
 from repro.cli import inject as cli_inject
+from repro.cli import serve as cli_serve
 from repro.cli import table1 as cli_table1
 from repro.cli import train as cli_train
 from repro.core import DefectClassifierConfig
 from repro.defects import DefectType
-from repro.exceptions import ConfigurationError, ExperimentError
+from repro.exceptions import ConfigurationError, ExperimentError, ServeError
 from repro.experiments import (
     MODEL_DATASETS,
     PAPER_TABLE1,
@@ -24,6 +25,7 @@ from repro.experiments.calibrate import CalibrationExample, describe_weights
 from repro.experiments.config import PRESETS
 from repro.experiments.runner import make_dataset, make_model
 from repro.experiments.table1 import Table1Result, Table1Row, format_table1
+from repro.serve import ArtifactRegistry
 
 
 SMOKE = preset("smoke")
@@ -238,3 +240,76 @@ class TestCli:
                 "--preset", "smoke", "--models", "lenet", "--defects", "utd",
                 "--jobs", "0",
             ])
+
+    @pytest.fixture
+    def handed(self, monkeypatch):
+        """What ``repro-serve`` hands to the gateway, recorded instead of served."""
+        handed = {}
+
+        def fake_serve(pool, **kwargs):
+            handed.update(pool=pool, **kwargs)
+
+        monkeypatch.setattr(cli_serve, "serve_gateway_forever", fake_serve)
+        return handed
+
+    def test_serve_cli_hands_a_pool_to_the_gateway(self, tmp_path, handed):
+        exit_code = cli_serve.main([
+            "--registry", str(tmp_path), "--port", "0",
+            "--replicas", "1", "--wire-codec", "binary",
+        ])
+        assert exit_code == 0
+        pool = handed["pool"]
+        assert pool.num_replicas == 1
+        assert handed["default_codec"] == "binary"
+        assert handed["port"] == 0
+        with pytest.raises(ServeError, match="closed"):
+            pool.acquire()
+
+    def test_serve_cli_pool_defaults(self, tmp_path, handed):
+        assert cli_serve.main(["--registry", str(tmp_path)]) == 0
+        pool = handed["pool"]
+        assert pool.num_replicas == 2
+        assert pool.max_queue_per_replica == 8
+        assert pool.max_inflight == 16  # replicas * max-queue-per-replica
+        assert (handed["host"], handed["port"]) == ("127.0.0.1", 8421)
+        assert handed["default_codec"] == "json"
+
+    def test_serve_cli_projects_service_flags_onto_every_replica(self, tmp_path, handed):
+        assert cli_serve.main([
+            "--registry", str(tmp_path), "--port", "0",
+            "--replicas", "2", "--max-inflight", "3",
+            "--cache-size", "0", "--max-batch-cases", "32", "--workers", "1",
+            "--inference-dtype", "float64", "--monitor",
+        ]) == 0
+        pool = handed["pool"]
+        assert pool.max_inflight == 3
+        assert len(pool.replicas) == 2
+        for service in pool.replicas:
+            assert service.cache is None
+            assert service.engine.max_batch_cases == 32
+            assert service.pool.num_workers == 1
+            assert service.inference_dtype.name == "float64"
+            assert service.monitor is not None
+
+    def test_serve_cli_closes_the_pool_when_serving_fails(self, tmp_path, monkeypatch):
+        handed = {}
+
+        def failing_serve(pool, **kwargs):
+            handed["pool"] = pool
+            raise OSError("address already in use")
+
+        monkeypatch.setattr(cli_serve, "serve_gateway_forever", failing_serve)
+        with pytest.raises(OSError, match="address already in use"):
+            cli_serve.main(["--registry", str(tmp_path), "--replicas", "1"])
+        with pytest.raises(ServeError, match="closed"):
+            handed["pool"].acquire()
+
+    def test_serve_cli_list_prints_the_registry_without_serving(
+        self, tmp_path, handed, fitted_deepmorph, capsys
+    ):
+        assert cli_serve.main(["--registry", str(tmp_path), "--list"]) == 0
+        assert "is empty" in capsys.readouterr().out
+        ArtifactRegistry(tmp_path).register("tiny", fitted_deepmorph)
+        assert cli_serve.main(["--registry", str(tmp_path), "--list"]) == 0
+        assert "tiny@v1" in capsys.readouterr().out
+        assert handed == {}

@@ -1,4 +1,5 @@
-"""Unit tests for the gateway's building blocks: HTTP parsing and the replica pool.
+"""Unit tests for the gateway's building blocks: HTTP parsing, the wire-protocol
+helpers, and the replica pool.
 
 The replica pool is tested against lightweight fake services so the routing
 and admission logic is exercised without training models; the real end-to-end
@@ -9,8 +10,11 @@ from __future__ import annotations
 
 import pytest
 
+import repro.serve
 from repro.exceptions import ServeError, ServiceSaturatedError
 from repro.serve import JobStore, MetricsRegistry, ReplicaPool, parse_request_head
+from repro.serve import protocol
+from repro.serve.protocol import is_loopback_peer, parse_json_body, resolve_deadline
 
 
 # ----------------------------------------------------------- HTTP head parsing
@@ -67,6 +71,49 @@ class TestParseRequestHead:
         request = parse_request_head(b"POST / HTTP/1.1\r\nContent-Length: " + value + b"\r\n\r\n")
         with pytest.raises(ServeError):
             request.content_length
+
+    def test_header_names_are_lower_cased(self):
+        request = parse_request_head(
+            b"POST /diagnose HTTP/1.1\r\nX-DEADLINE-MS: 250\r\nx-Request-Id: abc\r\n\r\n"
+        )
+        assert request.headers == {"x-deadline-ms": "250", "x-request-id": "abc"}
+
+
+# ------------------------------------------------------------ protocol helpers
+
+
+class TestProtocolHelpers:
+    def test_resolve_deadline_reads_the_parsed_header(self):
+        # Header names arrive lower-cased, whatever case the client sent.
+        request = parse_request_head(b"POST / HTTP/1.1\r\nX-Deadline-MS: 250\r\n\r\n")
+        deadline = resolve_deadline(request.headers)
+        assert deadline is not None
+        assert 0.0 < deadline.remaining() <= 0.25
+        assert resolve_deadline({"x-deadline-ms": "0"}).expired()
+
+    def test_resolve_deadline_ignores_absent_and_malformed_values(self):
+        assert resolve_deadline({}) is None
+        assert resolve_deadline({"x-deadline-ms": "soon"}) is None
+        assert resolve_deadline({"x-deadline-ms": ""}) is None
+
+    def test_parse_json_body_requires_a_json_object(self):
+        assert parse_json_body(b'{"seed": 1}') == {"seed": 1}
+        for raw in (b"", b"{not json", b"\xff\xfe", b"[1, 2]"):
+            with pytest.raises(ServeError):
+                parse_json_body(raw)
+
+    def test_is_loopback_peer(self):
+        assert is_loopback_peer(("127.0.0.1", 50000))
+        assert is_loopback_peer(("::1", 50000, 0, 0))
+        assert is_loopback_peer(("::1%lo", 50000, 0, 1))
+        assert is_loopback_peer("localhost")
+        assert not is_loopback_peer(("10.0.0.7", 50000))
+        assert not is_loopback_peer(None)
+
+    def test_exported_names_resolve(self):
+        for module in (repro.serve, protocol):
+            missing = [name for name in module.__all__ if not hasattr(module, name)]
+            assert missing == [], module.__name__
 
 
 # --------------------------------------------------------------- replica pool
