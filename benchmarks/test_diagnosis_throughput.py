@@ -1,16 +1,17 @@
 """Benchmark of the batched diagnosis core against the per-case reference path.
 
-The claim of the diagnosis rework: stacking all N faulty-case trajectories
-into one ``(N, L, C)`` array, judging them against every class execution
-pattern through broadcasted JS-divergence kernels, and scoring every case in
-a single ``(N, F) @ (F, D)`` matrix product makes end-to-end diagnosis (given
-already-extracted footprints) at least three times faster than the retained
-per-case path — while matching it to ``1e-12``.
+The claim of the diagnosis core: carrying the N faulty cases as arrays — the
+``FootprintBatch`` that ``FootprintExtractor.from_arrays`` returns, judged
+against every class execution pattern through broadcasted JS-divergence
+kernels into a ``SpecificsBatch`` of ``(N,)`` columns, and scored in a
+single ``(N, F) @ (F, D)`` matrix product — makes diagnosis from extracted
+footprints at least three times faster than the per-case path, while
+matching it to ``1e-12``.
 
-The reference side is the per-case implementation kept for exactly this
-purpose: :func:`repro.core.compute_specifics` (one footprint at a time
-against the library) feeding ``DefectCaseClassifier.aggregate_reference``
-(one matrix-vector product and softmax per case).
+The reference side is the per-case path: :func:`repro.core.compute_specifics`
+(one ``Footprint`` at a time against the library) feeding the loop aggregate
+in ``tests/reference/diagnosis_oracle.py`` (one matrix-vector product and
+softmax per case).
 
 A second measurement isolates the JS cross kernel under the batched core:
 the entropy-form kernel against a broadcast of the two-KL
@@ -43,7 +44,7 @@ from repro.core import (
 )
 from repro.data import SyntheticConfig, SyntheticImageClassification
 from repro.models import LeNet
-from tests.reference import js_oracle
+from tests.reference import diagnosis_oracle, js_oracle
 
 NUM_CASES = 256
 REPEATS = 3
@@ -69,7 +70,7 @@ def _write_record(**values) -> None:
 
 @pytest.fixture(scope="module")
 def diagnosis_scenario():
-    """A fitted pattern library plus N=256 labeled faulty-case footprints."""
+    """A fitted pattern library, N=256 faulty cases as a batch and as a list, a context."""
     generator = SyntheticImageClassification(SyntheticConfig(
         num_classes=4, image_size=16, channels=1, templates_per_class=2,
         blobs_per_template=2, bars_per_template=1, noise_std=0.05,
@@ -91,16 +92,14 @@ def diagnosis_scenario():
     # Force every case to be "faulty": the true label is deliberately set to a
     # class other than the prediction, which is all diagnosis requires.
     labels = (final_probs.argmax(axis=1) + 1) % 4
-    footprints = FootprintExtractor(instrumented).from_arrays(
-        trajectories, final_probs, labels
-    )
+    batch = FootprintExtractor(instrumented).from_arrays(trajectories, final_probs, labels)
     context = DiagnosisContext(
         error_concentration=0.4,
         pattern_overlap=library.pattern_overlap(),
         feature_quality=library.feature_quality(),
         training_inconsistency=library.training_inconsistency(),
     )
-    return library, footprints, context
+    return library, batch, list(batch), context
 
 
 def _best_of(fn, repeats=REPEATS):
@@ -113,16 +112,16 @@ def _best_of(fn, repeats=REPEATS):
 
 
 def test_batched_diagnosis_beats_per_case_reference(diagnosis_scenario):
-    library, footprints, context = diagnosis_scenario
+    library, batch, footprints, context = diagnosis_scenario
     classifier = DefectCaseClassifier()
 
     def batched():
-        specifics = compute_specifics_batch(footprints, library)
+        specifics = compute_specifics_batch(batch, library)
         return classifier.aggregate(specifics, context=context)
 
     def reference():
         specifics = [compute_specifics(fp, library) for fp in footprints]
-        return classifier.aggregate_reference(specifics, context=context)
+        return diagnosis_oracle.aggregate(classifier, specifics, context=context)
 
     # Warm-up both sides so lazily-built pattern indexes and first-touch
     # allocations skew neither measurement.
@@ -147,6 +146,7 @@ def test_batched_diagnosis_beats_per_case_reference(diagnosis_scenario):
         num_cases=n,
         cases_per_sec_batched=n / batched_seconds,
         cases_per_sec_reference=n / reference_seconds,
+        batched_ms_per_case=batched_seconds * 1e3 / n,
         batched_vs_loop_speedup=speedup,
     )
 
@@ -202,8 +202,8 @@ def test_fused_cross_kernel_beats_js_divergence_oracle():
 
 def test_batched_specifics_match_reference_case_by_case(diagnosis_scenario):
     """Field-level parity of every specifics value on the real fitted library."""
-    library, footprints, _ = diagnosis_scenario
-    batched = compute_specifics_batch(footprints, library)
+    library, batch, footprints, _ = diagnosis_scenario
+    batched = compute_specifics_batch(batch, library)
     for fp, spec in zip(footprints, batched):
         reference = compute_specifics(fp, library)
         for key, value in reference.as_dict().items():

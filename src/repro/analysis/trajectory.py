@@ -38,7 +38,6 @@ __all__ = [
     "cross_trajectory_divergences",
     "cross_trajectory_layer_divergences",
     "pairwise_trajectory_divergences",
-    "pairwise_trajectory_divergences_reference",
     "divergence_layer",
     "batch_divergence_layer",
     "commitment_depth",
@@ -309,9 +308,9 @@ def pairwise_trajectory_divergences(
 ) -> np.ndarray:
     """Symmetric ``(M, M)`` matrix of layer-weighted JS divergences within a stack.
 
-    Loop-free: the stack is prepared once and crossed with itself.
-    :func:`pairwise_trajectory_divergences_reference` retains the per-row loop
-    as the parity anchor.
+    Loop-free: the stack is prepared once and crossed with itself.  The
+    per-row loop over :func:`trajectory_divergence_to_stack` it is pinned
+    against lives in ``tests/reference/diagnosis_oracle.py``.
     """
     stack = np.asarray(stack, dtype=np.float64)
     if stack.ndim != 3:
@@ -322,27 +321,6 @@ def pairwise_trajectory_divergences(
     matrix = cross_js_layer_divergences(operand, operand) @ _unit_layer_weights(
         stack.shape[1], late_layer_emphasis
     )
-    np.fill_diagonal(matrix, 0.0)
-    return matrix
-
-
-def pairwise_trajectory_divergences_reference(
-    stack: np.ndarray, late_layer_emphasis: float = 0.5
-) -> np.ndarray:
-    """Per-row loop implementation of :func:`pairwise_trajectory_divergences`.
-
-    Retained as the independent reference the vectorized kernel is pinned
-    against (see ``tests/unit/test_batched_diagnosis.py``).
-    """
-    stack = np.asarray(stack, dtype=np.float64)
-    if stack.ndim != 3:
-        raise ShapeError(f"stack must be 3-D (members, layers, classes), got shape {stack.shape}")
-    m = stack.shape[0]
-    matrix = np.zeros((m, m), dtype=np.float64)
-    for i in range(m):
-        matrix[i] = trajectory_divergence_to_stack(
-            stack[i], stack, late_layer_emphasis=late_layer_emphasis
-        )
     np.fill_diagonal(matrix, 0.0)
     return matrix
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..core.classifier import DefectReport
 from ..core.diagnosis import DeepMorph, _dataset_batches
-from ..core.footprint import Footprint, FootprintExtractor
+from ..core.footprint import FootprintExtractor
 from ..core.specifics import compute_specifics_batch
 from ..data.dataset import Dataset
 from ..exceptions import (
@@ -319,14 +319,11 @@ class LocalDiagnoser(Diagnoser):
 
     def _diagnose(self, request: DiagnosisRequest) -> DiagnosisReport:
         self._check_identity(request)
-        inputs, labels = request.arrays()
+        inputs, labels = request.arrays(num_classes=self.morph.model.num_classes)
         # Same coalesced-extraction entry point the batching engine uses, so
         # the arrays (and everything derived from them) match the served path.
         (trajectories, final_probs), = self._extractor.extract_coalesced([inputs])
-        footprints: List[Footprint] = self._extractor.from_arrays(
-            trajectories, final_probs, labels
-        )
-        faulty = [fp for fp in footprints if fp.is_misclassified]
+        faulty = self._extractor.from_arrays(trajectories, final_probs, labels).misclassified()
         if not faulty:
             raise NoFaultyCasesError(
                 "none of the supplied cases is misclassified by the model; nothing to diagnose"

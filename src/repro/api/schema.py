@@ -23,6 +23,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..core.footprint import validate_labels
 from ..defects.spec import DefectType
 from ..exceptions import ConfigurationError, SchemaVersionError, ServeError
 from ..nn.dtype import policy_float
@@ -92,7 +93,9 @@ def _check_schema_version(payload: JsonDict, kind: str) -> None:
         )
 
 
-def validate_arrays(inputs: ArrayLike, labels: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
+def validate_arrays(
+    inputs: ArrayLike, labels: ArrayLike, num_classes: Optional[int] = None
+) -> Tuple[np.ndarray, np.ndarray]:
     """Coerce and validate a diagnosis batch into ``(float inputs, int64 labels)``.
 
     The single validation every backend shares — local, in-process service,
@@ -104,21 +107,26 @@ def validate_arrays(inputs: ArrayLike, labels: ArrayLike) -> Tuple[np.ndarray, n
     is served as float32, no silent up-then-down round-trip), anything else —
     including JSON nested lists, which numpy reads as float64 — is cast to the
     active compute dtype (float64 unless overridden).
+
+    Labels must be class ids (:func:`repro.core.footprint.validate_labels`):
+    integers, or integral finite floats such as ``3.0``.  With
+    ``num_classes`` they must also lie in ``[0, num_classes)``.  Every
+    rejection is a :class:`~repro.exceptions.ConfigurationError` (HTTP 400).
     """
     inputs_arr = policy_float(np.asarray(inputs))
-    labels_arr = np.asarray(labels)
     if inputs_arr.ndim < 2:
         raise ConfigurationError(
             f"inputs must be a batch of examples (ndim >= 2), got shape {inputs_arr.shape}"
         )
     if inputs_arr.shape[0] == 0:
         raise ConfigurationError("cannot diagnose an empty batch of production cases")
+    labels_arr = validate_labels(labels, num_classes)
     if labels_arr.ndim != 1 or labels_arr.shape[0] != inputs_arr.shape[0]:
         raise ConfigurationError(
             f"labels must be 1-D with one entry per input, got shape {labels_arr.shape} "
             f"for {inputs_arr.shape[0]} inputs"
         )
-    return inputs_arr, labels_arr.astype(np.int64)
+    return inputs_arr, labels_arr
 
 
 def _as_jsonable(values: ArrayLike) -> object:
@@ -155,9 +163,9 @@ class DiagnosisRequest:
     metadata: Optional[Metadata] = None
     schema: str = SCHEMA_VERSION
 
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The validated ``(inputs, labels)`` arrays of this request."""
-        return validate_arrays(self.inputs, self.labels)
+    def arrays(self, num_classes: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+        """The validated ``(inputs, labels)`` arrays (see :func:`validate_arrays`)."""
+        return validate_arrays(self.inputs, self.labels, num_classes)
 
     @property
     def request_id(self) -> Optional[str]:

@@ -6,8 +6,9 @@ Pipeline (paper Figure 1):
    probes on every hidden layer of the frozen target model.
 2. :class:`PatternLibrary` — learn each class's execution pattern from the
    training data.
-3. :class:`FootprintExtractor` / :func:`compute_specifics` — extract data-flow
-   footprints of the faulty cases and derive their footprint specifics.
+3. :class:`FootprintExtractor` / :func:`compute_specifics_batch` — extract
+   data-flow footprints of the faulty cases (a :class:`FootprintBatch`) and
+   derive their footprint specifics (a :class:`SpecificsBatch`).
 4. :class:`DefectCaseClassifier` — score each case for ITD / UTD / SD and
    aggregate the ratios into a :class:`DefectReport`.
 
@@ -26,7 +27,7 @@ from .classifier import (
     error_concentration,
 )
 from .diagnosis import DeepMorph, find_faulty_cases
-from .footprint import Footprint, FootprintExtractor
+from .footprint import Footprint, FootprintBatch, FootprintExtractor, validate_labels
 from .instrument import (
     SoftmaxInstrumentedModel,
     SoftmaxProbe,
@@ -35,6 +36,7 @@ from .instrument import (
 from .patterns import ClassExecutionPattern, PatternLibrary, PatternMatches
 from .specifics import (
     FootprintSpecifics,
+    SpecificsBatch,
     compute_specifics,
     compute_specifics_batch,
     compute_specifics_stack,
@@ -47,11 +49,14 @@ __all__ = [
     "SoftmaxInstrumentedModel",
     "pool_activation",
     "Footprint",
+    "FootprintBatch",
     "FootprintExtractor",
+    "validate_labels",
     "ClassExecutionPattern",
     "PatternLibrary",
     "PatternMatches",
     "FootprintSpecifics",
+    "SpecificsBatch",
     "compute_specifics",
     "compute_specifics_batch",
     "compute_specifics_stack",

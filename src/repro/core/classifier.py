@@ -7,27 +7,35 @@ highest ratio is the dominant defect of the target model — exactly what the
 paper's Table I reports.
 
 The paper does not spell out the per-case decision rule, so this module
-implements the rule documented in DESIGN.md: each case is described by a
-feature vector built from its footprint specifics plus two model-level
-context signals (how concentrated the faulty cases are over true classes, and
-how much the learned class execution patterns overlap), and three linear
-scoring functions — one per defect type — turn that vector into defect
-scores.  The default weights were calibrated on held-out defect-injection
-runs with :mod:`repro.experiments.calibrate`; they are ordinary configuration
-(see :class:`DefectClassifierConfig`) so ablation experiments can replace
-them.
+defines one: each case is described by a feature vector built from its
+footprint specifics plus model-level context signals (how concentrated the
+faulty cases are over true classes, how much the learned class execution
+patterns overlap, the probes' feature quality and the training set's label
+inconsistency), and three linear scoring functions — one per defect type —
+turn that vector into defect scores.  The default weights were calibrated on
+held-out defect-injection runs with :mod:`repro.experiments.calibrate`; they
+are ordinary configuration (see :class:`DefectClassifierConfig`) so ablation
+experiments can replace them.
+
+Scoring is batched: :meth:`DefectCaseClassifier.aggregate` reads the ``(N,)``
+columns of a :class:`~repro.core.specifics.SpecificsBatch` into one
+``(N, F)`` feature matrix, scores it with one ``(N, F) @ (F, D)`` product and
+reduces the evidence to ratios with array operations.  The per-case
+:class:`CaseVerdict` objects of a :class:`DefectReport` are built only when
+``report.verdicts`` is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..defects.spec import DefectType
 from ..exceptions import ConfigurationError
-from .specifics import FootprintSpecifics
+from .specifics import FootprintSpecifics, SpecificsBatch, as_specifics_batch
 
 __all__ = [
     "DiagnosisContext",
@@ -60,6 +68,12 @@ FEATURE_NAMES: Tuple[str, ...] = (
     "feature_quality",
     "training_inconsistency",
 )
+
+#: The features read from a case's specifics, and those read from the context.
+_CASE_FEATURES = FEATURE_NAMES[1:12]
+_CONTEXT_FEATURES = FEATURE_NAMES[12:]
+
+SpecificsLike = Union[SpecificsBatch, Sequence[FootprintSpecifics]]
 
 
 @dataclass(frozen=True)
@@ -98,7 +112,7 @@ def error_concentration(true_labels: Sequence[int], num_classes: int, top_k: int
     Rescaled so a uniform spread over ``num_classes`` classes maps to 0 and
     full concentration in ``top_k`` classes maps to 1.
     """
-    labels = np.asarray(list(true_labels), dtype=np.int64)
+    labels = np.asarray(true_labels, dtype=np.int64)
     if labels.size == 0:
         return 0.0
     if num_classes <= 0:
@@ -116,63 +130,38 @@ def build_feature_vector(
     specifics: FootprintSpecifics, context: DiagnosisContext
 ) -> np.ndarray:
     """Assemble the feature vector (ordered as :data:`FEATURE_NAMES`) for one case."""
-    return np.array([
-        1.0,
-        specifics.final_confidence,
-        specifics.commitment,
-        specifics.match_predicted,
-        specifics.match_true,
-        specifics.atypicality_true,
-        specifics.mean_entropy,
-        specifics.late_entropy,
-        specifics.nn_typicality_predicted,
-        specifics.nn_typicality_true,
-        specifics.stability,
-        specifics.divergence_point,
-        context.error_concentration,
-        context.pattern_overlap,
-        context.feature_quality,
-        context.training_inconsistency,
-    ], dtype=np.float64)
+    return np.array(
+        [1.0]
+        + [getattr(specifics, name) for name in _CASE_FEATURES]
+        + [getattr(context, name) for name in _CONTEXT_FEATURES],
+        dtype=np.float64,
+    )
 
 
-def build_feature_matrix(
-    specifics: Sequence[FootprintSpecifics], context: DiagnosisContext
-) -> np.ndarray:
+def build_feature_matrix(specifics: SpecificsLike, context: DiagnosisContext) -> np.ndarray:
     """Assemble all case feature vectors as one ``(N, F)`` matrix.
 
-    The batched counterpart of :func:`build_feature_vector`: the context
-    columns are broadcast once and the per-case columns are filled from the
-    specifics, so the defect scores of a whole faulty-case batch reduce to a
-    single ``(N, F) @ (F, D)`` product in
-    :meth:`DefectCaseClassifier.classify_batch`.
+    The batched counterpart of :func:`build_feature_vector`: the per-case
+    columns are copied from the :class:`~repro.core.specifics.SpecificsBatch`
+    columns (a sequence of :class:`FootprintSpecifics` is stacked first) and
+    the context columns are broadcast, so the defect scores of a whole
+    faulty-case batch reduce to a single ``(N, F) @ (F, D)`` product in
+    :meth:`DefectCaseClassifier.score_matrix`.
     """
-    n = len(specifics)
-    matrix = np.empty((n, len(FEATURE_NAMES)), dtype=np.float64)
+    batch = as_specifics_batch(specifics)
+    matrix = np.empty((len(batch), len(FEATURE_NAMES)), dtype=np.float64)
     matrix[:, 0] = 1.0
-    matrix[:, 1] = [s.final_confidence for s in specifics]
-    matrix[:, 2] = [s.commitment for s in specifics]
-    matrix[:, 3] = [s.match_predicted for s in specifics]
-    matrix[:, 4] = [s.match_true for s in specifics]
-    matrix[:, 5] = [s.atypicality_true for s in specifics]
-    matrix[:, 6] = [s.mean_entropy for s in specifics]
-    matrix[:, 7] = [s.late_entropy for s in specifics]
-    matrix[:, 8] = [s.nn_typicality_predicted for s in specifics]
-    matrix[:, 9] = [s.nn_typicality_true for s in specifics]
-    matrix[:, 10] = [s.stability for s in specifics]
-    matrix[:, 11] = [s.divergence_point for s in specifics]
-    matrix[:, 12] = context.error_concentration
-    matrix[:, 13] = context.pattern_overlap
-    matrix[:, 14] = context.feature_quality
-    matrix[:, 15] = context.training_inconsistency
+    for column, name in enumerate(_CASE_FEATURES, start=1):
+        matrix[:, column] = getattr(batch, name)
+    for column, name in enumerate(_CONTEXT_FEATURES, start=1 + len(_CASE_FEATURES)):
+        matrix[:, column] = getattr(context, name)
     return matrix
 
 
 # Default scoring weights, one row per defect type, columns ordered as
-# FEATURE_NAMES.  Calibrated with repro.experiments.calibrate on defect-
-# injection runs (LeNet/AlexNet on the synthetic MNIST stand-in and
-# ResNet/DenseNet on the synthetic CIFAR stand-in) that use different seeds
-# from the Table I defaults; see EXPERIMENTS.md.
+# FEATURE_NAMES.  Fitted by repro.experiments.calibrate (its defaults: LeNet
+# and AlexNet defect-injection runs at seed 11, not a Table I seed); see the
+# README's quickstart.  The training_inconsistency weights were set by hand.
 _DEFAULT_WEIGHTS: Dict[DefectType, Tuple[float, ...]] = {
     DefectType.ITD: (
         -0.3857,  # bias
@@ -190,7 +179,7 @@ _DEFAULT_WEIGHTS: Dict[DefectType, Tuple[float, ...]] = {
         3.3296,  # error_concentration
         -0.7040,  # pattern_overlap
         -0.0148,  # feature_quality
-        -0.5000,  # training_inconsistency (hand-set; see DESIGN.md)
+        -0.5000,  # training_inconsistency (hand-set, see above)
     ),
     DefectType.UTD: (
         -0.4107,  # bias
@@ -208,7 +197,7 @@ _DEFAULT_WEIGHTS: Dict[DefectType, Tuple[float, ...]] = {
         -0.7514,  # error_concentration
         -2.9065,  # pattern_overlap
         -0.4620,  # feature_quality
-        3.0000,  # training_inconsistency (hand-set; see DESIGN.md)
+        3.0000,  # training_inconsistency (hand-set, see above)
     ),
     DefectType.SD: (
         0.7866,  # bias
@@ -226,7 +215,7 @@ _DEFAULT_WEIGHTS: Dict[DefectType, Tuple[float, ...]] = {
         -2.6136,  # error_concentration
         3.6128,  # pattern_overlap
         0.4711,  # feature_quality
-        -0.5000,  # training_inconsistency (hand-set; see DESIGN.md)
+        -0.5000,  # training_inconsistency (hand-set, see above)
     ),
 }
 
@@ -317,7 +306,6 @@ class CaseVerdict:
         }
 
 
-@dataclass
 class DefectReport:
     """Aggregated diagnosis over all faulty cases of one model.
 
@@ -330,19 +318,48 @@ class DefectReport:
     num_cases:
         Total number of faulty cases diagnosed.
     verdicts:
-        The per-case verdicts (kept for drill-down and ablation).
+        The per-case verdicts (for drill-down and ablation).  A report from
+        :meth:`DefectCaseClassifier.aggregate` builds them from its score
+        arrays on first read.
     context:
         The model-level context signals used during scoring.
     metadata:
         Free-form experiment context (model kind, dataset, injected defect, ...).
     """
 
-    ratios: Dict[DefectType, float]
-    counts: Dict[DefectType, int]
-    num_cases: int
-    verdicts: List[CaseVerdict] = field(default_factory=list)
-    context: Optional[DiagnosisContext] = None
-    metadata: Dict = field(default_factory=dict)
+    def __init__(
+        self,
+        ratios: Dict[DefectType, float],
+        counts: Dict[DefectType, int],
+        num_cases: int,
+        verdicts: Optional[List[CaseVerdict]] = None,
+        context: Optional[DiagnosisContext] = None,
+        metadata: Optional[Dict] = None,
+        *,
+        lazy_verdicts: Optional[Callable[[], List[CaseVerdict]]] = None,
+    ):
+        self.ratios = ratios
+        self.counts = counts
+        self.num_cases = num_cases
+        self.context = context
+        self.metadata = metadata if metadata is not None else {}
+        self._verdicts = verdicts
+        self._lazy_verdicts = lazy_verdicts
+
+    @property
+    def verdicts(self) -> List[CaseVerdict]:
+        # Concurrent first reads may each build the (identical) list; every
+        # reader gets a complete one.
+        if self._verdicts is None:
+            lazy = self._lazy_verdicts
+            self._verdicts = lazy() if lazy is not None else []
+        return self._verdicts
+
+    def __repr__(self) -> str:
+        return (
+            f"DefectReport(num_cases={self.num_cases}, ratios={self.ratios}, "
+            f"counts={self.counts})"
+        )
 
     @property
     def dominant_defect(self) -> DefectType:
@@ -412,28 +429,10 @@ class DefectCaseClassifier:
         """Score one case — a thin view over the batched core (``N = 1``)."""
         return self.classify_batch([specifics], context)[0]
 
-    def classify_case_reference(
-        self, specifics: FootprintSpecifics, context: Optional[DiagnosisContext] = None
-    ) -> CaseVerdict:
-        """Per-case scoring loop retained as the batched core's parity reference."""
-        scores = self.scores(specifics, context)
-        raw = np.array([scores[d] for d in self._ORDER], dtype=np.float64)
-        if self.config.soft_assignment:
-            logits = raw / self.config.temperature
-            logits -= logits.max()
-            weights = np.exp(logits)
-            weights /= weights.sum()
-        else:
-            weights = np.zeros_like(raw)
-            weights[int(raw.argmax())] = 1.0
-        evidence = {defect: float(w) for defect, w in zip(self._ORDER, weights)}
-        verdict = self._ORDER[int(raw.argmax())]
-        return CaseVerdict(specifics=specifics, scores=scores, evidence=evidence, verdict=verdict)
-
     # -- batched scoring ------------------------------------------------------------
 
     def score_matrix(
-        self, specifics: Sequence[FootprintSpecifics], context: Optional[DiagnosisContext] = None
+        self, specifics: SpecificsLike, context: Optional[DiagnosisContext] = None
     ) -> np.ndarray:
         """Raw linear defect scores of a whole batch: ``(N, D)`` ordered ITD, UTD, SD.
 
@@ -456,47 +455,39 @@ class DefectCaseClassifier:
         weights[np.arange(raw.shape[0]), raw.argmax(axis=1)] = 1.0
         return weights
 
-    def _score_batch(
-        self,
-        specifics: Sequence[FootprintSpecifics],
-        context: Optional[DiagnosisContext],
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[CaseVerdict]]:
-        """Batched scoring core shared by :meth:`classify_batch` and :meth:`aggregate`.
-
-        Returns ``(raw scores, evidence weights, verdict indices, verdicts)``
-        so aggregation can reduce over the arrays while handing the per-case
-        verdict objects to the report.
-        """
-        raw = self.score_matrix(specifics, context)
-        weights = self._evidence_weights(raw)
+    def _verdicts(
+        self, specifics: SpecificsLike, raw: np.ndarray, weights: np.ndarray
+    ) -> List[CaseVerdict]:
+        """One :class:`CaseVerdict` per row of the score and evidence arrays."""
         verdict_indices = raw.argmax(axis=1)
-        verdicts = [
+        return [
             CaseVerdict(
-                specifics=s,
-                scores={defect: float(raw[i, j]) for j, defect in enumerate(self._ORDER)},
-                evidence={defect: float(weights[i, j]) for j, defect in enumerate(self._ORDER)},
-                verdict=self._ORDER[int(verdict_indices[i])],
+                specifics=specifics[i],
+                scores=dict(zip(self._ORDER, raw[i].tolist())),
+                evidence=dict(zip(self._ORDER, weights[i].tolist())),
+                verdict=self._ORDER[verdict_indices[i]],
             )
-            for i, s in enumerate(specifics)
+            for i in range(raw.shape[0])
         ]
-        return raw, weights, verdict_indices, verdicts
 
     def classify_batch(
         self,
-        specifics: Sequence[FootprintSpecifics],
+        specifics: SpecificsLike,
         context: Optional[DiagnosisContext] = None,
     ) -> List[CaseVerdict]:
         """Score every case of a batch through the single-matmul core."""
-        specifics = list(specifics)
+        if not isinstance(specifics, SpecificsBatch):
+            specifics = list(specifics)
         if not specifics:
             return []
-        return self._score_batch(specifics, context)[3]
+        raw = self.score_matrix(specifics, context)
+        return self._verdicts(specifics, raw, self._evidence_weights(raw))
 
     # -- aggregation ---------------------------------------------------------------
 
     def build_context(
         self,
-        specifics: Sequence[FootprintSpecifics],
+        specifics: SpecificsLike,
         num_classes: int,
         pattern_overlap: float = 0.3,
         feature_quality: float = 1.0,
@@ -504,7 +495,7 @@ class DefectCaseClassifier:
     ) -> DiagnosisContext:
         """Derive the model-level context from the faulty cases and library stats."""
         concentration = error_concentration(
-            [s.true_label for s in specifics], num_classes=num_classes
+            as_specifics_batch(specifics).true_label, num_classes=num_classes
         )
         return DiagnosisContext(
             error_concentration=concentration,
@@ -515,27 +506,30 @@ class DefectCaseClassifier:
 
     def aggregate(
         self,
-        specifics: Sequence[FootprintSpecifics],
+        specifics: SpecificsLike,
         context: Optional[DiagnosisContext] = None,
         metadata: Optional[Dict] = None,
     ) -> DefectReport:
         """Classify every faulty case and aggregate the evidence into a report.
 
         Batched: one ``(N, F) @ (F, D)`` score matrix, vectorized evidence
-        softmax, and array reductions for the counts and ratios.  The per-case
-        verdict objects are still materialized for drill-down and ablation.
+        softmax, and array reductions for the counts and ratios.  The
+        report's per-case verdicts are built from these arrays only if
+        ``report.verdicts`` is read.
         """
-        specifics = list(specifics)
+        if not isinstance(specifics, SpecificsBatch):
+            specifics = list(specifics)
         if not specifics:
             raise ConfigurationError(
                 "cannot aggregate an empty list of faulty cases; the model produced no "
                 "misclassifications to diagnose"
             )
         context = context or DiagnosisContext()
-        _, weights, verdict_indices, verdicts = self._score_batch(specifics, context)
+        raw = self.score_matrix(specifics, context)
+        weights = self._evidence_weights(raw)
 
         evidence_totals = weights.sum(axis=0)
-        count_values = np.bincount(verdict_indices, minlength=len(self._ORDER))
+        count_values = np.bincount(raw.argmax(axis=1), minlength=len(self._ORDER))
         total = float(evidence_totals.sum())
         ratios = {
             defect: float(evidence_totals[j] / total) for j, defect in enumerate(self._ORDER)
@@ -544,41 +538,8 @@ class DefectCaseClassifier:
         return DefectReport(
             ratios=ratios,
             counts=counts,
-            num_cases=len(verdicts),
-            verdicts=verdicts,
+            num_cases=len(specifics),
             context=context,
             metadata=dict(metadata or {}),
-        )
-
-    def aggregate_reference(
-        self,
-        specifics: Sequence[FootprintSpecifics],
-        context: Optional[DiagnosisContext] = None,
-        metadata: Optional[Dict] = None,
-    ) -> DefectReport:
-        """Per-case aggregation loop retained as the batched path's parity reference."""
-        if not specifics:
-            raise ConfigurationError(
-                "cannot aggregate an empty list of faulty cases; the model produced no "
-                "misclassifications to diagnose"
-            )
-        context = context or DiagnosisContext()
-        verdicts = [self.classify_case_reference(s, context) for s in specifics]
-
-        evidence_totals = {defect: 0.0 for defect in self._ORDER}
-        counts = {defect: 0 for defect in self._ORDER}
-        for verdict in verdicts:
-            counts[verdict.verdict] += 1
-            for defect in self._ORDER:
-                evidence_totals[defect] += verdict.evidence[defect]
-
-        total = sum(evidence_totals.values())
-        ratios = {defect: evidence_totals[defect] / total for defect in self._ORDER}
-        return DefectReport(
-            ratios=ratios,
-            counts=counts,
-            num_cases=len(verdicts),
-            verdicts=verdicts,
-            context=context,
-            metadata=dict(metadata or {}),
+            lazy_verdicts=partial(self._verdicts, specifics, raw, weights),
         )

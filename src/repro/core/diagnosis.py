@@ -9,7 +9,7 @@ reason about the defect and report the ratio of each defect type.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,10 +28,10 @@ from .classifier import (
     DefectClassifierConfig,
     DefectReport,
 )
-from .footprint import Footprint, FootprintExtractor
+from .footprint import Footprint, FootprintBatch, FootprintExtractor, validate_labels
 from .instrument import SoftmaxInstrumentedModel
 from .patterns import PatternLibrary
-from .specifics import FootprintSpecifics, compute_specifics_batch
+from .specifics import SpecificsBatch, compute_specifics_batch
 
 __all__ = ["DeepMorph", "find_faulty_cases"]
 
@@ -198,13 +198,15 @@ class DeepMorph:
 
     def extract_footprints(
         self, inputs: np.ndarray, labels: Optional[Sequence[int]] = None
-    ) -> List[Footprint]:
+    ) -> FootprintBatch:
         """Extract data-flow footprints for arbitrary inputs."""
         self._require_fitted()
         extractor = FootprintExtractor(self.instrumented)
         return extractor.extract(policy_float(inputs), labels)
 
-    def compute_specifics(self, footprints: Sequence[Footprint]) -> List[FootprintSpecifics]:
+    def compute_specifics(
+        self, footprints: Union[FootprintBatch, Sequence[Footprint]]
+    ) -> SpecificsBatch:
         """Compute footprint specifics for labeled footprints (batched core)."""
         self._require_fitted()
         return compute_specifics_batch(footprints, self.patterns)
@@ -219,30 +221,32 @@ class DeepMorph:
     ) -> DefectReport:
         """Diagnose a set of faulty cases (inputs plus their true labels).
 
-        The whole batch flows through the batched diagnosis core: one stacked
-        footprint extraction, one broadcasted specifics computation, and one
-        matrix-product scoring pass in the case classifier.
+        The whole batch flows through the batched diagnosis core as arrays:
+        one stacked footprint extraction, one broadcasted specifics
+        computation, and one matrix-product scoring pass in the case
+        classifier.  Labels must be class ids of the model (see
+        :func:`~repro.core.footprint.validate_labels`); they are checked
+        before anything is extracted.
         """
         self._require_fitted()
         faulty_inputs = policy_float(faulty_inputs)
-        true_labels = np.asarray(true_labels)
         if faulty_inputs.shape[0] == 0:
             raise ConfigurationError(
                 "no faulty cases supplied; the model may already perform well"
             )
-        if faulty_inputs.shape[0] != true_labels.shape[0]:
+        true_labels = validate_labels(true_labels, self.model.num_classes)
+        if true_labels.shape != (faulty_inputs.shape[0],):
             raise ConfigurationError(
                 f"faulty inputs and labels disagree on size: "
-                f"{faulty_inputs.shape[0]} vs {true_labels.shape[0]}"
+                f"{faulty_inputs.shape[0]} vs {true_labels.shape}"
             )
-        footprints = self.extract_footprints(faulty_inputs, true_labels)
         # Only genuinely misclassified cases are evidence of a defect.
-        faulty_footprints = [fp for fp in footprints if fp.is_misclassified]
-        if not faulty_footprints:
+        faulty = self.extract_footprints(faulty_inputs, true_labels).misclassified()
+        if not faulty:
             raise NoFaultyCasesError(
                 "none of the supplied cases is misclassified by the model; nothing to diagnose"
             )
-        specifics = self.compute_specifics(faulty_footprints)
+        specifics = self.compute_specifics(faulty)
         context = self.case_classifier.build_context(
             specifics,
             num_classes=self.model.num_classes,

@@ -3,16 +3,22 @@
 A footprint is the record of how one input flowed through the instrumented
 model: the probe distribution at every hidden layer (the *trajectory*), the
 model's own final distribution, the resulting prediction, and — when known —
-the true label.  Footprints are the objects DeepMorph compares against class
+the true label.  Footprints are what DeepMorph compares against class
 execution patterns to reason about defects.
+
+The diagnosis pipelines carry footprints as a :class:`FootprintBatch`: the
+``(N, L, C)`` trajectories and ``(N,)`` predictions and labels of a whole
+batch, as :meth:`FootprintExtractor.from_arrays` returns them.  Indexing or
+iterating a batch yields one :class:`Footprint` per case for drill-down.
 """
 
 from __future__ import annotations
 
 import threading
+from collections.abc import Sequence as SequenceABC
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,17 +30,54 @@ from ..analysis.trajectory import (
     divergence_layer,
     entropy_profile,
 )
-from ..exceptions import ShapeError
+from ..exceptions import ConfigurationError, ShapeError
 from ..obs import span as obs_span
 from .instrument import SoftmaxInstrumentedModel
 
-__all__ = ["Footprint", "FootprintExtractor"]
+__all__ = ["Footprint", "FootprintBatch", "FootprintExtractor", "validate_labels"]
 
 
-# Bulk constructors (FootprintExtractor.from_arrays) validate a whole batch
-# of trajectories once and then skip the per-case __post_init__ checks; the
-# flag is thread-local so concurrent serving threads cannot leak it into each
-# other's directly-constructed Footprints.
+def validate_labels(labels, num_classes: Optional[int] = None) -> np.ndarray:
+    """Return ``labels`` as an int64 array of class ids, or raise naming ``labels``.
+
+    Integer labels pass, and so do floats that are finite and integral
+    (``3.0`` is class 3).  Booleans, non-integral or non-finite floats,
+    strings and any other non-numeric values raise
+    :class:`~repro.exceptions.ConfigurationError`.  With ``num_classes``,
+    every label must also lie in ``[0, num_classes)``.
+    """
+    array = np.asarray(labels)
+    kind = array.dtype.kind
+    # numpy reads [True, 2] as integers, so a list is checked element-wise.
+    if kind == "b" or (
+        isinstance(labels, (list, tuple))
+        and any(isinstance(value, (bool, np.bool_)) for value in labels)
+    ):
+        raise ConfigurationError("labels must be integer class ids, got booleans")
+    if kind == "f":
+        if not np.all(np.isfinite(array)) or np.any(array != np.floor(array)):
+            raise ConfigurationError(
+                "labels must be integer class ids, got non-integral or non-finite values"
+            )
+    elif kind not in "iu":
+        raise ConfigurationError(
+            f"labels must be integer class ids, got values of dtype {array.dtype}"
+        )
+    array = array.astype(np.int64, copy=False)
+    if num_classes is not None and array.size and (
+        array.min() < 0 or array.max() >= num_classes
+    ):
+        raise ConfigurationError(
+            f"labels must be class ids in [0, {num_classes}), got range "
+            f"[{array.min()}, {array.max()}]"
+        )
+    return array
+
+
+# FootprintBatch rows are views into a batch that FootprintExtractor.from_arrays
+# validated once, so building them skips the per-case __post_init__ checks;
+# the flag is thread-local so concurrent serving threads cannot leak it into
+# each other's directly-constructed Footprints.
 _bulk_state = threading.local()
 
 
@@ -142,8 +185,81 @@ class Footprint:
         )
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class FootprintBatch(SequenceABC):
+    """The footprints of ``N`` cases as arrays, built by :meth:`FootprintExtractor.from_arrays`.
+
+    Attributes
+    ----------
+    trajectories:
+        ``(N, L, C)`` float64 probe distributions.
+    final_probs:
+        ``(N, C)`` float64 final softmax distributions.
+    predicted:
+        ``(N,)`` int64 ``argmax`` of ``final_probs``.
+    true_labels:
+        ``(N,)`` int64 ground-truth labels, or ``None`` if unknown.
+    layer_names:
+        Names of the instrumented layers.
+
+    ``batch[i]`` and iteration yield :class:`Footprint` rows (views into the
+    arrays); ``batch[a:b]`` is again a batch.
+    """
+
+    trajectories: np.ndarray
+    final_probs: np.ndarray
+    predicted: np.ndarray
+    true_labels: Optional[np.ndarray] = None
+    layer_names: Optional[tuple] = None
+
+    def __len__(self) -> int:
+        return int(self.trajectories.shape[0])
+
+    def __getitem__(self, index: Union[int, slice]) -> Union[Footprint, "FootprintBatch"]:
+        if isinstance(index, slice):
+            return self.select(index)
+        trajectory = self.trajectories[index]  # raises IndexError past the end
+        with _prevalidated():
+            return Footprint(
+                trajectory=trajectory,
+                final_probs=self.final_probs[index],
+                predicted=int(self.predicted[index]),
+                true_label=None if self.true_labels is None else int(self.true_labels[index]),
+                layer_names=self.layer_names,
+            )
+
+    @property
+    def final_confidences(self) -> np.ndarray:
+        """``(N,)`` model confidence in each case's own prediction."""
+        return self.final_probs[np.arange(len(self)), self.predicted]
+
+    def select(self, rows: Union[slice, np.ndarray]) -> "FootprintBatch":
+        """The batch of a subset of rows (a slice, an index array or a mask)."""
+        return FootprintBatch(
+            trajectories=self.trajectories[rows],
+            final_probs=self.final_probs[rows],
+            predicted=self.predicted[rows],
+            true_labels=None if self.true_labels is None else self.true_labels[rows],
+            layer_names=self.layer_names,
+        )
+
+    def misclassified(self) -> "FootprintBatch":
+        """The cases whose prediction differs from their true label (needs labels)."""
+        if self.true_labels is None:
+            raise ConfigurationError("finding misclassified cases requires true labels")
+        return self.select(self.predicted != self.true_labels)
+
+    def __repr__(self) -> str:
+        _, num_layers, num_classes = self.trajectories.shape
+        labeled = ", labeled" if self.true_labels is not None else ""
+        return (
+            f"FootprintBatch(cases={len(self)}, layers={num_layers}, "
+            f"classes={num_classes}{labeled})"
+        )
+
+
 class FootprintExtractor:
-    """Extracts :class:`Footprint` objects from a fitted instrumented model."""
+    """Extracts footprints from a fitted instrumented model."""
 
     def __init__(self, instrumented: SoftmaxInstrumentedModel, batch_size: int = 128):
         self.instrumented = instrumented
@@ -151,8 +267,8 @@ class FootprintExtractor:
 
     def extract(
         self, inputs: np.ndarray, labels: Optional[Sequence[int]] = None
-    ) -> List[Footprint]:
-        """Extract one footprint per input.
+    ) -> FootprintBatch:
+        """Extract the footprints of a batch of inputs.
 
         Parameters
         ----------
@@ -180,16 +296,14 @@ class FootprintExtractor:
         trajectories: np.ndarray,
         final_probs: np.ndarray,
         labels: Optional[Sequence[int]] = None,
-    ) -> List[Footprint]:
-        """Wrap precomputed ``(trajectories, final_probs)`` arrays into footprints.
+    ) -> FootprintBatch:
+        """Wrap precomputed ``(trajectories, final_probs)`` arrays into a :class:`FootprintBatch`.
 
         The inverse of :meth:`extract_arrays`: serving layers that cache or
-        batch raw extraction arrays use this to rebuild :class:`Footprint`
-        objects without touching the model again.  The whole batch is
-        validated once up front (shapes, class-count agreement, predictions),
-        so per-case construction skips the redundant ``__post_init__`` checks
-        — on serving batches this is the difference between O(batch) and
-        O(batch · layers) validation work.
+        batch raw extraction arrays use this to rebuild footprints without
+        touching the model again.  The whole batch is validated once (shapes,
+        class-count agreement, integral labels) and predictions are one
+        ``argmax``; no per-case object is built.
         """
         trajectories = check_trajectory_stack(trajectories)
         final_probs = np.asarray(final_probs, dtype=np.float64)
@@ -208,25 +322,19 @@ class FootprintExtractor:
                 f"have {trajectories.shape[2]}"
             )
         if labels is not None:
-            labels = np.asarray(labels)
-            if labels.shape[0] != trajectories.shape[0]:
+            labels = validate_labels(labels)
+            if labels.shape != (trajectories.shape[0],):
                 raise ShapeError(
                     f"labels and trajectories disagree on batch size: "
-                    f"{labels.shape[0]} vs {trajectories.shape[0]}"
+                    f"{labels.shape} vs {trajectories.shape[0]}"
                 )
-        layer_names = tuple(self.instrumented.layer_names)
-        predicted = final_probs.argmax(axis=1) if final_probs.shape[0] else np.zeros(0, int)
-        footprints: List[Footprint] = []
-        with _prevalidated():
-            for i in range(trajectories.shape[0]):
-                footprints.append(Footprint(
-                    trajectory=trajectories[i],
-                    final_probs=final_probs[i],
-                    predicted=int(predicted[i]),
-                    true_label=int(labels[i]) if labels is not None else None,
-                    layer_names=layer_names,
-                ))
-        return footprints
+        return FootprintBatch(
+            trajectories=trajectories,
+            final_probs=final_probs,
+            predicted=final_probs.argmax(axis=1),
+            true_labels=labels,
+            layer_names=tuple(self.instrumented.layer_names),
+        )
 
     def extract_arrays(
         self, inputs: np.ndarray

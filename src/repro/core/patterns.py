@@ -126,16 +126,26 @@ class ClassExecutionPattern:
         k = max(1, min(int(k), divergences.shape[0]))
         return float(np.sort(divergences)[:k].mean())
 
-    def nn_typicality_of(self, footprint: Footprint, k: int = 3, scale_floor: float = 0.01) -> float:
+    def nn_typicality_of(
+        self,
+        footprint: Footprint,
+        k: int = 3,
+        scale_floor: float = 0.01,
+        late_layer_emphasis: float = 1.0,
+    ) -> float:
         """Nearest-member typicality in ``[0, 1]``.
 
         Compares the footprint's distance to its nearest members against the
         members' own nearest-neighbour scale: 0.5 means "as close as members
         are to each other", values near 1 mean the footprint practically
         coincides with specific training members, values near 0 mean even the
-        closest members are far away.
+        closest members are far away.  ``late_layer_emphasis`` should be the
+        one ``member_nn_scale`` was computed at
+        (:attr:`PatternLibrary.nn_layer_emphasis`).
         """
-        nearest = self.nearest_member_divergence(footprint, k=k)
+        nearest = self.nearest_member_divergence(
+            footprint, k=k, late_layer_emphasis=late_layer_emphasis
+        )
         scale = max(float(self.member_nn_scale), scale_floor)
         return float(scale / (scale + nearest))
 
@@ -193,10 +203,13 @@ class _PatternIndex:
     dispersions: np.ndarray  # (K,)
     # class id -> (members, member_nn_scale).  A class without stored members
     # is represented by its mean, the fallback of nearest_member_divergence.
+    # Only the nn_layers are kept: the nearest-member kernel skips layers
+    # whose nn weight is exactly 0.
     members: Dict[int, Tuple[JSOperand, float]]
     similarity_weights: np.ndarray  # (L,) at the library's late_layer_emphasis
     divergence_weights: np.ndarray  # (L,) at divergence_from's emphasis 0.5
-    nn_weights: np.ndarray  # (L,) at nearest_member_divergence's emphasis 1.0
+    nn_layers: np.ndarray  # indices of the layers with a non-zero nn weight
+    nn_weights: np.ndarray  # their weights, at the library's nn_layer_emphasis
 
 
 class _WelfordMoments:
@@ -703,7 +716,9 @@ class PatternLibrary:
         self._require_fitted()
         if class_id not in self.patterns:
             return 0.0
-        return self.patterns[class_id].nn_typicality_of(footprint, k=k)
+        return self.patterns[class_id].nn_typicality_of(
+            footprint, k=k, late_layer_emphasis=self.nn_layer_emphasis
+        )
 
     # -- batched queries ----------------------------------------------------------
 
@@ -720,7 +735,7 @@ class PatternLibrary:
         self._require_fitted()
         ids = tuple(sorted(self.patterns))
         patterns = tuple(self.patterns[i] for i in ids)
-        key = (ids, self.late_layer_emphasis)
+        key = (ids, self.late_layer_emphasis, self.nn_layer_emphasis)
         if self._batch_cache is not None:
             cached_key, cached_patterns, index = self._batch_cache
             if cached_key == key and all(
@@ -728,13 +743,22 @@ class PatternLibrary:
             ):
                 return index
         means = prepare_js_operand(np.stack([p.mean_trajectory for p in patterns]))
+        num_layers = means.shape[1]
+        # The nearest-member queries weight layers at nn_layer_emphasis, the
+        # emphasis member_nn_scale was fitted at; at 1.0 the first layer's
+        # weight is exactly 0 (early beliefs are pixel-noise dominated), and
+        # the kernel skips every zero-weight layer.
+        nn_weights = _unit_layer_weights(num_layers, self.nn_layer_emphasis)
+        nn_layers = np.flatnonzero(nn_weights)
         members: Dict[int, Tuple[JSOperand, float]] = {}
         for class_id, pattern in zip(ids, patterns):
             stack = pattern.member_trajectories
             if stack is None or stack.shape[0] == 0:
                 stack = pattern.mean_trajectory[None]
-            members[class_id] = (prepare_js_operand(stack), float(pattern.member_nn_scale))
-        num_layers = means.shape[1]
+            members[class_id] = (
+                prepare_js_operand(stack[:, nn_layers]),
+                float(pattern.member_nn_scale),
+            )
         index = _PatternIndex(
             class_ids=np.asarray(ids, dtype=np.int64),
             means=means,
@@ -743,24 +767,25 @@ class PatternLibrary:
             similarity_weights=_unit_layer_weights(num_layers, self.late_layer_emphasis),
             # ClassExecutionPattern.divergence_from (the per-case atypicality
             # path) uses its own default emphasis of 0.5, independent of the
-            # library's similarity emphasis, and nearest_member_divergence
-            # defaults to 1.0 (early-layer beliefs are pixel-noise dominated).
+            # library's similarity emphasis.
             divergence_weights=_unit_layer_weights(num_layers, 0.5),
-            nn_weights=_unit_layer_weights(num_layers, 1.0),
+            nn_layers=nn_layers,
+            nn_weights=nn_weights[nn_layers],
         )
         self._batch_cache = (key, patterns, index)
         return index
 
-    def _prepare_query(self, stack: np.ndarray, index: _PatternIndex) -> JSOperand:
-        """Prepare a query stack, checking it against the patterns' (L, C)."""
-        query = prepare_js_operand(stack)
+    @staticmethod
+    def _check_query(stack: np.ndarray, index: _PatternIndex) -> np.ndarray:
+        """A query stack as float64, checked against the patterns' (L, C)."""
+        stack = check_trajectory_stack(stack)
         _, num_layers, num_classes = index.means.shape
-        if query.shape[1:] != (num_layers, num_classes):
+        if stack.shape[1:] != (num_layers, num_classes):
             raise ShapeError(
                 f"trajectories must have shape (N, {num_layers}, {num_classes}), "
-                f"got {query.shape}"
+                f"got {stack.shape}"
             )
-        return query
+        return stack
 
     def batch_pattern_matches(self, stack: np.ndarray) -> PatternMatches:
         """Compare a whole ``(N, L, C)`` stack against every class pattern at once.
@@ -773,7 +798,8 @@ class PatternLibrary:
         equivalents of N·K per-case queries.
         """
         index = self._batch_index()
-        layer_divs = cross_js_layer_divergences(self._prepare_query(stack, index), index.means)
+        query = prepare_js_operand(self._check_query(stack, index))
+        layer_divs = cross_js_layer_divergences(query, index.means)
         return PatternMatches(
             class_ids=index.class_ids,
             similarities=1.0 - (layer_divs @ index.similarity_weights) / np.log(2.0),
@@ -785,36 +811,40 @@ class PatternLibrary:
     def batch_nn_typicality(
         self, stack: np.ndarray, class_ids: np.ndarray, k: int = 3, scale_floor: float = 0.01
     ) -> np.ndarray:
-        """Nearest-member typicality of every stack member w.r.t. its own target class.
+        """Nearest-member typicality of every stack member w.r.t. its target classes.
 
-        The batched form of :meth:`nn_typicality`: the stack is prepared
-        once, cases are grouped by target class and each group is compared
-        against that class's prepared member stack in one cross kernel
-        (classes without a pattern score 0, empty member sets fall back to
-        the mean-trajectory divergence — exactly the per-case semantics).
+        The batched form of :meth:`nn_typicality`.  ``class_ids`` is ``(N,)``
+        (one target per case) or ``(N, T)`` (``T`` targets per case, e.g. the
+        predicted and the true class), and the result has its shape.  The
+        stack is prepared once, on the layers with a non-zero nn weight, and
+        each class's (case, target) pairs are compared against that class's
+        prepared member stack in one cross kernel; classes without a pattern
+        score 0 and empty member sets fall back to the mean trajectory,
+        exactly the per-case semantics.
         """
         index = self._batch_index()
-        query = self._prepare_query(stack, index)
+        stack = self._check_query(stack, index)
         class_ids = np.asarray(class_ids, dtype=np.int64)
-        if class_ids.shape != (query.shape[0],):
+        if class_ids.ndim not in (1, 2) or class_ids.shape[0] != stack.shape[0]:
             raise ShapeError(
-                f"class_ids must be 1-D with one entry per case, got shape "
-                f"{class_ids.shape} for {query.shape[0]} cases"
+                f"class_ids must be (N,) or (N, T) with one row per case, got shape "
+                f"{class_ids.shape} for {stack.shape[0]} cases"
             )
-        out = np.zeros(query.shape[0], dtype=np.float64)
+        query = prepare_js_operand(stack[:, index.nn_layers])
+        out = np.zeros(class_ids.shape, dtype=np.float64)
         for class_value in np.unique(class_ids):
             entry = index.members.get(int(class_value))
             if entry is None:
                 continue  # unknown class: typicality stays 0
             members, nn_scale = entry
-            rows = np.nonzero(class_ids == class_value)[0]
+            targets = np.nonzero(class_ids == class_value)
             divergences = (
-                cross_js_layer_divergences(query.select(rows), members) @ index.nn_weights
+                cross_js_layer_divergences(query.select(targets[0]), members) @ index.nn_weights
             )
             kk = max(1, min(int(k), divergences.shape[1]))
             nearest = np.partition(divergences, kk - 1, axis=1)[:, :kk].mean(axis=1)
             scale = max(nn_scale, scale_floor)
-            out[rows] = scale / (scale + nearest)
+            out[targets] = scale / (scale + nearest)
         return out
 
     def pattern_overlap(self) -> float:

@@ -7,21 +7,26 @@ classifier scores: how well the case follows the predicted class's pattern,
 how atypical it is for its true class, how sharp or diffuse the layer-wise
 beliefs are, and how early the execution commits or diverges.
 
-Two implementations coexist deliberately:
+The diagnosis pipelines run :func:`compute_specifics_batch` /
+:func:`compute_specifics_stack`: all N faulty-case trajectories in one
+``(N, L, C)`` array, every pattern comparison done by the library's
+broadcasted JS kernels, every per-layer statistic computed array-wide.  The
+result is a :class:`SpecificsBatch`, one ``(N,)`` column per feature, which
+the defect classifier reads directly; no per-case object is built unless a
+caller indexes or iterates the batch.
 
-* :func:`compute_specifics` — the per-case path, one footprint at a time.
-  Retained as the parity reference the batched kernels are pinned against.
-* :func:`compute_specifics_batch` / :func:`compute_specifics_stack` — the
-  batched core: all N case trajectories stacked into one ``(N, L, C)`` array,
-  every pattern comparison done by broadcasted JS kernels, every per-layer
-  statistic computed array-wide.  This is the hot path of ``DeepMorph`` and
-  the serving layer.
+:func:`compute_specifics` derives the same :class:`FootprintSpecifics` for a
+single footprint through the per-case pattern-library queries.  It is the
+drill-down API and the parity reference the batched core is pinned against
+(``tests/unit/test_batched_diagnosis.py``,
+``tests/property/test_struct_of_arrays.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass, fields
+from typing import Dict, Sequence, Union
 
 import numpy as np
 
@@ -34,11 +39,13 @@ from ..analysis.trajectory import (
     layer_stability,
 )
 from ..exceptions import ConfigurationError, ShapeError
-from .footprint import Footprint
+from .footprint import Footprint, FootprintBatch
 from .patterns import PatternLibrary
 
 __all__ = [
     "FootprintSpecifics",
+    "SpecificsBatch",
+    "as_specifics_batch",
     "compute_specifics",
     "compute_specifics_batch",
     "compute_specifics_stack",
@@ -142,6 +149,75 @@ class FootprintSpecifics:
         }
 
 
+#: Field names of :class:`FootprintSpecifics`, which are also the columns of
+#: :class:`SpecificsBatch`.
+SPECIFICS_FIELDS = tuple(f.name for f in fields(FootprintSpecifics))
+_CLASS_FIELDS = ("predicted", "true_label", "best_match_class")
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class SpecificsBatch(SequenceABC):
+    """The footprint specifics of ``N`` faulty cases, one ``(N,)`` column per field.
+
+    Column ``x`` holds ``FootprintSpecifics.x`` of every case: class ids as
+    int64, features as float64.  This is what
+    :func:`compute_specifics_stack` returns and what
+    :func:`~repro.core.classifier.build_feature_matrix`,
+    :meth:`~repro.core.classifier.DefectCaseClassifier.build_context` and
+    :meth:`~repro.core.classifier.DefectCaseClassifier.aggregate` read.
+    ``batch[i]`` and iteration yield :class:`FootprintSpecifics` rows.
+    """
+
+    predicted: np.ndarray
+    true_label: np.ndarray
+    final_confidence: np.ndarray
+    commitment: np.ndarray
+    match_predicted: np.ndarray
+    match_true: np.ndarray
+    best_match: np.ndarray
+    best_match_class: np.ndarray
+    atypicality_true: np.ndarray
+    mean_entropy: np.ndarray
+    early_entropy: np.ndarray
+    divergence_point: np.ndarray
+    stability: np.ndarray
+    late_entropy: np.ndarray
+    feature_quality: np.ndarray
+    nn_typicality_predicted: np.ndarray
+    nn_typicality_true: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.predicted.shape[0])
+
+    def __getitem__(self, index: int) -> FootprintSpecifics:
+        return FootprintSpecifics(
+            **{name: getattr(self, name)[index].item() for name in SPECIFICS_FIELDS}
+        )
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[FootprintSpecifics]) -> "SpecificsBatch":
+        """Stack per-case :class:`FootprintSpecifics` into columns."""
+        return cls(**{
+            name: np.asarray(
+                [getattr(row, name) for row in rows],
+                dtype=np.int64 if name in _CLASS_FIELDS else np.float64,
+            )
+            for name in SPECIFICS_FIELDS
+        })
+
+    def __repr__(self) -> str:
+        return f"SpecificsBatch(cases={len(self)})"
+
+
+def as_specifics_batch(
+    specifics: Union[SpecificsBatch, Sequence[FootprintSpecifics]]
+) -> SpecificsBatch:
+    """``specifics`` as a :class:`SpecificsBatch` (rows are stacked; a batch passes through)."""
+    if isinstance(specifics, SpecificsBatch):
+        return specifics
+    return SpecificsBatch.from_rows(list(specifics))
+
+
 def compute_specifics(footprint: Footprint, library: PatternLibrary) -> FootprintSpecifics:
     """Derive the footprint specifics of one (faulty) case.
 
@@ -208,15 +284,16 @@ def compute_specifics_stack(
     predicted: np.ndarray,
     true_labels: np.ndarray,
     library: PatternLibrary,
-) -> List[FootprintSpecifics]:
+) -> SpecificsBatch:
     """Derive the footprint specifics of ``N`` faulty cases in one batched pass.
 
     The array-native core of :func:`compute_specifics_batch`: every pattern
-    comparison runs through the library's broadcasted JS kernels and every
-    per-layer statistic is computed array-wide, so the per-case Python work is
-    reduced to assembling the result dataclasses.  Matches the per-case
-    :func:`compute_specifics` to floating-point reassociation error (pinned at
-    ``1e-12`` by the parity suite).
+    comparison runs through the library's broadcasted JS kernels (one
+    nearest-member query covers both the predicted and the true class) and
+    every per-layer statistic is computed array-wide, so no per-case Python
+    work remains.  Matches the per-case :func:`compute_specifics` to
+    floating-point reassociation error (pinned at ``1e-12`` by the parity
+    suite).
 
     Parameters
     ----------
@@ -245,7 +322,7 @@ def compute_specifics_stack(
                 f"for {n} cases"
             )
     if n == 0:
-        return []
+        return SpecificsBatch.from_rows([])
 
     # Array-wide per-case statistics (validate the label/prediction ranges).
     divergence = batch_divergence_layer(stack, true_labels)
@@ -278,59 +355,64 @@ def compute_specifics_stack(
     half = max(1, num_layers // 2)
     early_entropy = entropies[:, :half].mean(axis=1)
     late_entropy = entropies[:, half:].mean(axis=1) if num_layers > half else mean_entropy
-    divergence_point = divergence / num_layers
 
-    feature_quality = float(library.feature_quality())
-    nn_predicted = library.batch_nn_typicality(stack, predicted)
-    nn_true = library.batch_nn_typicality(stack, true_labels)
+    # Column 0 targets the predicted class, column 1 the true class.
+    nn_typicality = library.batch_nn_typicality(stack, np.stack([predicted, true_labels], axis=1))
 
-    return [
-        FootprintSpecifics(
-            predicted=int(predicted[i]),
-            true_label=int(true_labels[i]),
-            final_confidence=float(final_confidences[i]),
-            commitment=float(commitment[i]),
-            match_predicted=float(match_predicted[i]),
-            match_true=float(match_true[i]),
-            best_match=float(best_sims[i]),
-            best_match_class=int(best_classes[i]),
-            atypicality_true=float(atypicality[i]),
-            mean_entropy=float(mean_entropy[i]),
-            early_entropy=float(early_entropy[i]),
-            late_entropy=float(late_entropy[i]),
-            divergence_point=float(divergence_point[i]),
-            stability=float(stability[i]),
-            feature_quality=feature_quality,
-            nn_typicality_predicted=float(nn_predicted[i]),
-            nn_typicality_true=float(nn_true[i]),
-        )
-        for i in range(n)
-    ]
+    return SpecificsBatch(
+        predicted=predicted,
+        true_label=true_labels,
+        final_confidence=final_confidences,
+        commitment=commitment,
+        match_predicted=match_predicted,
+        match_true=match_true,
+        best_match=best_sims,
+        best_match_class=best_classes,
+        atypicality_true=atypicality,
+        mean_entropy=mean_entropy,
+        early_entropy=early_entropy,
+        divergence_point=divergence / num_layers,
+        stability=stability,
+        late_entropy=late_entropy,
+        feature_quality=np.full(n, float(library.feature_quality())),
+        nn_typicality_predicted=nn_typicality[:, 0],
+        nn_typicality_true=nn_typicality[:, 1],
+    )
 
 
 def compute_specifics_batch(
-    footprints: Sequence[Footprint], library: PatternLibrary
-) -> List[FootprintSpecifics]:
-    """Batched :func:`compute_specifics` over a whole list of labeled footprints.
+    footprints: Union[FootprintBatch, Sequence[Footprint]], library: PatternLibrary
+) -> SpecificsBatch:
+    """Batched :func:`compute_specifics` over the labeled faulty cases of a batch.
 
-    Stacks the trajectories into one ``(N, L, C)`` array and hands them to
-    :func:`compute_specifics_stack`; this is what ``DeepMorph.diagnose`` and
-    the serving layer call on their faulty-case batches.
+    This is what ``DeepMorph.diagnose`` and the serving layer call on their
+    faulty cases: a :class:`~repro.core.footprint.FootprintBatch` hands its
+    arrays straight to :func:`compute_specifics_stack`.  A list of
+    :class:`Footprint` objects (drill-down callers) is stacked first.
     """
-    footprints = list(footprints)
-    if not footprints:
-        return []
-    if any(fp.true_label is None for fp in footprints):
+    if not isinstance(footprints, FootprintBatch):
+        footprints = list(footprints)
+        if not footprints:
+            return SpecificsBatch.from_rows([])
+        if any(fp.true_label is None for fp in footprints):
+            raise ConfigurationError(
+                "footprint specifics require the true label of every faulty case"
+            )
+        return compute_specifics_stack(
+            np.stack([np.asarray(fp.trajectory, dtype=np.float64) for fp in footprints]),
+            final_confidences=np.asarray([fp.final_confidence for fp in footprints]),
+            predicted=np.asarray([int(fp.predicted) for fp in footprints]),
+            true_labels=np.asarray([int(fp.true_label) for fp in footprints]),
+            library=library,
+        )
+    if footprints.true_labels is None:
         raise ConfigurationError(
             "footprint specifics require the true label of every faulty case"
         )
-    stack = np.stack([np.asarray(fp.trajectory, dtype=np.float64) for fp in footprints])
     return compute_specifics_stack(
-        stack,
-        final_confidences=np.asarray(
-            [float(fp.final_probs[int(fp.predicted)]) for fp in footprints]
-        ),
-        predicted=np.asarray([int(fp.predicted) for fp in footprints]),
-        true_labels=np.asarray([int(fp.true_label) for fp in footprints]),
+        footprints.trajectories,
+        final_confidences=footprints.final_confidences,
+        predicted=footprints.predicted,
+        true_labels=footprints.true_labels,
         library=library,
     )

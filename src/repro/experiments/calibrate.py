@@ -24,9 +24,9 @@ from ..core.classifier import (
     FEATURE_NAMES,
     DefectClassifierConfig,
     DiagnosisContext,
-    build_feature_vector,
+    build_feature_matrix,
 )
-from ..core.specifics import FootprintSpecifics
+from ..core.specifics import SpecificsBatch
 from ..defects import DefectType
 from ..exceptions import ExperimentError
 from ..nn.layers import Dense
@@ -71,14 +71,12 @@ def collect_examples(
             model_settings = settings.for_model(model).with_seed(seed)
             for defect in defects:
                 cell = run_cell(defect, model_settings, collect_specifics=True)
-                specifics: List[FootprintSpecifics] = cell.extras.get("specifics", [])
+                specifics: SpecificsBatch = cell.extras.get("specifics", [])
                 context: DiagnosisContext = cell.extras.get("context") or DiagnosisContext()
-                for spec in specifics:
-                    examples.append(CalibrationExample(
-                        features=build_feature_vector(spec, context),
-                        label=defect,
-                        model=model,
-                    ))
+                examples.extend(
+                    CalibrationExample(features=row, label=defect, model=model)
+                    for row in build_feature_matrix(specifics, context)
+                )
                 if progress is not None:
                     progress(
                         f"collected {len(specifics):4d} cases from "

@@ -240,11 +240,8 @@ def run_cell(
             },
         )
         if collect_specifics:
-            footprints = [
-                fp for fp in morph.extract_footprints(faulty_inputs, faulty_labels)
-                if fp.is_misclassified
-            ]
-            extras["specifics"] = morph.compute_specifics(footprints)
+            footprints = morph.extract_footprints(faulty_inputs, faulty_labels)
+            extras["specifics"] = morph.compute_specifics(footprints.misclassified())
             extras["context"] = report.context
 
     return CellResult(

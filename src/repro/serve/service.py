@@ -38,7 +38,7 @@ import numpy as np
 from ..api.schema import validate_arrays
 from ..core.classifier import DefectReport
 from ..core.diagnosis import DeepMorph
-from ..core.footprint import FootprintExtractor
+from ..core.footprint import FootprintExtractor, validate_labels
 from ..core.specifics import compute_specifics_batch
 from ..exceptions import NoFaultyCasesError, ServeError
 from ..monitor import DriftThresholds, MonitorSink, PatternUpdater
@@ -367,6 +367,7 @@ class DiagnosisService:
         inputs, labels = self._validate_request(inputs, labels)
         key = self.resolve_key(name, version)
         entry = self._entry(key)
+        validate_labels(labels, entry.num_classes)
 
         with obs_span(
             "service.extract", {"model_key": key, "num_cases": int(inputs.shape[0])}
@@ -390,15 +391,14 @@ class DiagnosisService:
             # extracted rows only, so cache hits are not double counted.)
             self.monitor.observe_labeled(key, trajectories, final_probs, labels)
         with obs_span("service.footprints") as fp_span:
-            footprints = entry.extractor.from_arrays(trajectories, final_probs, labels)
-            faulty = [fp for fp in footprints if fp.is_misclassified]
+            faulty = entry.extractor.from_arrays(trajectories, final_probs, labels).misclassified()
             fp_span.set_attribute("num_faulty", len(faulty))
         if not faulty:
             raise NoFaultyCasesError(
                 "none of the supplied cases is misclassified by the model; nothing to diagnose"
             )
-        # Batched diagnosis core: one stacked specifics computation for the
-        # whole coalesced batch instead of a per-case Python loop.
+        # Batched diagnosis core: the faulty rows' arrays go through one
+        # specifics computation and one scoring pass, with no per-case objects.
         with obs_span("service.specifics", {"num_faulty": len(faulty)}):
             specifics = compute_specifics_batch(faulty, entry.morph.patterns)
         with obs_span("service.classify"):

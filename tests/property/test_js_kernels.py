@@ -89,6 +89,7 @@ def libraries(draw, num_layers: int, num_classes: int) -> PatternLibrary:
     library = PatternLibrary(
         SimpleNamespace(num_classes=num_classes),
         late_layer_emphasis=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        nn_layer_emphasis=draw(st.sampled_from([0.0, 0.5, 1.0])),
     )
     library.patterns = patterns
     library._fitted = True
@@ -143,8 +144,12 @@ class TestCachedLibraryQueries:
         n, _, num_layers, num_classes = data.draw(dimensions())
         library = data.draw(libraries(num_layers, num_classes))
         stack = data.draw(stacks(n, num_layers, num_classes))
-        # Class id num_classes never has a pattern: its typicality is 0.
-        class_ids = data.draw(hnp.arrays(np.int64, (n,), elements=st.integers(0, num_classes)))
+        # Class id num_classes never has a pattern: its typicality is 0.  One
+        # target per case, or several (the predicted and the true class).
+        targets = data.draw(st.sampled_from([(n,), (n, 2)]))
+        class_ids = data.draw(
+            hnp.arrays(np.int64, targets, elements=st.integers(0, num_classes))
+        )
         k = data.draw(st.integers(1, 4))
         similarities, divergences = js_oracle.pattern_matches(library, stack)
         typicality = js_oracle.nn_typicality(library, stack, class_ids, k=k)

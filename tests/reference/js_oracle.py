@@ -63,18 +63,28 @@ def pattern_matches(library, stack: np.ndarray) -> tuple:
 def nn_typicality(
     library, stack: np.ndarray, class_ids: np.ndarray, k: int = 3, scale_floor: float = 0.01
 ) -> np.ndarray:
-    """Nearest-member typicality of every row w.r.t. its own class, one row at a time."""
+    """Nearest-member typicality of every row w.r.t. its own class, one row at a time.
+
+    ``class_ids`` is ``(N,)`` or ``(N, T)``; entry ``[row, t]`` compares row
+    ``row`` with class ``class_ids[row, t]``.  Layers are weighted at the
+    library's ``nn_layer_emphasis``, the emphasis ``member_nn_scale`` was
+    fitted at.
+    """
     stack = np.asarray(stack, dtype=np.float64)
-    out = np.zeros(stack.shape[0], dtype=np.float64)
-    for row, class_id in enumerate(np.asarray(class_ids).tolist()):
+    class_ids = np.asarray(class_ids)
+    out = np.zeros(class_ids.shape, dtype=np.float64)
+    for position, class_id in np.ndenumerate(class_ids):
         pattern = library.patterns.get(int(class_id))
         if pattern is None:
             continue
         members = pattern.member_trajectories
         if members is None or members.shape[0] == 0:
             members = pattern.mean_trajectory[None]
-        divs = cross_divergences(stack[row:row + 1], members, late_layer_emphasis=1.0)[0]
+        row = position[0]
+        divs = cross_divergences(
+            stack[row:row + 1], members, late_layer_emphasis=library.nn_layer_emphasis
+        )[0]
         nearest = np.sort(divs)[:max(1, min(int(k), divs.shape[0]))].mean()
         scale = max(float(pattern.member_nn_scale), scale_floor)
-        out[row] = scale / (scale + nearest)
+        out[position] = scale / (scale + nearest)
     return out

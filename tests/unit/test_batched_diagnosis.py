@@ -1,12 +1,12 @@
 """Parity suite pinning the batched diagnosis core to the per-case references.
 
-Every batched kernel introduced by the diagnosis rework — the vectorized
-pairwise matrix, the cross/stack divergence kernels, the array-wide
-trajectory statistics, the batched specifics computation, and the
-single-matmul defect classifier — is asserted to match its retained loop
-reference to ``1e-12`` on random trajectory stacks and on a real fitted
-library, including the edge cases (single case, single class, single layer,
-empty member sets, classes without patterns).
+Every batched kernel of the diagnosis core — the vectorized pairwise matrix,
+the cross/stack divergence kernels, the array-wide trajectory statistics, the
+batched specifics computation, and the single-matmul defect classifier — is
+asserted to match its loop reference (the per-case library API and
+``tests/reference/diagnosis_oracle.py``) to ``1e-12`` on random trajectory
+stacks and on a real fitted library, including the edge cases (single case,
+single class, single layer, empty member sets, classes without patterns).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.analysis.trajectory import (
     entropy_profile,
     layer_stability,
     pairwise_trajectory_divergences,
-    pairwise_trajectory_divergences_reference,
     trajectory_divergence,
     trajectory_similarity,
 )
@@ -48,6 +47,7 @@ from repro.core.footprint import FootprintExtractor
 from repro.exceptions import ConfigurationError, ShapeError
 
 from tests.conftest import make_tiny_generator, make_tiny_model
+from tests.reference import diagnosis_oracle
 
 PARITY = 1e-12
 
@@ -64,7 +64,9 @@ class TestBatchedTrajectoryKernels:
     def test_pairwise_matches_loop_reference(self, rng, shape, emphasis):
         stack = random_stack(rng, *shape)
         fast = pairwise_trajectory_divergences(stack, late_layer_emphasis=emphasis)
-        slow = pairwise_trajectory_divergences_reference(stack, late_layer_emphasis=emphasis)
+        slow = diagnosis_oracle.pairwise_trajectory_divergences(
+            stack, late_layer_emphasis=emphasis
+        )
         assert fast.shape == slow.shape == (shape[0], shape[0])
         assert np.max(np.abs(fast - slow)) <= PARITY
         assert np.max(np.abs(fast - fast.T)) <= PARITY
@@ -180,7 +182,7 @@ class TestBatchedClassifier:
         specifics = [make_specifics(rng) for _ in range(25)]
         batched = classifier.classify_batch(specifics, context)
         for s, verdict in zip(specifics, batched):
-            reference = classifier.classify_case_reference(s, context)
+            reference = diagnosis_oracle.classify_case(classifier, s, context)
             assert verdict.verdict == reference.verdict
             for defect in verdict.scores:
                 assert abs(verdict.scores[defect] - reference.scores[defect]) <= PARITY
@@ -190,7 +192,7 @@ class TestBatchedClassifier:
         classifier = DefectCaseClassifier()
         s = make_specifics(rng)
         view = classifier.classify_case(s)
-        reference = classifier.classify_case_reference(s)
+        reference = diagnosis_oracle.classify_case(classifier, s)
         assert view.verdict == reference.verdict
         for defect in view.scores:
             assert abs(view.scores[defect] - reference.scores[defect]) <= PARITY
@@ -201,7 +203,7 @@ class TestBatchedClassifier:
         context = DiagnosisContext(0.4, 0.3, 0.7, 0.0)
         specifics = [make_specifics(rng) for _ in range(n)]
         batched = classifier.aggregate(specifics, context=context)
-        reference = classifier.aggregate_reference(specifics, context=context)
+        reference = diagnosis_oracle.aggregate(classifier, specifics, context=context)
         assert batched.num_cases == reference.num_cases == n
         for defect in batched.ratios:
             assert abs(batched.ratios[defect] - reference.ratios[defect]) <= PARITY
@@ -212,7 +214,7 @@ class TestBatchedClassifier:
         with pytest.raises(ConfigurationError):
             DefectCaseClassifier().aggregate([])
         with pytest.raises(ConfigurationError):
-            DefectCaseClassifier().aggregate_reference([])
+            diagnosis_oracle.aggregate(DefectCaseClassifier(), [])
 
 
 @pytest.fixture(scope="module")
@@ -252,7 +254,7 @@ class TestBatchedSpecifics:
 
     def test_empty_batch(self, fitted_library_and_footprints):
         library, _ = fitted_library_and_footprints
-        assert compute_specifics_batch([], library) == []
+        assert len(compute_specifics_batch([], library)) == 0
 
     def test_single_class_library_and_missing_patterns(self, fitted_library_and_footprints):
         """Classes without patterns fall back exactly like the per-case path."""

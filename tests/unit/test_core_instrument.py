@@ -275,8 +275,8 @@ class TestGroupedExtraction:
         trajectories, final_probs = extractor.extract_arrays(empty)
         assert trajectories.shape == (0, layers, classes)
         assert final_probs.shape == (0, classes)
-        assert extractor.extract(empty) == []
-        assert extractor.extract(empty, np.zeros(0, dtype=int)) == []
+        assert len(extractor.extract(empty)) == 0
+        assert len(extractor.extract(empty, np.zeros(0, dtype=int))) == 0
 
     def test_extract_coalesced_roundtrips_through_from_arrays(self, fitted_deepmorph, tiny_splits):
         _, test = tiny_splits
