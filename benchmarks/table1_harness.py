@@ -60,8 +60,8 @@ def run_table1_cell(benchmark, model: str, defect: str) -> None:
     benchmark.extra_info["paper_ratios"] = PAPER_TABLE1.get((model, defect))
     # The paper's headline claim for this cell: the injected defect receives
     # the largest ratio.  Recorded (not asserted) so one statistical miss at
-    # benchmark scale does not abort the timing report; EXPERIMENTS.md tracks
-    # the full paper-vs-measured comparison.
+    # benchmark scale does not abort the timing report; `repro-table1` prints
+    # the full paper-vs-measured comparison (format_table1).
     benchmark.extra_info["diagonal_correct"] = bool(
         result.report.dominant_defect == DefectType.from_string(defect)
     )

@@ -8,10 +8,11 @@ single ``(N, F) @ (F, D)`` matrix product — makes diagnosis from extracted
 footprints at least three times faster than the per-case path, while
 matching it to ``1e-12``.
 
-The reference side is the per-case path: :func:`repro.core.compute_specifics`
-(one ``Footprint`` at a time against the library) feeding the loop aggregate
-in ``tests/reference/diagnosis_oracle.py`` (one matrix-vector product and
-softmax per case).
+The reference side is the per-case oracle of
+``tests/reference/diagnosis_oracle.py``: ``specifics`` (one ``Footprint`` at
+a time against the library, through the ``js_divergence`` broadcasts of
+``tests/reference/js_oracle.py``) feeding the loop ``aggregate`` (one
+matrix-vector product and softmax per case).
 
 A second measurement isolates the JS cross kernel under the batched core:
 the entropy-form kernel against a broadcast of the two-KL
@@ -32,14 +33,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis.trajectory import cross_trajectory_layer_divergences
+from repro.analysis.trajectory import cross_js_layer_divergences, prepare_js_operand
 from repro.core import (
     DefectCaseClassifier,
     DiagnosisContext,
     FootprintExtractor,
     PatternLibrary,
     SoftmaxInstrumentedModel,
-    compute_specifics,
     compute_specifics_batch,
 )
 from repro.data import SyntheticConfig, SyntheticImageClassification
@@ -120,7 +120,7 @@ def test_batched_diagnosis_beats_per_case_reference(diagnosis_scenario):
         return classifier.aggregate(specifics, context=context)
 
     def reference():
-        specifics = [compute_specifics(fp, library) for fp in footprints]
+        specifics = [diagnosis_oracle.specifics(fp, library) for fp in footprints]
         return diagnosis_oracle.aggregate(classifier, specifics, context=context)
 
     # Warm-up both sides so lazily-built pattern indexes and first-touch
@@ -168,13 +168,14 @@ def test_fused_cross_kernel_beats_js_divergence_oracle():
     cases = rng.dirichlet(np.full(num_classes, 0.5), size=(n, num_layers))
     members = rng.dirichlet(np.full(num_classes, 0.5), size=(m, num_layers))
 
-    fused = cross_trajectory_layer_divergences(cases, members)
+    def fused_kernel():
+        return cross_js_layer_divergences(prepare_js_operand(cases), prepare_js_operand(members))
+
+    fused = fused_kernel()
     reference = js_oracle.cross_layer_divergences(cases, members)
     max_error = float(np.max(np.abs(fused - reference)))
 
-    fused_seconds = _best_of(
-        lambda: cross_trajectory_layer_divergences(cases, members), KERNEL_REPEATS
-    )
+    fused_seconds = _best_of(fused_kernel, KERNEL_REPEATS)
     reference_seconds = _best_of(
         lambda: js_oracle.cross_layer_divergences(cases, members), KERNEL_REPEATS
     )
@@ -205,6 +206,6 @@ def test_batched_specifics_match_reference_case_by_case(diagnosis_scenario):
     library, batch, footprints, _ = diagnosis_scenario
     batched = compute_specifics_batch(batch, library)
     for fp, spec in zip(footprints, batched):
-        reference = compute_specifics(fp, library)
+        reference = diagnosis_oracle.specifics(fp, library)
         for key, value in reference.as_dict().items():
             assert abs(float(spec.as_dict()[key]) - float(value)) <= PARITY_BOUND, key

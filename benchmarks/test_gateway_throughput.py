@@ -74,7 +74,7 @@ def serving_scenario(tmp_path_factory):
     inputs, labels = inputs[:NUM_CASES].tolist(), labels[:NUM_CASES].tolist()
     payload = json.dumps({"model": "bench", "inputs": inputs, "labels": labels}).encode("utf-8")
     with DiagnosisService(registry_dir, **SERVICE_KWARGS) as service:
-        reference = JsonCodec().encode_report(service.diagnose_dict("bench", inputs, labels))
+        reference = JsonCodec().encode_report(service.diagnose("bench", inputs, labels).as_dict())
     return registry_dir, payload, reference
 
 

@@ -2,8 +2,8 @@
 
 These are not paper figures; they quantify the cost of the building blocks
 (training throughput, probe inference, footprint statistics) and the effect of
-the design choices DESIGN.md calls out (soft vs. hard evidence assignment,
-late-layer emphasis).
+DeepMorph's design knobs: soft vs. hard evidence assignment
+(``DefectClassifierConfig.soft_assignment``) and late-layer emphasis.
 """
 
 import numpy as np

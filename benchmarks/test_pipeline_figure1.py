@@ -85,10 +85,7 @@ def test_stage3_footprint_extraction(benchmark, fitted_pipeline, utd_scenario):
 def test_stage4_defect_reasoning(benchmark, fitted_pipeline, utd_scenario):
     """Figure 1, stage 4: score the footprint specifics and aggregate the report."""
     _, _, _, faulty_inputs, faulty_labels = utd_scenario
-    footprints = [
-        fp for fp in fitted_pipeline.extract_footprints(faulty_inputs, faulty_labels)
-        if fp.is_misclassified
-    ]
+    footprints = fitted_pipeline.extract_footprints(faulty_inputs, faulty_labels).misclassified()
     specifics = fitted_pipeline.compute_specifics(footprints)
     classifier = fitted_pipeline.case_classifier
     context = classifier.build_context(

@@ -38,7 +38,6 @@ from .core import (
     PatternLibrary,
     SoftmaxInstrumentedModel,
     SoftmaxProbe,
-    compute_specifics,
     compute_specifics_batch,
     find_faulty_cases,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "FootprintExtractor",
     "PatternLibrary",
     "FootprintSpecifics",
-    "compute_specifics",
     "compute_specifics_batch",
     "DefectClassifierConfig",
     "DefectCaseClassifier",

@@ -17,21 +17,10 @@ from .trajectory import (
     batch_divergence_layer,
     batch_entropy_profile,
     batch_layer_stability,
-    batch_trajectory_divergence,
-    batch_trajectory_similarity,
     check_trajectory,
     check_trajectory_stack,
-    commitment_depth,
-    confidence_trajectory,
-    cross_trajectory_divergences,
-    cross_trajectory_layer_divergences,
-    divergence_layer,
-    entropy_profile,
-    layer_stability,
     pairwise_trajectory_divergences,
-    trajectory_divergence,
     trajectory_divergence_to_stack,
-    trajectory_similarity,
 )
 
 __all__ = [
@@ -46,22 +35,11 @@ __all__ = [
     "normalize_distribution",
     "check_trajectory",
     "check_trajectory_stack",
-    "trajectory_similarity",
-    "trajectory_divergence",
     "trajectory_divergence_to_stack",
-    "batch_trajectory_divergence",
-    "batch_trajectory_similarity",
-    "cross_trajectory_divergences",
-    "cross_trajectory_layer_divergences",
     "pairwise_trajectory_divergences",
-    "divergence_layer",
     "batch_divergence_layer",
-    "commitment_depth",
     "batch_commitment_depth",
-    "confidence_trajectory",
-    "entropy_profile",
     "batch_entropy_profile",
-    "layer_stability",
     "batch_layer_stability",
     "ReliabilityBin",
     "expected_calibration_error",

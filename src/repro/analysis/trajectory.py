@@ -3,10 +3,12 @@
 A *trajectory* is the ``(num_layers, num_classes)`` matrix of probe output
 distributions a single input produces as it flows through the instrumented
 model — the quantitative form of the paper's "data flow footprint".  This
-module provides the statistics DeepMorph's footprint specifics are built from:
-where the belief diverges from the true class, how early it commits to the
-predicted class, how sharp it is layer by layer, and how similar two
-trajectories are.
+module provides the statistics DeepMorph's footprint specifics are built from,
+each computed for a whole ``(N, L, C)`` stack at once: where the belief
+diverges from the true class, how early it commits to the predicted class, how
+sharp and how stable it is layer by layer, and how similar two trajectories
+are (the Jensen–Shannon cross kernel).  The per-case definitions they are
+pinned against live in ``tests/reference/``.
 """
 
 from __future__ import annotations
@@ -16,36 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ShapeError
-from .divergence import (
-    _EPS,
-    js_divergence,
-    js_similarity,
-    normalize_distribution,
-    normalized_entropy,
-)
+from .divergence import _EPS, js_divergence, normalize_distribution, normalized_entropy
 
 __all__ = [
     "check_trajectory",
     "check_trajectory_stack",
-    "trajectory_similarity",
-    "trajectory_divergence",
     "trajectory_divergence_to_stack",
-    "batch_trajectory_divergence",
-    "batch_trajectory_similarity",
     "JSOperand",
     "prepare_js_operand",
     "cross_js_layer_divergences",
-    "cross_trajectory_divergences",
-    "cross_trajectory_layer_divergences",
     "pairwise_trajectory_divergences",
-    "divergence_layer",
     "batch_divergence_layer",
-    "commitment_depth",
     "batch_commitment_depth",
-    "confidence_trajectory",
-    "entropy_profile",
     "batch_entropy_profile",
-    "layer_stability",
     "batch_layer_stability",
 ]
 
@@ -101,30 +86,6 @@ def _unit_layer_weights(num_layers: int, emphasis: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def trajectory_similarity(
-    a: np.ndarray, b: np.ndarray, late_layer_emphasis: float = 0.5
-) -> float:
-    """Mean per-layer JS similarity of two trajectories, in ``[0, 1]``."""
-    a, b = check_trajectory(a), check_trajectory(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"trajectories must have the same shape, got {a.shape} vs {b.shape}")
-    sims = js_similarity(a, b, axis=1)
-    weights = _layer_weights(a.shape[0], late_layer_emphasis)
-    return float(np.average(sims, weights=weights))
-
-
-def trajectory_divergence(
-    a: np.ndarray, b: np.ndarray, late_layer_emphasis: float = 0.5
-) -> float:
-    """Mean per-layer JS divergence of two trajectories (in nats)."""
-    a, b = check_trajectory(a), check_trajectory(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"trajectories must have the same shape, got {a.shape} vs {b.shape}")
-    divs = js_divergence(a, b, axis=1)
-    weights = _layer_weights(a.shape[0], late_layer_emphasis)
-    return float(np.average(divs, weights=weights))
-
-
 def trajectory_divergence_to_stack(
     trajectory: np.ndarray, stack: np.ndarray, late_layer_emphasis: float = 0.5
 ) -> np.ndarray:
@@ -139,8 +100,9 @@ def trajectory_divergence_to_stack(
 
     Returns
     -------
-    ``(M,)`` divergences.  Vectorized equivalent of calling
-    :func:`trajectory_divergence` against each stack member.
+    ``(M,)`` divergences: per layer the two-KL
+    :func:`~repro.analysis.divergence.js_divergence`, averaged over layers
+    with weights that grow linearly towards the last layer.
     """
     trajectory = check_trajectory(trajectory)
     stack = np.asarray(stack, dtype=np.float64)
@@ -152,44 +114,6 @@ def trajectory_divergence_to_stack(
     divs = js_divergence(stack, np.broadcast_to(trajectory, stack.shape), axis=2)
     weights = _layer_weights(trajectory.shape[0], late_layer_emphasis)
     return np.average(divs, axis=1, weights=weights)
-
-
-def batch_trajectory_divergence(
-    stack: np.ndarray, reference: np.ndarray, late_layer_emphasis: float = 0.5
-) -> np.ndarray:
-    """Layer-weighted JS divergence of every stack member to one reference.
-
-    Parameters
-    ----------
-    stack:
-        ``(N, L, C)`` stack of trajectories.
-    reference:
-        ``(L, C)`` trajectory, e.g. a class pattern mean.
-
-    Returns
-    -------
-    ``(N,)`` divergences — the batch-first mirror of
-    :func:`trajectory_divergence_to_stack` (JS is symmetric, so the two agree
-    bit for bit).
-    """
-    return trajectory_divergence_to_stack(
-        reference, stack, late_layer_emphasis=late_layer_emphasis
-    )
-
-
-def batch_trajectory_similarity(
-    stack: np.ndarray, reference: np.ndarray, late_layer_emphasis: float = 0.5
-) -> np.ndarray:
-    """Layer-weighted JS similarity (``[0, 1]``) of every stack member to a reference.
-
-    Since the layer weights are normalized, this is exactly one minus the
-    normalized divergence — the same identity the batched pattern matcher
-    uses, so validation and weighting live in one kernel.
-    """
-    divergences = batch_trajectory_divergence(
-        stack, reference, late_layer_emphasis=late_layer_emphasis
-    )
-    return 1.0 - divergences / np.log(2.0)
 
 
 #: Soft cap (in float64 elements) on the ``(C, block, M, L)`` mixture
@@ -278,31 +202,6 @@ def cross_js_layer_divergences(a: JSOperand, b: JSOperand) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
-def cross_trajectory_layer_divergences(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-layer JS divergences between two trajectory stacks, shape ``(N, M, L)``.
-
-    The elementwise core of the cross kernel: every member of ``a``
-    (``(N, L, C)``) against every member of ``b`` (``(M, L, C)``), before any
-    layer weighting.  Both stacks are prepared here; callers that compare
-    against the same stack repeatedly (the pattern library) prepare it once
-    and call :func:`cross_js_layer_divergences` directly.
-    """
-    return cross_js_layer_divergences(prepare_js_operand(a), prepare_js_operand(b))
-
-
-def cross_trajectory_divergences(
-    a: np.ndarray, b: np.ndarray, late_layer_emphasis: float = 0.5
-) -> np.ndarray:
-    """``(N, M)`` layer-weighted JS divergences between two trajectory stacks.
-
-    Every member of ``a`` (``(N, L, C)``) is compared against every member of
-    ``b`` (``(M, L, C)``) in one broadcasted kernel — the batched core behind
-    nearest-member analysis and the vectorized pairwise matrix.
-    """
-    divs = cross_trajectory_layer_divergences(a, b)
-    return divs @ _unit_layer_weights(divs.shape[2], late_layer_emphasis)
-
-
 def pairwise_trajectory_divergences(
     stack: np.ndarray, late_layer_emphasis: float = 0.5
 ) -> np.ndarray:
@@ -325,26 +224,11 @@ def pairwise_trajectory_divergences(
     return matrix
 
 
-def divergence_layer(trajectory: np.ndarray, true_class: int) -> int:
-    """First layer whose top-1 class differs from ``true_class``.
-
-    Returns ``L`` (one past the last layer) if the trajectory never diverges.
-    """
-    trajectory = check_trajectory(trajectory)
-    if not 0 <= true_class < trajectory.shape[1]:
-        raise ShapeError(
-            f"true_class {true_class} out of range for {trajectory.shape[1]} classes"
-        )
-    top1 = trajectory.argmax(axis=1)
-    mismatches = np.nonzero(top1 != true_class)[0]
-    return int(mismatches[0]) if mismatches.size else int(trajectory.shape[0])
-
-
 def batch_divergence_layer(stack: np.ndarray, true_classes: np.ndarray) -> np.ndarray:
-    """First layer whose top-1 differs from each case's true class, for a whole stack.
+    """First layer whose top-1 class differs from each case's true class.
 
-    The array-wide counterpart of :func:`divergence_layer`: ``(N,)`` layer
-    indices, with ``L`` for cases that never diverge.
+    Returns ``(N,)`` layer indices, with ``L`` (one past the last layer) for
+    cases that never diverge.
     """
     stack = check_trajectory_stack(stack)
     true_classes = np.asarray(true_classes, dtype=np.int64)
@@ -367,33 +251,13 @@ def batch_divergence_layer(stack: np.ndarray, true_classes: np.ndarray) -> np.nd
     ).astype(np.int64)
 
 
-def commitment_depth(trajectory: np.ndarray, predicted_class: int) -> float:
-    """Fraction of trailing layers whose top-1 prediction already is ``predicted_class``.
+def batch_commitment_depth(stack: np.ndarray, predicted_classes: np.ndarray) -> np.ndarray:
+    """Fraction of trailing layers whose top-1 already is each case's predicted class.
 
     1.0 means the network committed to the (final) prediction from the very
     first layer; values near 0 mean the decision only appeared at the end.
-    """
-    trajectory = check_trajectory(trajectory)
-    if not 0 <= predicted_class < trajectory.shape[1]:
-        raise ShapeError(
-            f"predicted_class {predicted_class} out of range for {trajectory.shape[1]} classes"
-        )
-    top1 = trajectory.argmax(axis=1)
-    depth = 0
-    for layer in range(trajectory.shape[0] - 1, -1, -1):
-        if top1[layer] == predicted_class:
-            depth += 1
-        else:
-            break
-    return depth / trajectory.shape[0]
-
-
-def batch_commitment_depth(stack: np.ndarray, predicted_classes: np.ndarray) -> np.ndarray:
-    """Trailing-commitment fraction of every stack member, loop-free.
-
-    The array-wide counterpart of :func:`commitment_depth`: the length of the
-    trailing run of layers whose top-1 already is the case's predicted class,
-    found by scanning the reversed match mask for its first ``False``.
+    The trailing run is found loop-free, by scanning the reversed match mask
+    for its first ``False``.
     """
     stack = check_trajectory_stack(stack)
     predicted_classes = np.asarray(predicted_classes, dtype=np.int64)
@@ -415,43 +279,18 @@ def batch_commitment_depth(stack: np.ndarray, predicted_classes: np.ndarray) -> 
     return depths / stack.shape[1]
 
 
-def confidence_trajectory(trajectory: np.ndarray, target_class: int) -> np.ndarray:
-    """The probability assigned to ``target_class`` at every layer."""
-    trajectory = check_trajectory(trajectory)
-    if not 0 <= target_class < trajectory.shape[1]:
-        raise ShapeError(
-            f"target_class {target_class} out of range for {trajectory.shape[1]} classes"
-        )
-    return trajectory[:, target_class].copy()
-
-
-def entropy_profile(trajectory: np.ndarray) -> np.ndarray:
-    """Normalized entropy (``[0, 1]``) of the probe distribution at every layer."""
-    trajectory = check_trajectory(trajectory)
-    return normalized_entropy(trajectory, axis=1)
-
-
-def layer_stability(trajectory: np.ndarray) -> float:
-    """How little the belief changes between consecutive layers, in ``[0, 1]``.
-
-    Computed as one minus the mean consecutive-layer JS divergence (normalized
-    by ``log 2``).  A completely static footprint scores 1.
-    """
-    trajectory = check_trajectory(trajectory)
-    if trajectory.shape[0] < 2:
-        return 1.0
-    consecutive = js_divergence(trajectory[:-1], trajectory[1:], axis=1) / np.log(2.0)
-    return float(1.0 - consecutive.mean())
-
-
 def batch_entropy_profile(stack: np.ndarray) -> np.ndarray:
-    """Per-layer normalized entropies of a whole stack, shape ``(N, L)``."""
+    """Normalized entropy (``[0, 1]``) of every member's probe belief per layer, ``(N, L)``."""
     stack = check_trajectory_stack(stack)
     return normalized_entropy(stack, axis=2)
 
 
 def batch_layer_stability(stack: np.ndarray) -> np.ndarray:
-    """Consecutive-layer belief stability of every stack member, shape ``(N,)``."""
+    """How little each member's belief changes between consecutive layers, ``(N,)`` in ``[0, 1]``.
+
+    One minus the mean consecutive-layer JS divergence (normalized by
+    ``log 2``).  A static footprint, or one with a single layer, scores 1.
+    """
     stack = check_trajectory_stack(stack)
     if stack.shape[1] < 2:
         return np.ones(stack.shape[0], dtype=np.float64)

@@ -393,18 +393,8 @@ class ServiceDiagnoser(Diagnoser):
         return self._service
 
     def _diagnose(self, request: DiagnosisRequest) -> DiagnosisReport:
-        name = self._resolve_model(request.model)
-        if isinstance(self._service, ReplicaPool):
-            payload = self._service.diagnose_dict(
-                name,
-                request.inputs,
-                request.labels,
-                version=request.version,
-                metadata=request.metadata,
-            )
-            return DiagnosisReport.from_dict(payload)
         report = self._service.diagnose(
-            name,
+            self._resolve_model(request.model),
             request.inputs,
             request.labels,
             version=request.version,

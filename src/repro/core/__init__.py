@@ -37,7 +37,6 @@ from .patterns import ClassExecutionPattern, PatternLibrary, PatternMatches
 from .specifics import (
     FootprintSpecifics,
     SpecificsBatch,
-    compute_specifics,
     compute_specifics_batch,
     compute_specifics_stack,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "PatternMatches",
     "FootprintSpecifics",
     "SpecificsBatch",
-    "compute_specifics",
     "compute_specifics_batch",
     "compute_specifics_stack",
     "DefectClassifierConfig",

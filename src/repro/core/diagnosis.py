@@ -9,7 +9,7 @@ reason about the defect and report the ratio of each defect type.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .classifier import (
     DefectClassifierConfig,
     DefectReport,
 )
-from .footprint import Footprint, FootprintBatch, FootprintExtractor, validate_labels
+from .footprint import FootprintBatch, FootprintExtractor, validate_labels
 from .instrument import SoftmaxInstrumentedModel
 from .patterns import PatternLibrary
 from .specifics import SpecificsBatch, compute_specifics_batch
@@ -204,10 +204,8 @@ class DeepMorph:
         extractor = FootprintExtractor(self.instrumented)
         return extractor.extract(policy_float(inputs), labels)
 
-    def compute_specifics(
-        self, footprints: Union[FootprintBatch, Sequence[Footprint]]
-    ) -> SpecificsBatch:
-        """Compute footprint specifics for labeled footprints (batched core)."""
+    def compute_specifics(self, footprints: FootprintBatch) -> SpecificsBatch:
+        """Compute the footprint specifics of a labeled batch (batched core)."""
         self._require_fitted()
         return compute_specifics_batch(footprints, self.patterns)
 

@@ -22,14 +22,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..analysis.trajectory import (
-    check_trajectory,
-    check_trajectory_stack,
-    commitment_depth,
-    confidence_trajectory,
-    divergence_layer,
-    entropy_profile,
-)
+from ..analysis.trajectory import check_trajectory, check_trajectory_stack
 from ..exceptions import ConfigurationError, ShapeError
 from ..obs import span as obs_span
 from .instrument import SoftmaxInstrumentedModel
@@ -152,30 +145,6 @@ class Footprint:
     def final_confidence(self) -> float:
         """The model's confidence in its own prediction."""
         return float(self.final_probs[self.predicted])
-
-    # -- derived views -----------------------------------------------------------
-
-    def full_trajectory(self) -> np.ndarray:
-        """The trajectory with the model's final distribution appended as a last row."""
-        return np.vstack([self.trajectory, self.final_probs[None, :]])
-
-    def confidence_in(self, target_class: int) -> np.ndarray:
-        """Per-layer probability assigned to ``target_class``."""
-        return confidence_trajectory(self.trajectory, target_class)
-
-    def entropy_profile(self) -> np.ndarray:
-        """Per-layer normalized entropy of the probe beliefs."""
-        return entropy_profile(self.trajectory)
-
-    def divergence_layer(self) -> Optional[int]:
-        """First layer whose top-1 class differs from the true label (needs a label)."""
-        if self.true_label is None:
-            return None
-        return divergence_layer(self.trajectory, int(self.true_label))
-
-    def commitment_depth(self) -> float:
-        """Fraction of trailing layers already committed to the final prediction."""
-        return commitment_depth(self.trajectory, int(self.predicted))
 
     def __repr__(self) -> str:
         truth = f", true={self.true_label}" if self.true_label is not None else ""

@@ -23,13 +23,11 @@ from ..analysis.trajectory import (
     cross_js_layer_divergences,
     pairwise_trajectory_divergences,
     prepare_js_operand,
-    trajectory_divergence,
     trajectory_divergence_to_stack,
-    trajectory_similarity,
 )
 from ..data.dataset import Dataset
 from ..exceptions import NotFittedError, ShapeError
-from .footprint import Footprint, FootprintExtractor
+from .footprint import FootprintExtractor
 from .instrument import SoftmaxInstrumentedModel
 
 __all__ = ["ClassExecutionPattern", "PatternLibrary", "PatternMatches"]
@@ -84,71 +82,6 @@ class ClassExecutionPattern:
     def num_classes(self) -> int:
         return int(self.mean_trajectory.shape[1])
 
-    def similarity_to(self, footprint: Footprint, late_layer_emphasis: float = 0.5) -> float:
-        """JS-based similarity between a footprint and this pattern, in ``[0, 1]``."""
-        return trajectory_similarity(
-            footprint.trajectory, self.mean_trajectory, late_layer_emphasis=late_layer_emphasis
-        )
-
-    def divergence_from(self, footprint: Footprint, late_layer_emphasis: float = 0.5) -> float:
-        """JS-based divergence between a footprint and this pattern (nats)."""
-        return trajectory_divergence(
-            footprint.trajectory, self.mean_trajectory, late_layer_emphasis=late_layer_emphasis
-        )
-
-    def atypicality_of(self, footprint: Footprint, eps: float = 1e-6) -> float:
-        """How unusual a footprint is relative to the class's own spread, in ``[0, 1]``.
-
-        0.5 means "about as far from the mean as a typical member"; values
-        near 1 mean the footprint lies far outside the training pattern.
-        """
-        divergence = self.divergence_from(footprint)
-        return float(divergence / (divergence + self.dispersion + eps))
-
-    def nearest_member_divergence(
-        self, footprint: Footprint, k: int = 3, late_layer_emphasis: float = 1.0
-    ) -> float:
-        """Mean trajectory divergence to the ``k`` closest member footprints.
-
-        Small values mean the faulty case executes almost exactly like some
-        *specific* training examples of this class — the signature of
-        mislabeled training data teaching the network the wrong mapping.
-        Falls back to the mean-trajectory divergence when members were not
-        stored.  Later layers are emphasized because early-layer probe beliefs
-        are dominated by per-sample pixel noise.
-        """
-        if self.member_trajectories is None or self.member_trajectories.shape[0] == 0:
-            return self.divergence_from(footprint, late_layer_emphasis=late_layer_emphasis)
-        divergences = trajectory_divergence_to_stack(
-            footprint.trajectory, self.member_trajectories,
-            late_layer_emphasis=late_layer_emphasis,
-        )
-        k = max(1, min(int(k), divergences.shape[0]))
-        return float(np.sort(divergences)[:k].mean())
-
-    def nn_typicality_of(
-        self,
-        footprint: Footprint,
-        k: int = 3,
-        scale_floor: float = 0.01,
-        late_layer_emphasis: float = 1.0,
-    ) -> float:
-        """Nearest-member typicality in ``[0, 1]``.
-
-        Compares the footprint's distance to its nearest members against the
-        members' own nearest-neighbour scale: 0.5 means "as close as members
-        are to each other", values near 1 mean the footprint practically
-        coincides with specific training members, values near 0 mean even the
-        closest members are far away.  ``late_layer_emphasis`` should be the
-        one ``member_nn_scale`` was computed at
-        (:attr:`PatternLibrary.nn_layer_emphasis`).
-        """
-        nearest = self.nearest_member_divergence(
-            footprint, k=k, late_layer_emphasis=late_layer_emphasis
-        )
-        scale = max(float(self.member_nn_scale), scale_floor)
-        return float(scale / (scale + nearest))
-
 
 @dataclass(frozen=True)
 class PatternMatches:
@@ -156,20 +89,19 @@ class PatternMatches:
 
     Produced by :meth:`PatternLibrary.batch_pattern_matches` in one
     broadcasted kernel; the columns are the library's classes in ascending
-    ``class_id`` order (the same order the per-case queries iterate in, so
-    argmax tie-breaking matches :meth:`PatternLibrary.best_match`).
+    ``class_id`` order, so an argmax over a row breaks ties towards the
+    smallest class id.
 
     Attributes
     ----------
     class_ids:
         ``(K,)`` class ids backing the columns.
     similarities:
-        ``(N, K)`` layer-weighted JS similarities to each class mean (the
-        batched form of :meth:`PatternLibrary.similarity`).
+        ``(N, K)`` layer-weighted JS similarities (``[0, 1]``) to each class
+        mean, at the library's ``late_layer_emphasis``.
     divergences:
-        ``(N, K)`` layer-weighted JS divergences to each class mean at the
-        atypicality emphasis (the batched form of
-        :meth:`ClassExecutionPattern.divergence_from`).
+        ``(N, K)`` layer-weighted JS divergences (nats) to each class mean, at
+        the atypicality emphasis 0.5.
     dispersions:
         ``(K,)`` per-class dispersions (for atypicality denominators).
     num_classes:
@@ -202,12 +134,12 @@ class _PatternIndex:
     means: JSOperand  # the K class means
     dispersions: np.ndarray  # (K,)
     # class id -> (members, member_nn_scale).  A class without stored members
-    # is represented by its mean, the fallback of nearest_member_divergence.
+    # is represented by its mean.
     # Only the nn_layers are kept: the nearest-member kernel skips layers
     # whose nn weight is exactly 0.
     members: Dict[int, Tuple[JSOperand, float]]
     similarity_weights: np.ndarray  # (L,) at the library's late_layer_emphasis
-    divergence_weights: np.ndarray  # (L,) at divergence_from's emphasis 0.5
+    divergence_weights: np.ndarray  # (L,) at the atypicality emphasis 0.5
     nn_layers: np.ndarray  # indices of the layers with a non-zero nn weight
     nn_weights: np.ndarray  # their weights, at the library's nn_layer_emphasis
 
@@ -702,24 +634,6 @@ class PatternLibrary:
         self._require_fitted()
         return sorted(self.patterns)
 
-    def similarity(self, footprint: Footprint, class_id: int) -> float:
-        """Similarity of ``footprint`` to the pattern of ``class_id`` (0 if unknown class)."""
-        self._require_fitted()
-        if class_id not in self.patterns:
-            return 0.0
-        return self.patterns[class_id].similarity_to(
-            footprint, late_layer_emphasis=self.late_layer_emphasis
-        )
-
-    def nn_typicality(self, footprint: Footprint, class_id: int, k: int = 3) -> float:
-        """Nearest-member typicality of ``footprint`` w.r.t. ``class_id`` (0 if unknown)."""
-        self._require_fitted()
-        if class_id not in self.patterns:
-            return 0.0
-        return self.patterns[class_id].nn_typicality_of(
-            footprint, k=k, late_layer_emphasis=self.nn_layer_emphasis
-        )
-
     # -- batched queries ----------------------------------------------------------
 
     def _batch_index(self) -> _PatternIndex:
@@ -765,9 +679,8 @@ class PatternLibrary:
             dispersions=np.asarray([p.dispersion for p in patterns], dtype=np.float64),
             members=members,
             similarity_weights=_unit_layer_weights(num_layers, self.late_layer_emphasis),
-            # ClassExecutionPattern.divergence_from (the per-case atypicality
-            # path) uses its own default emphasis of 0.5, independent of the
-            # library's similarity emphasis.
+            # Atypicality weighs layers at a fixed emphasis of 0.5,
+            # independent of the library's similarity emphasis.
             divergence_weights=_unit_layer_weights(num_layers, 0.5),
             nn_layers=nn_layers,
             nn_weights=nn_weights[nn_layers],
@@ -793,9 +706,10 @@ class PatternLibrary:
         One cross kernel against the prepared class means yields the
         per-layer divergences of every (case, class) pair; the similarity
         matrix applies the library's layer emphasis and the divergence matrix
-        applies the atypicality emphasis used by
-        :meth:`ClassExecutionPattern.divergence_from` — the batched
-        equivalents of N·K per-case queries.
+        applies the atypicality emphasis 0.5.  A case's atypicality for class
+        ``c`` is ``d / (d + dispersion_c + 1e-6)`` of its divergence ``d``:
+        0.5 is "about as far from the mean as a typical member", values near 1
+        lie far outside the training pattern.
         """
         index = self._batch_index()
         query = prepare_js_operand(self._check_query(stack, index))
@@ -813,14 +727,21 @@ class PatternLibrary:
     ) -> np.ndarray:
         """Nearest-member typicality of every stack member w.r.t. its target classes.
 
-        The batched form of :meth:`nn_typicality`.  ``class_ids`` is ``(N,)``
-        (one target per case) or ``(N, T)`` (``T`` targets per case, e.g. the
-        predicted and the true class), and the result has its shape.  The
-        stack is prepared once, on the layers with a non-zero nn weight, and
-        each class's (case, target) pairs are compared against that class's
-        prepared member stack in one cross kernel; classes without a pattern
-        score 0 and empty member sets fall back to the mean trajectory,
-        exactly the per-case semantics.
+        Typicality is ``scale / (scale + nearest)`` in ``[0, 1]``: ``nearest``
+        is the mean divergence to the ``k`` closest members of the class, with
+        layers weighted at the library's ``nn_layer_emphasis``, and ``scale``
+        is the class's ``member_nn_scale`` (at least ``scale_floor``).  0.5
+        means "as close as members are to each other", values near 1 mean the
+        case practically coincides with specific training members, values near
+        0 mean even the closest members are far away.
+
+        ``class_ids`` is ``(N,)`` (one target per case) or ``(N, T)`` (``T``
+        targets per case, e.g. the predicted and the true class), and the
+        result has its shape.  The stack is prepared once, on the layers with
+        a non-zero nn weight, and each class's (case, target) pairs are
+        compared against that class's prepared member stack in one cross
+        kernel.  Classes without a pattern score 0; a class without stored
+        members is compared against its mean trajectory.
         """
         index = self._batch_index()
         stack = self._check_query(stack, index)
@@ -864,16 +785,6 @@ class PatternLibrary:
         similarities = 1.0 - divergences / np.log(2.0)
         upper = np.triu_indices(k, 1)
         return float(np.mean(similarities[upper]))
-
-    def best_match(self, footprint: Footprint) -> tuple[int, float]:
-        """The class whose pattern the footprint matches best, and that similarity."""
-        self._require_fitted()
-        best_class, best_sim = -1, -np.inf
-        for class_id, pattern in self.patterns.items():
-            sim = pattern.similarity_to(footprint, late_layer_emphasis=self.late_layer_emphasis)
-            if sim > best_sim:
-                best_class, best_sim = class_id, sim
-        return best_class, float(best_sim)
 
     def __repr__(self) -> str:
         status = "fitted" if self._fitted else "unfitted"

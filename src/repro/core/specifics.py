@@ -13,13 +13,11 @@ The diagnosis pipelines run :func:`compute_specifics_batch` /
 broadcasted JS kernels, every per-layer statistic computed array-wide.  The
 result is a :class:`SpecificsBatch`, one ``(N,)`` column per feature, which
 the defect classifier reads directly; no per-case object is built unless a
-caller indexes or iterates the batch.
+caller indexes or iterates the batch (``batch[i]`` is one case's
+:class:`FootprintSpecifics`, for drill-down).
 
-:func:`compute_specifics` derives the same :class:`FootprintSpecifics` for a
-single footprint through the per-case pattern-library queries.  It is the
-drill-down API and the parity reference the batched core is pinned against
-(``tests/unit/test_batched_diagnosis.py``,
-``tests/property/test_struct_of_arrays.py``).
+The per-case definition the batched core is pinned against is the oracle in
+``tests/reference/diagnosis_oracle.py``.
 """
 
 from __future__ import annotations
@@ -36,17 +34,15 @@ from ..analysis.trajectory import (
     batch_entropy_profile,
     batch_layer_stability,
     check_trajectory_stack,
-    layer_stability,
 )
 from ..exceptions import ConfigurationError, ShapeError
-from .footprint import Footprint, FootprintBatch
+from .footprint import FootprintBatch
 from .patterns import PatternLibrary
 
 __all__ = [
     "FootprintSpecifics",
     "SpecificsBatch",
     "as_specifics_batch",
-    "compute_specifics",
     "compute_specifics_batch",
     "compute_specifics_stack",
 ]
@@ -218,57 +214,6 @@ def as_specifics_batch(
     return SpecificsBatch.from_rows(list(specifics))
 
 
-def compute_specifics(footprint: Footprint, library: PatternLibrary) -> FootprintSpecifics:
-    """Derive the footprint specifics of one (faulty) case.
-
-    The footprint must carry a true label — specifics describe how a *known*
-    misbehaviour happened, so the ground truth of the faulty case is required.
-    """
-    if footprint.true_label is None:
-        raise ConfigurationError(
-            "footprint specifics require the true label of the faulty case"
-        )
-    true_label = int(footprint.true_label)
-    predicted = int(footprint.predicted)
-
-    match_pred = library.similarity(footprint, predicted)
-    match_true = library.similarity(footprint, true_label)
-    best_class, best_sim = library.best_match(footprint)
-
-    if library.has_pattern(true_label):
-        atypicality = library.pattern(true_label).atypicality_of(footprint)
-    else:
-        # The class never appeared in training at all: maximally atypical.
-        atypicality = 1.0
-
-    entropies = footprint.entropy_profile()
-    half = max(1, footprint.num_layers // 2)
-    divergence = footprint.divergence_layer()
-    divergence_point = (
-        float(divergence) / footprint.num_layers if divergence is not None else 1.0
-    )
-
-    return FootprintSpecifics(
-        predicted=predicted,
-        true_label=true_label,
-        final_confidence=float(footprint.final_confidence),
-        commitment=float(footprint.commitment_depth()),
-        match_predicted=float(match_pred),
-        match_true=float(match_true),
-        best_match=float(best_sim),
-        best_match_class=int(best_class),
-        atypicality_true=float(atypicality),
-        mean_entropy=float(np.mean(entropies)),
-        early_entropy=float(np.mean(entropies[:half])),
-        late_entropy=float(np.mean(entropies[half:])) if footprint.num_layers > half else float(np.mean(entropies)),
-        divergence_point=float(divergence_point),
-        stability=float(layer_stability(footprint.trajectory)),
-        feature_quality=float(library.feature_quality()),
-        nn_typicality_predicted=float(library.nn_typicality(footprint, predicted)),
-        nn_typicality_true=float(library.nn_typicality(footprint, true_label)),
-    )
-
-
 def _gather_columns(
     matrix: np.ndarray, columns: np.ndarray, default: float
 ) -> np.ndarray:
@@ -291,9 +236,9 @@ def compute_specifics_stack(
     comparison runs through the library's broadcasted JS kernels (one
     nearest-member query covers both the predicted and the true class) and
     every per-layer statistic is computed array-wide, so no per-case Python
-    work remains.  Matches the per-case :func:`compute_specifics` to
-    floating-point reassociation error (pinned at ``1e-12`` by the parity
-    suite).
+    work remains.  Matches the per-case oracle of
+    ``tests/reference/diagnosis_oracle.py`` to floating-point reassociation
+    error (pinned at ``1e-12`` by the parity suite).
 
     Parameters
     ----------
@@ -342,7 +287,7 @@ def compute_specifics_stack(
     best_classes = matches.class_ids[best_cols]
 
     # Atypicality w.r.t. the true class's own spread; classes that never
-    # appeared in training are maximally atypical (per-case semantics).
+    # appeared in training are maximally atypical.
     true_divergences = _gather_columns(matches.divergences, true_cols, 0.0)
     true_dispersions = matches.dispersions[np.clip(true_cols, 0, None)]
     atypicality = np.where(
@@ -381,30 +326,15 @@ def compute_specifics_stack(
 
 
 def compute_specifics_batch(
-    footprints: Union[FootprintBatch, Sequence[Footprint]], library: PatternLibrary
+    footprints: FootprintBatch, library: PatternLibrary
 ) -> SpecificsBatch:
-    """Batched :func:`compute_specifics` over the labeled faulty cases of a batch.
+    """:func:`compute_specifics_stack` over the labeled faulty cases of a batch.
 
     This is what ``DeepMorph.diagnose`` and the serving layer call on their
-    faulty cases: a :class:`~repro.core.footprint.FootprintBatch` hands its
-    arrays straight to :func:`compute_specifics_stack`.  A list of
-    :class:`Footprint` objects (drill-down callers) is stacked first.
+    faulty cases: the :class:`~repro.core.footprint.FootprintBatch` hands its
+    arrays straight to :func:`compute_specifics_stack`.  Specifics describe
+    how a *known* misbehaviour happened, so the batch must carry true labels.
     """
-    if not isinstance(footprints, FootprintBatch):
-        footprints = list(footprints)
-        if not footprints:
-            return SpecificsBatch.from_rows([])
-        if any(fp.true_label is None for fp in footprints):
-            raise ConfigurationError(
-                "footprint specifics require the true label of every faulty case"
-            )
-        return compute_specifics_stack(
-            np.stack([np.asarray(fp.trajectory, dtype=np.float64) for fp in footprints]),
-            final_confidences=np.asarray([fp.final_confidence for fp in footprints]),
-            predicted=np.asarray([int(fp.predicted) for fp in footprints]),
-            true_labels=np.asarray([int(fp.true_label) for fp in footprints]),
-            library=library,
-        )
     if footprints.true_labels is None:
         raise ConfigurationError(
             "footprint specifics require the true label of every faulty case"

@@ -2,7 +2,8 @@
 
 The paper evaluates on MNIST and CIFAR-10.  Those corpora are not available in
 this offline environment, so this module provides parametric synthetic
-replacements (see DESIGN.md, "Reproduction strategy and substitutions"):
+replacements (:class:`SyntheticMNIST`, :class:`SyntheticCIFAR`; the Table I
+presets of :mod:`repro.experiments.config` size them):
 
 * Every class is defined by a small set of **prototype templates** — images
   composed of class-specific Gaussian blobs and oriented bars.  Templates give

@@ -4,7 +4,8 @@ The paper's only results table reports, for every (dataset, model) pair and
 every injected defect, the ratio DeepMorph assigns to ITD / UTD / SD.  The
 claim is diagonal dominance: the injected defect always receives the largest
 ratio.  :func:`run_table1` regenerates the table (on the synthetic dataset
-stand-ins and scaled model variants documented in DESIGN.md) and
+stand-ins of :mod:`repro.data.synthetic` and the scaled model variants of
+:func:`repro.experiments.config.model_hyperparameters`) and
 :func:`format_table1` renders it in the paper's layout.
 """
 
@@ -26,8 +27,9 @@ from .runner import CellResult, run_cell
 __all__ = ["Table1Row", "Table1Result", "run_table1", "format_table1", "PAPER_TABLE1"]
 
 #: The paper's reported Table I, keyed by (model, injected defect) with the
-#: ratios in ITD/UTD/SD order.  Used by EXPERIMENTS.md and the benchmark
-#: comparisons (shape only; absolute values depend on the authors' testbed).
+#: ratios in ITD/UTD/SD order.  :func:`format_table1` prints it under each
+#: reproduced row and the Table I benchmarks record it next to their ratios
+#: (shape only; absolute values depend on the authors' testbed).
 PAPER_TABLE1: Dict[tuple, tuple] = {
     ("lenet", "itd"): (0.763, 0.011, 0.226),
     ("lenet", "utd"): (0.152, 0.745, 0.103),

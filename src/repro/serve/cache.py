@@ -156,18 +156,33 @@ class FootprintCache:
         self._cache.put((model_key, digest), (trajectory.copy(), final_probs.copy()))
         if self._metrics is not None:
             self._m_evictions.inc(self._cache.evictions - before)
-            self._m_size.set(len(self._cache))
+        self._update_size()
 
     def clear(self) -> None:
         self._cache.clear()
+        self._update_size()
 
-    def invalidate_model(self, model_key: str) -> int:
-        """Drop every cached case of one model; returns how many were dropped."""
+    def invalidate_model(self, name: str, version: Optional[str] = None) -> int:
+        """Drop every cached case of ``name@version`` (every version if ``None``).
+
+        Matches the cache's own keys, not the models resident in a service: a
+        model that has left residency still has its footprints cached.
+        Returns how many cases were dropped.
+        """
         with self._cache._lock:
-            doomed = [key for key in self._cache._data if key[0] == model_key]
+            doomed = [
+                key for key in self._cache._data
+                if key[0] == f"{name}@{version}"
+                or (version is None and key[0].partition("@")[0] == name)
+            ]
             for key in doomed:
                 del self._cache._data[key]
+        self._update_size()
         return len(doomed)
+
+    def _update_size(self) -> None:
+        if self._metrics is not None:
+            self._m_size.set(len(self._cache))
 
     def stats(self) -> Dict[str, int]:
         return self._cache.stats()

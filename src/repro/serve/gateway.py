@@ -719,13 +719,13 @@ class DiagnosisGateway:
                     self._response_cache.link(body_key, canonical_key)
                     lease.release(latency_seconds=time.perf_counter() - started)
                     return 200, entry, (), "hit"
-            report = lease.service.diagnose_dict(
+            report = lease.service.diagnose(
                 request.model,
                 request.inputs,
                 request.labels,
                 version=request.version,
                 metadata=request.metadata,
-            )
+            ).as_dict()
             lease.release(latency_seconds=time.perf_counter() - started)
             if canonical_key is not None:
                 entry = self._response_cache.store(body_key, canonical_key, report)

@@ -33,6 +33,7 @@ import threading
 from concurrent.futures import TimeoutError as _FuturesTimeoutError
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..core.classifier import DefectReport
 from ..exceptions import (
     ArtifactNotFoundError,
     ConfigurationError,
@@ -96,7 +97,7 @@ class ReplicaLease:
     Usable as a context manager::
 
         with pool.acquire() as service:
-            report = service.diagnose_dict(...)
+            report = service.diagnose(...)
     """
 
     def __init__(self, pool: "ReplicaPool", replica: _Replica):
@@ -348,14 +349,14 @@ class ReplicaPool:
                 self._m_quarantined.set(self._quarantined_count())
                 self._ensure_supervisor_locked()
 
-    # -- request helpers (used by the gateway's executor threads) -------------------
+    # -- request helpers ------------------------------------------------------------
 
-    def diagnose_dict(self, name: str, inputs, labels, **kwargs) -> Dict:
-        """Admit, route, diagnose, release — the gateway's synchronous path."""
+    def diagnose(self, name: str, inputs, labels, **kwargs) -> DefectReport:
+        """Admit, route, diagnose, release: :meth:`DiagnosisService.diagnose` on a replica."""
         lease = self.acquire()
         started = time.perf_counter()
         try:
-            report = lease.service.diagnose_dict(name, inputs, labels, **kwargs)
+            report = lease.service.diagnose(name, inputs, labels, **kwargs)
         except BaseException as error:
             lease.release(error=error, latency_seconds=time.perf_counter() - started)
             raise

@@ -4,7 +4,7 @@ The acceptance bar of the API redesign: :class:`LocalDiagnoser`,
 :class:`ServiceDiagnoser`, and :class:`RemoteDiagnoser` must return
 **bitwise-identical** ``v1`` reports for the same artifact and inputs, while
 the pre-facade entry points (``DeepMorph.diagnose``,
-``DiagnosisService.diagnose_dict``) stay green as shims.
+``DiagnosisService.diagnose``) stay green as shims.
 """
 
 from __future__ import annotations
@@ -119,6 +119,17 @@ class TestThreeWayParity:
         assert local.to_dict() == service.to_dict() == remote.to_dict()
         assert local.metadata["run"] == "parity"
 
+    def test_service_diagnoser_over_a_replica_pool(self, local_diagnoser, pool, tiny_splits):
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        over_pool = ServiceDiagnoser(pool, default_model="tiny")
+        report = over_pool.diagnose_arrays(inputs, labels, version="v1")
+        over_pool.close()  # not owned: the pool stays open
+        assert report.to_dict() == local_diagnoser.diagnose_arrays(
+            inputs, labels, version="v1"
+        ).to_dict()
+        assert pool.diagnose("tiny", inputs, labels).as_dict() == report.to_dict()
+
     def test_old_entry_points_agree_with_facade(
         self, fitted_deepmorph, local_diagnoser, registry_dir, tiny_splits
     ):
@@ -133,11 +144,11 @@ class TestThreeWayParity:
         for defect, ratio in direct.ratios.items():
             assert facade.ratios[defect.value] == pytest.approx(ratio, abs=1e-9)
 
-        # Shim 2: DiagnosisService.diagnose_dict — the wire document IS the
+        # Shim 2: DiagnosisService.diagnose — the wire document IS the
         # library document.
         service = DiagnosisService(registry_dir, batch_wait_seconds=0.001, num_workers=1)
         try:
-            wire = service.diagnose_dict("tiny", inputs, labels)
+            wire = service.diagnose("tiny", inputs, labels).as_dict()
         finally:
             service.close()
         assert wire == facade.to_dict()

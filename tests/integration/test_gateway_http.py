@@ -94,7 +94,7 @@ class TestGatewayDiagnosis:
         via_gateway = _post(gateway.url + "/diagnose", payload)
 
         with DiagnosisService(registry_dir, batch_wait_seconds=0.001, num_workers=1) as service:
-            in_process = service.diagnose_dict("tiny", inputs.tolist(), labels.tolist())
+            in_process = service.diagnose("tiny", inputs.tolist(), labels.tolist()).as_dict()
         # Bitwise-identical payloads: same artifact, same batch composition,
         # same extraction pipeline — the front end must not change the answer.
         assert via_gateway == json.loads(JsonCodec().encode_report(in_process))
@@ -158,7 +158,7 @@ class TestGatewayDiagnosis:
             via_gateway = _post(gateway.url + "/diagnose", {
                 "model": "tiny", "inputs": inputs.tolist(), "labels": labels.tolist(),
             })
-            in_process = service.diagnose_dict("tiny", inputs.tolist(), labels.tolist())
+            in_process = service.diagnose("tiny", inputs.tolist(), labels.tolist()).as_dict()
             assert _get(gateway.url + "/stats")["pool"]["num_replicas"] == 1
         finally:
             gateway.shutdown()

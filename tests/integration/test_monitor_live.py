@@ -80,7 +80,7 @@ class TestDriftAlertAndRollback:
         )
         try:
             # Pre-drift reference, pinned to the version we will roll back to.
-            baseline = service.diagnose_dict("tiny", inputs, labels, version="v1")
+            baseline = service.diagnose("tiny", inputs, labels, version="v1").as_dict()
             assert baseline["metadata"]["version"] == "v1"
 
             healthy = service.monitor_payload(refresh=True)
@@ -91,7 +91,7 @@ class TestDriftAlertAndRollback:
             rng = np.random.default_rng(7)
             for _ in range(6):
                 skewed = rng.standard_normal(inputs.shape)
-                service.diagnose_dict("tiny", skewed, np.roll(labels, 1), version="v1")
+                service.diagnose("tiny", skewed, np.roll(labels, 1), version="v1")
 
             drifted = service.monitor_payload(refresh=True)
             assert drifted["level"] in ("warn", "critical")
@@ -113,7 +113,7 @@ class TestDriftAlertAndRollback:
 
             # Rollback: v1's artifact bytes were never touched, so pinning it
             # replays the pre-drift diagnosis bit for bit.
-            rollback = service.diagnose_dict("tiny", inputs, labels, version="v1")
+            rollback = service.diagnose("tiny", inputs, labels, version="v1").as_dict()
             assert rollback == baseline
         finally:
             service.close()

@@ -25,9 +25,10 @@ def test_lenet_utd_row_is_well_formed_on_quick_preset():
     rendered = format_table1(result)
     assert "lenet" in rendered
     # The headline diagonal-dominance claim is evaluated at benchmark scale
-    # (benchmarks/ + EXPERIMENTS.md); at the reduced quick/CI scale we assert
-    # the weaker, stable part of the shape: injecting label noise must produce
-    # more UTD evidence than ITD evidence.
+    # (benchmarks/test_table1_*.py record it per cell, next to the paper's
+    # ratios, through benchmarks/table1_harness.py); at the reduced quick/CI
+    # scale we assert the weaker, stable part of the shape: injecting label
+    # noise must produce more UTD evidence than ITD evidence.
     assert row.ratios[DefectType.UTD] > row.ratios[DefectType.ITD]
 
 

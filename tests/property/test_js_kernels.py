@@ -19,9 +19,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.analysis.trajectory import (
-    cross_trajectory_divergences,
-    cross_trajectory_layer_divergences,
+    _unit_layer_weights,
+    cross_js_layer_divergences,
     pairwise_trajectory_divergences,
+    prepare_js_operand,
 )
 from repro.core.patterns import ClassExecutionPattern, PatternLibrary
 from tests.reference import js_oracle
@@ -116,11 +117,10 @@ class TestCrossKernel:
         a = data.draw(stacks(n, num_layers, num_classes))
         b = data.draw(stacks(m, num_layers, num_classes))
         emphasis = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        layer_divs = cross_js_layer_divergences(prepare_js_operand(a), prepare_js_operand(b))
+        assert_close(layer_divs, js_oracle.cross_layer_divergences(a, b))
         assert_close(
-            cross_trajectory_layer_divergences(a, b), js_oracle.cross_layer_divergences(a, b)
-        )
-        assert_close(
-            cross_trajectory_divergences(a, b, late_layer_emphasis=emphasis),
+            layer_divs @ _unit_layer_weights(num_layers, emphasis),
             js_oracle.cross_divergences(a, b, emphasis),
         )
         assert_close(
@@ -131,8 +131,8 @@ class TestCrossKernel:
     def test_divergences_are_never_negative(self):
         """The clamp at 0: identical rows give exactly 0, not a rounding error below."""
         rng = np.random.default_rng(0)
-        stack = rng.random((20, 3, 10))
-        divs = cross_trajectory_layer_divergences(stack, stack)
+        operand = prepare_js_operand(rng.random((20, 3, 10)))
+        divs = cross_js_layer_divergences(operand, operand)
         assert divs.min() >= 0.0
         assert np.all(divs[np.arange(20), np.arange(20)] == 0.0)
 

@@ -1,15 +1,14 @@
-"""The struct-of-arrays diagnosis core equals the per-case path it replaced.
+"""The struct-of-arrays diagnosis core equals the per-case oracle.
 
 The pipelines carry a :class:`~repro.core.FootprintBatch` from extraction to
 :func:`~repro.core.compute_specifics_batch`, whose
 :class:`~repro.core.SpecificsBatch` columns the classifier reads directly.
-The property below runs that path and, next to it, the per-case path: one
-:class:`~repro.core.Footprint` per misclassified row, per-case
-:func:`~repro.core.compute_specifics`, and the loop aggregate of
-``tests/reference/diagnosis_oracle.py``.  Specifics and ratios agree to
-1e-12 and counts exactly, under both extraction dtypes, for libraries with
-classes that have no pattern or no stored members, 1 to 8 layers and nn
-emphases 0, 0.5 and 1.
+The property below runs that path and, next to it, the per-case path of
+``tests/reference/diagnosis_oracle.py``: one :class:`~repro.core.Footprint`
+per misclassified row, the oracle's ``specifics`` and its loop aggregate.
+Specifics and ratios agree to 1e-12 and counts exactly, under both
+extraction dtypes, for libraries with classes that have no pattern or no
+stored members, 1 to 8 layers and nn emphases 0, 0.5 and 1.
 
 A construction spy then shows that ``LocalDiagnoser.diagnose_arrays`` and
 ``DiagnosisService.diagnose`` build no per-case object at all, while reading
@@ -36,7 +35,6 @@ from repro.core import (
     FootprintExtractor,
     FootprintSpecifics,
     PatternLibrary,
-    compute_specifics,
     compute_specifics_batch,
     error_concentration,
 )
@@ -130,7 +128,7 @@ def check_against_per_case_path(library, classifier, trajectories, final_probs, 
         for i in range(len(labels))
         if int(final_probs[i].argmax()) != int(labels[i])
     ]
-    rows = [compute_specifics(fp, library) for fp in footprints]
+    rows = [diagnosis_oracle.specifics(fp, library) for fp in footprints]
     oracle_context = DiagnosisContext(
         error_concentration=error_concentration(
             [s.true_label for s in rows], num_classes=num_classes
@@ -255,7 +253,7 @@ def oracle_report(morph, inputs, labels, inference_dtype):
     extractor = FootprintExtractor(morph.instrumented, batch_size=config.extraction_batch_size)
     (trajectories, final_probs), = extractor.extract_coalesced([inputs])
     rows = [
-        compute_specifics(fp, morph.patterns)
+        diagnosis_oracle.specifics(fp, morph.patterns)
         for fp in extractor.from_arrays(trajectories, final_probs, labels)
         if fp.is_misclassified
     ]

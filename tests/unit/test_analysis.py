@@ -5,30 +5,24 @@ import pytest
 
 from repro.analysis import (
     brier_score,
-    commitment_depth,
-    confidence_trajectory,
     cosine_similarity,
-    divergence_layer,
     entropy,
-    entropy_profile,
     expected_calibration_error,
     js_distance,
     js_divergence,
     js_similarity,
     kl_divergence,
-    layer_stability,
     normalize_distribution,
     normalized_entropy,
     reliability_diagram,
     total_variation,
-    trajectory_divergence,
-    trajectory_similarity,
 )
 from repro.analysis.trajectory import (
     pairwise_trajectory_divergences,
     trajectory_divergence_to_stack,
 )
 from repro.exceptions import ShapeError
+from tests.reference import js_oracle
 
 
 class TestDivergences:
@@ -98,49 +92,18 @@ def make_trajectory(rows):
 
 
 class TestTrajectoryStatistics:
-    def test_divergence_layer_finds_first_mismatch(self):
-        traj = make_trajectory([[0.8, 0.2], [0.6, 0.4], [0.3, 0.7]])
-        assert divergence_layer(traj, true_class=0) == 2
-        assert divergence_layer(traj, true_class=1) == 0
-
-    def test_divergence_layer_never_diverging(self):
-        traj = make_trajectory([[0.9, 0.1], [0.8, 0.2]])
-        assert divergence_layer(traj, 0) == 2
-
-    def test_commitment_depth(self):
-        traj = make_trajectory([[0.8, 0.2], [0.4, 0.6], [0.3, 0.7], [0.2, 0.8]])
-        assert commitment_depth(traj, predicted_class=1) == pytest.approx(0.75)
-        assert commitment_depth(traj, predicted_class=0) == pytest.approx(0.0)
-
-    def test_confidence_trajectory(self):
-        traj = make_trajectory([[0.8, 0.2], [0.3, 0.7]])
-        np.testing.assert_allclose(confidence_trajectory(traj, 1), [0.2, 0.7])
-
-    def test_entropy_profile_shape_and_range(self):
-        traj = make_trajectory([[0.5, 0.5], [1.0, 0.0]])
-        profile = entropy_profile(traj)
-        assert profile.shape == (2,)
-        assert profile[0] == pytest.approx(1.0)
-        assert profile[1] == pytest.approx(0.0, abs=1e-9)
-
-    def test_trajectory_similarity_self_is_one(self):
+    def test_trajectory_divergence_to_itself_is_zero(self):
         traj = make_trajectory([[0.5, 0.5], [0.9, 0.1]])
-        assert trajectory_similarity(traj, traj) == pytest.approx(1.0)
-        assert trajectory_divergence(traj, traj) == pytest.approx(0.0, abs=1e-12)
+        assert trajectory_divergence_to_stack(traj, traj[None]) == pytest.approx([0.0], abs=1e-12)
 
-    def test_layer_stability(self):
-        static = make_trajectory([[0.6, 0.4]] * 4)
-        assert layer_stability(static) == pytest.approx(1.0)
-        flipping = make_trajectory([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-        assert layer_stability(flipping) < 0.2
-
-    def test_stack_divergence_matches_loop(self):
+    def test_stack_divergence_matches_oracle(self):
         rng = np.random.default_rng(0)
         traj = rng.dirichlet(np.ones(3), size=4)
         stack = rng.dirichlet(np.ones(3), size=(5, 4))
         batch = trajectory_divergence_to_stack(traj, stack)
-        loop = np.array([trajectory_divergence(traj, member) for member in stack])
-        np.testing.assert_allclose(batch, loop, atol=1e-12)
+        np.testing.assert_allclose(
+            batch, js_oracle.cross_divergences(stack, traj[None])[:, 0], atol=1e-12
+        )
 
     def test_pairwise_divergences_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(1)
@@ -149,12 +112,10 @@ class TestTrajectoryStatistics:
         np.testing.assert_allclose(np.diag(matrix), 0.0)
         np.testing.assert_allclose(matrix, matrix.T, atol=1e-12)
 
-    def test_out_of_range_class_rejected(self):
+    def test_stack_shape_mismatch_rejected(self):
         traj = make_trajectory([[0.5, 0.5]])
         with pytest.raises(ShapeError):
-            divergence_layer(traj, 5)
-        with pytest.raises(ShapeError):
-            commitment_depth(traj, -1)
+            trajectory_divergence_to_stack(traj, np.full((2, 1, 3), 1 / 3))
 
 
 class TestCalibrationMetrics:

@@ -3,10 +3,11 @@
 Every batched kernel of the diagnosis core — the vectorized pairwise matrix,
 the cross/stack divergence kernels, the array-wide trajectory statistics, the
 batched specifics computation, and the single-matmul defect classifier — is
-asserted to match its loop reference (the per-case library API and
-``tests/reference/diagnosis_oracle.py``) to ``1e-12`` on random trajectory
-stacks and on a real fitted library, including the edge cases (single case,
-single class, single layer, empty member sets, classes without patterns).
+asserted to match its loop reference (``tests/reference/diagnosis_oracle.py``
+and ``tests/reference/js_oracle.py``) to ``1e-12`` on random trajectory
+stacks and on a real fitted library extracted under both inference dtypes,
+including the edge cases (single case, single class, single layer, empty
+member sets, classes without patterns).
 """
 
 from __future__ import annotations
@@ -21,16 +22,10 @@ from repro.analysis.trajectory import (
     batch_divergence_layer,
     batch_entropy_profile,
     batch_layer_stability,
-    batch_trajectory_divergence,
-    batch_trajectory_similarity,
-    commitment_depth,
-    cross_trajectory_divergences,
-    divergence_layer,
-    entropy_profile,
-    layer_stability,
+    cross_js_layer_divergences,
     pairwise_trajectory_divergences,
-    trajectory_divergence,
-    trajectory_similarity,
+    prepare_js_operand,
+    trajectory_divergence_to_stack,
 )
 from repro.core import (
     DefectCaseClassifier,
@@ -40,14 +35,13 @@ from repro.core import (
     SoftmaxInstrumentedModel,
     build_feature_matrix,
     build_feature_vector,
-    compute_specifics,
     compute_specifics_batch,
 )
 from repro.core.footprint import FootprintExtractor
 from repro.exceptions import ConfigurationError, ShapeError
 
 from tests.conftest import make_tiny_generator, make_tiny_model
-from tests.reference import diagnosis_oracle
+from tests.reference import diagnosis_oracle, js_oracle
 
 PARITY = 1e-12
 
@@ -56,6 +50,11 @@ def random_stack(rng: np.random.Generator, n: int, l: int, c: int) -> np.ndarray
     """A random stack of N trajectories with proper per-layer distributions."""
     x = rng.random((n, l, c)) + 1e-3
     return x / x.sum(axis=2, keepdims=True)
+
+
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(N, M, L)`` JS divergences through the prepared-operand kernel."""
+    return cross_js_layer_divergences(prepare_js_operand(a), prepare_js_operand(b))
 
 
 class TestBatchedTrajectoryKernels:
@@ -77,35 +76,33 @@ class TestBatchedTrajectoryKernels:
 
     def test_cross_matches_per_pair_loop(self, rng):
         a, b = random_stack(rng, 5, 4, 6), random_stack(rng, 8, 4, 6)
-        matrix = cross_trajectory_divergences(a, b, late_layer_emphasis=0.7)
+        matrix = cross(a, b)
         for i in range(a.shape[0]):
             for j in range(b.shape[0]):
-                expected = trajectory_divergence(a[i], b[j], late_layer_emphasis=0.7)
-                assert abs(matrix[i, j] - expected) <= PARITY
+                expected = js_oracle.cross_layer_divergences(a[i:i + 1], b[j:j + 1])[0, 0]
+                assert np.max(np.abs(matrix[i, j] - expected)) <= PARITY
 
     def test_cross_blocking_is_transparent(self, rng, monkeypatch):
         import repro.analysis.trajectory as trajectory_module
 
         a, b = random_stack(rng, 9, 3, 5), random_stack(rng, 6, 3, 5)
-        full = cross_trajectory_divergences(a, b)
+        full = cross(a, b)
         monkeypatch.setattr(trajectory_module, "_CROSS_BLOCK_ELEMENTS", 32)
-        blocked = cross_trajectory_divergences(a, b)
+        blocked = cross(a, b)
         assert np.array_equal(full, blocked)
 
     def test_cross_shape_validation(self, rng):
         with pytest.raises(ShapeError):
-            cross_trajectory_divergences(random_stack(rng, 2, 3, 4), random_stack(rng, 2, 3, 5))
+            cross(random_stack(rng, 2, 3, 4), random_stack(rng, 2, 3, 5))
         with pytest.raises(ShapeError):
-            cross_trajectory_divergences(np.zeros((2, 3)), np.zeros((2, 3, 4)))
+            cross(np.zeros((2, 3)), np.zeros((2, 3, 4)))
 
-    def test_batch_divergence_and_similarity_to_reference(self, rng):
+    def test_divergence_to_stack_matches_oracle(self, rng):
         stack = random_stack(rng, 6, 5, 4)
         reference = random_stack(rng, 1, 5, 4)[0]
-        divs = batch_trajectory_divergence(stack, reference, late_layer_emphasis=0.8)
-        sims = batch_trajectory_similarity(stack, reference, late_layer_emphasis=0.8)
-        for i in range(stack.shape[0]):
-            assert abs(divs[i] - trajectory_divergence(stack[i], reference, 0.8)) <= PARITY
-            assert abs(sims[i] - trajectory_similarity(stack[i], reference, 0.8)) <= PARITY
+        divs = trajectory_divergence_to_stack(reference, stack, late_layer_emphasis=0.8)
+        expected = js_oracle.cross_divergences(stack, reference[None], 0.8)[:, 0]
+        assert np.max(np.abs(divs - expected)) <= PARITY
 
 
 class TestBatchedTrajectoryStatistics:
@@ -120,17 +117,39 @@ class TestBatchedTrajectoryStatistics:
         entropies = batch_entropy_profile(stack)
         stabilities = batch_layer_stability(stack)
         for i in range(n):
-            assert layers[i] == divergence_layer(stack[i], int(true[i]))
-            assert depths[i] == commitment_depth(stack[i], int(predicted[i]))
-            assert np.max(np.abs(entropies[i] - entropy_profile(stack[i]))) <= PARITY
-            assert abs(stabilities[i] - layer_stability(stack[i])) <= PARITY
+            assert layers[i] == diagnosis_oracle.first_wrong_layer(stack[i], int(true[i]))
+            assert depths[i] == diagnosis_oracle.trailing_commitment(stack[i], int(predicted[i]))
+            expected_entropies = diagnosis_oracle.layer_entropies(stack[i])
+            assert np.max(np.abs(entropies[i] - expected_entropies)) <= PARITY
+            assert abs(stabilities[i] - diagnosis_oracle.belief_stability(stack[i])) <= PARITY
 
-    def test_committed_and_never_diverging_cases(self):
-        # A trajectory locked onto class 0 from the first layer.
-        stack = np.tile(np.array([[0.9, 0.1], [0.9, 0.1], [0.9, 0.1]]), (2, 1, 1))
-        assert np.all(batch_divergence_layer(stack, np.zeros(2, dtype=int)) == 3)
-        assert np.all(batch_commitment_depth(stack, np.zeros(2, dtype=int)) == 1.0)
-        assert np.all(batch_commitment_depth(stack, np.ones(2, dtype=int)) == 0.0)
+    @pytest.mark.parametrize(
+        "rows, true, predicted, layer, depth",
+        [
+            # Locked onto class 0 from the first layer: never diverges (L).
+            ([[0.9, 0.1]] * 3, 0, 0, 3, 1.0),
+            ([[0.9, 0.1]] * 3, 0, 1, 3, 0.0),
+            # The first mismatch, and only the trailing run of the prediction.
+            ([[0.8, 0.2], [0.6, 0.4], [0.3, 0.7]], 0, 1, 2, 1 / 3),
+            ([[0.8, 0.2], [0.6, 0.4], [0.3, 0.7]], 1, 0, 0, 0.0),
+            ([[0.8, 0.2], [0.4, 0.6], [0.3, 0.7], [0.2, 0.8]], 0, 1, 1, 0.75),
+            ([[0.6, 0.3, 0.1], [0.2, 0.7, 0.1], [0.1, 0.8, 0.1]], 0, 1, 1, 2 / 3),
+        ],
+    )
+    def test_committed_and_never_diverging_cases(self, rows, true, predicted, layer, depth):
+        stack = np.array([rows] * 2)
+        assert batch_divergence_layer(stack, np.full(2, true)).tolist() == [layer, layer]
+        assert batch_commitment_depth(stack, np.full(2, predicted)) == pytest.approx([depth] * 2)
+
+    def test_entropy_and_stability_extremes(self):
+        profile = batch_entropy_profile(np.array([[[0.5, 0.5], [1.0, 0.0]]]))
+        assert profile.shape == (1, 2)
+        assert profile[0] == pytest.approx([1.0, 0.0], abs=1e-9)
+        static = np.array([[[0.6, 0.4]] * 4])
+        flipping = np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]])
+        assert batch_layer_stability(static) == pytest.approx([1.0])
+        assert batch_layer_stability(flipping)[0] < 0.2
+        assert batch_layer_stability(static[:, :1]).tolist() == [1.0]
 
     def test_range_validation(self, rng):
         stack = random_stack(rng, 3, 4, 5)
@@ -140,6 +159,13 @@ class TestBatchedTrajectoryStatistics:
             batch_commitment_depth(stack, np.array([-1, 0, 1]))
         with pytest.raises(ShapeError):
             batch_divergence_layer(stack, np.array([0, 1]))
+        one_layer = np.array([[[0.5, 0.5]]])
+        with pytest.raises(ShapeError):
+            batch_divergence_layer(one_layer, np.array([5]))
+        with pytest.raises(ShapeError):
+            batch_commitment_depth(one_layer, np.array([-1]))
+        with pytest.raises(ShapeError):
+            diagnosis_oracle.first_wrong_layer(one_layer[0], 5)
 
 
 def make_specifics(rng: np.random.Generator) -> FootprintSpecifics:
@@ -217,14 +243,16 @@ class TestBatchedClassifier:
             diagnosis_oracle.aggregate(DefectCaseClassifier(), [])
 
 
-@pytest.fixture(scope="module")
-def fitted_library_and_footprints():
-    """A fitted library plus labeled faulty footprints on the tiny task."""
+@pytest.fixture(scope="module", params=["float32", "float64"])
+def fitted_library_and_footprints(request):
+    """A fitted library plus labeled faulty footprints on the tiny task, per inference dtype."""
     generator = make_tiny_generator()
     train, test = generator.splits(n_train_per_class=12, n_test_per_class=10, rng=0)
     model = make_tiny_model()
     model.eval()
-    instrumented = SoftmaxInstrumentedModel(model, probe_epochs=2, rng=0).fit(train)
+    instrumented = SoftmaxInstrumentedModel(
+        model, probe_epochs=2, inference_dtype=request.param, rng=0
+    ).fit(train)
     library = PatternLibrary(instrumented).fit(train)
     inputs, _ = test.arrays()
     trajectories, final_probs = instrumented.layer_distributions(inputs)
@@ -240,7 +268,7 @@ class TestBatchedSpecifics:
         batched = compute_specifics_batch(footprints, library)
         assert len(batched) == len(footprints)
         for fp, spec in zip(footprints, batched):
-            reference = compute_specifics(fp, library)
+            reference = diagnosis_oracle.specifics(fp, library)
             for key, value in reference.as_dict().items():
                 assert abs(float(spec.as_dict()[key]) - float(value)) <= PARITY, key
 
@@ -253,8 +281,8 @@ class TestBatchedSpecifics:
         self._assert_parity(library, footprints[:1])
 
     def test_empty_batch(self, fitted_library_and_footprints):
-        library, _ = fitted_library_and_footprints
-        assert len(compute_specifics_batch([], library)) == 0
+        library, footprints = fitted_library_and_footprints
+        assert len(compute_specifics_batch(footprints[:0], library)) == 0
 
     def test_single_class_library_and_missing_patterns(self, fitted_library_and_footprints):
         """Classes without patterns fall back exactly like the per-case path."""
@@ -280,26 +308,20 @@ class TestBatchedSpecifics:
 
     def test_requires_true_labels(self, fitted_library_and_footprints):
         library, footprints = fitted_library_and_footprints
-        unlabeled = dataclasses.replace(footprints[0], true_label=None)
+        unlabeled = dataclasses.replace(footprints[:1], true_labels=None)
         with pytest.raises(ConfigurationError):
-            compute_specifics_batch([unlabeled], library)
+            compute_specifics_batch(unlabeled, library)
 
-    def test_library_batch_queries_match_per_case(self, fitted_library_and_footprints):
+    def test_library_batch_queries_match_oracle(self, fitted_library_and_footprints):
         library, footprints = fitted_library_and_footprints
-        stack = np.stack([fp.trajectory for fp in footprints])
+        stack = footprints.trajectories
         matches = library.batch_pattern_matches(stack)
-        lookup = matches.column_lookup()
-        predicted = np.asarray([fp.predicted for fp in footprints])
-        typicality = library.batch_nn_typicality(stack, predicted)
-        for i, fp in enumerate(footprints):
-            for class_id in library.classes():
-                column = lookup[class_id]
-                assert abs(
-                    matches.similarities[i, column] - library.similarity(fp, class_id)
-                ) <= PARITY
-            assert abs(
-                typicality[i] - library.nn_typicality(fp, int(predicted[i]))
-            ) <= PARITY
+        similarities, divergences = js_oracle.pattern_matches(library, stack)
+        assert np.max(np.abs(matches.similarities - similarities)) <= PARITY
+        assert np.max(np.abs(matches.divergences - divergences)) <= PARITY
+        typicality = library.batch_nn_typicality(stack, footprints.predicted)
+        expected = js_oracle.nn_typicality(library, stack, footprints.predicted)
+        assert np.max(np.abs(typicality - expected)) <= PARITY
 
     def test_refit_replaces_patterns_wholesale(self, fitted_library_and_footprints):
         """Classes absent from a second fit must not survive from the first."""
@@ -330,7 +352,7 @@ class TestBatchedSpecifics:
         fresh.patterns = dict(library.patterns)
         fresh._training_inconsistency = 0.0
         fresh._fitted = True
-        stack = np.stack([fp.trajectory for fp in footprints[:3]])
+        stack = footprints.trajectories[:3]
         before = fresh.batch_pattern_matches(stack)  # populates the cache
         class_id = min(fresh.patterns)
         replacement = dataclasses.replace(
@@ -341,20 +363,18 @@ class TestBatchedSpecifics:
         after = fresh.batch_pattern_matches(stack)
         column = after.column_lookup()[class_id]
         assert not np.allclose(before.similarities[:, column], after.similarities[:, column])
-        for i, fp in enumerate(footprints[:3]):
-            assert abs(
-                after.similarities[i, column] - fresh.similarity(fp, class_id)
-            ) <= PARITY
+        expected, _ = js_oracle.pattern_matches(fresh, stack)
+        assert np.max(np.abs(after.similarities[:, column] - expected[:, column])) <= PARITY
 
     def test_pattern_overlap_matches_pair_loop(self, fitted_library_and_footprints):
         library, _ = fitted_library_and_footprints
         class_ids = library.classes()
         pairs = [
-            trajectory_similarity(
-                library.patterns[a].mean_trajectory,
-                library.patterns[b].mean_trajectory,
-                late_layer_emphasis=library.late_layer_emphasis,
-            )
+            1.0 - js_oracle.cross_divergences(
+                library.patterns[a].mean_trajectory[None],
+                library.patterns[b].mean_trajectory[None],
+                library.late_layer_emphasis,
+            )[0, 0] / np.log(2.0)
             for i, a in enumerate(class_ids)
             for b in class_ids[i + 1:]
         ]

@@ -9,7 +9,7 @@ from repro.core import (
     PatternLibrary,
     SoftmaxInstrumentedModel,
     SoftmaxProbe,
-    compute_specifics,
+    compute_specifics_batch,
     pool_activation,
 )
 from repro.exceptions import ConfigurationError, NotFittedError, ShapeError
@@ -123,21 +123,11 @@ class TestFootprint:
         assert fp.is_misclassified is True
         assert fp.final_confidence == pytest.approx(0.75)
 
-    def test_divergence_and_commitment(self):
-        fp = self._footprint(true_label=0)
-        assert fp.divergence_layer() == 1
-        assert fp.commitment_depth() == pytest.approx(2 / 3)
-
-    def test_full_trajectory_appends_final_row(self):
-        fp = self._footprint()
-        assert fp.full_trajectory().shape == (4, 3)
-
     def test_missing_label(self):
         fp = Footprint(
             trajectory=np.array([[0.5, 0.5]]), final_probs=np.array([0.5, 0.5]), predicted=0
         )
         assert fp.is_misclassified is None
-        assert fp.divergence_layer() is None
 
     def test_validation_of_shapes(self):
         with pytest.raises(ShapeError):
@@ -180,17 +170,17 @@ class TestPatternLibrary:
         train, _ = tiny_splits
         inputs, labels = train.arrays()
         footprints = fitted_deepmorph.extract_footprints(inputs[:10], labels[:10])
-        library = fitted_deepmorph.patterns
-        own = [library.similarity(fp, fp.true_label) for fp in footprints]
+        matches = fitted_deepmorph.patterns.batch_pattern_matches(footprints.trajectories)
+        own = matches.similarities[np.arange(10), matches.column_lookup()[footprints.true_labels]]
         assert np.mean(own) > 0.5
 
     def test_best_match_returns_valid_class(self, fitted_deepmorph, tiny_splits):
         _, test = tiny_splits
         inputs, labels = test.arrays()
-        fp = fitted_deepmorph.extract_footprints(inputs[:1], labels[:1])[0]
-        best_class, best_sim = fitted_deepmorph.patterns.best_match(fp)
-        assert best_class in fitted_deepmorph.patterns.classes()
-        assert 0.0 <= best_sim <= 1.0
+        footprints = fitted_deepmorph.extract_footprints(inputs[:1], labels[:1])
+        spec = fitted_deepmorph.compute_specifics(footprints)[0]
+        assert spec.best_match_class in fitted_deepmorph.patterns.classes()
+        assert 0.0 <= spec.best_match <= 1.0
 
     def test_pattern_overlap_in_unit_range(self, fitted_deepmorph):
         overlap = fitted_deepmorph.patterns.pattern_overlap()
@@ -222,9 +212,9 @@ class TestSpecifics:
     def test_specifics_require_true_label(self, fitted_deepmorph, tiny_splits):
         _, test = tiny_splits
         inputs, _ = test.arrays()
-        fp = fitted_deepmorph.extract_footprints(inputs[:1])[0]
+        unlabeled = fitted_deepmorph.extract_footprints(inputs[:1])
         with pytest.raises(ConfigurationError):
-            compute_specifics(fp, fitted_deepmorph.patterns)
+            compute_specifics_batch(unlabeled, fitted_deepmorph.patterns)
 
 
 class TestGroupedExtraction:

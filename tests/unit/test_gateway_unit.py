@@ -129,7 +129,7 @@ class FakeService:
         self.calls = 0
         self.closed = False
 
-    def diagnose_dict(self, name, inputs, labels, **kwargs):
+    def diagnose(self, name, inputs, labels, **kwargs):
         self.calls += 1
         return {"replica": self.index, "model": name}
 
@@ -214,11 +214,11 @@ class TestReplicaPoolAdmission:
         for lease in leases:
             lease.release()
 
-    def test_diagnose_dict_releases_even_on_error(self):
+    def test_diagnose_releases_even_on_error(self):
         pool = make_pool(num_replicas=1, max_queue_per_replica=1)
-        pool.replicas[0].diagnose_dict = lambda *a, **k: (_ for _ in ()).throw(ValueError("x"))
+        pool.replicas[0].diagnose = lambda *a, **k: (_ for _ in ()).throw(ValueError("x"))
         with pytest.raises(ValueError):
-            pool.diagnose_dict("m", [], [])
+            pool.diagnose("m", [], [])
         assert pool.inflight == 0
 
     def test_constructor_validation(self):
@@ -273,8 +273,8 @@ class TestReplicaPoolLifecycle:
 
     def test_metrics_snapshot_aggregates_replica_counters(self):
         pool = make_pool(num_replicas=2)
-        pool.diagnose_dict("m", [], [])
-        pool.diagnose_dict("m", [], [])
+        pool.diagnose("m", [], [])
+        pool.diagnose("m", [], [])
         snapshot = pool.metrics_snapshot()
         assert set(snapshot) == {"pool", "replicas", "aggregate_counters"}
         assert len(snapshot["replicas"]) == 2

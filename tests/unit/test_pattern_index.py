@@ -64,9 +64,7 @@ def test_replacing_a_pattern_rebuilds_cached_member_terms(rng):
 
 
 def test_nn_queries_weight_layers_at_the_library_emphasis(rng):
-    """Batched and per-case typicality use nn_layer_emphasis, as member_nn_scale does."""
-    from repro.core.footprint import Footprint
-
+    """Typicality weights layers at nn_layer_emphasis, as member_nn_scale does."""
     library = PatternLibrary(SimpleNamespace(num_classes=CLASSES), nn_layer_emphasis=0.5)
     library.partial_fit_arrays(*labeled_arrays(rng, 30))
     queries = rng.dirichlet(np.ones(CLASSES), size=(10, LAYERS))
@@ -79,14 +77,6 @@ def test_nn_queries_weight_layers_at_the_library_emphasis(rng):
     np.testing.assert_allclose(
         library.batch_nn_typicality(queries, targets), expected, rtol=0, atol=TOLERANCE
     )
-    for row, query in enumerate(queries):
-        footprint = Footprint(
-            trajectory=query, final_probs=np.full(CLASSES, 1.0 / CLASSES), predicted=0
-        )
-        for column, class_id in enumerate(targets[row]):
-            assert abs(
-                library.nn_typicality(footprint, int(class_id)) - expected[row, column]
-            ) <= TOLERANCE
     # Every layer weighs in at 0.5; at 1.0 the first layer's weight is 0 and
     # the kernel skips it.  The cached index follows the emphasis.
     assert library._batch_index().nn_layers.tolist() == list(range(LAYERS))

@@ -100,6 +100,30 @@ class TestFootprintCache:
         entries, _ = cache.lookup("m@v2", inputs)
         assert entries == [None]
 
+    def test_invalidate_model_matches_name_and_version(self):
+        cache = FootprintCache(maxsize=16)
+        for key in ("m@v1", "m@v2", "mm@v1"):
+            cache.store(key, "digest", np.zeros((3, 4)), np.zeros(4))
+        assert cache.invalidate_model("m", "v1") == 1
+        assert cache.invalidate_model("m", "v1") == 0
+        assert cache.invalidate_model("m") == 1  # m@v2; mm@v1 is another model
+        assert cache.stats()["size"] == 1
+
+    def test_size_gauge_follows_invalidation_and_clear(self):
+        from repro.serve.metrics import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        cache = FootprintCache(maxsize=16, metrics=metrics)
+        for digest in ("a", "b", "c"):
+            cache.store("m@v1", digest, np.zeros((3, 4)), np.zeros(4))
+        cache.store("n@v1", "a", np.zeros((3, 4)), np.zeros(4))
+        size = metrics.gauge("cache.size")
+        assert size.value == 4
+        cache.invalidate_model("m")
+        assert size.value == 1
+        cache.clear()
+        assert size.value == 0
+
 
 # ------------------------------------------------------------ batching engine
 
@@ -342,6 +366,50 @@ class TestServiceEviction:
             assert service.cache.stats()["size"] == 0
             with pytest.raises(ArtifactNotFoundError):
                 service.diagnose("m", inputs, labels, version="v1")
+
+    def test_unregister_resets_the_cache_size_gauge(self, tmp_path, fitted_deepmorph, tiny_splits):
+        from repro.serve import DiagnosisService
+
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        registry = ArtifactRegistry(tmp_path / "registry")
+        registry.register("m", fitted_deepmorph)
+        with DiagnosisService(registry, batch_wait_seconds=0.001, num_workers=1) as service:
+            service.diagnose("m", inputs, labels)
+            size = service.metrics.gauge("cache.size")
+            assert size.value == len(inputs)
+            service.unregister("m")
+            assert size.value == 0
+
+    def test_unregister_drops_cached_footprints_of_a_non_resident_model(
+        self, tmp_path, fitted_deepmorph, trained_tiny_model, tiny_splits
+    ):
+        """A version registered again under the same name is not served stale footprints."""
+        from repro.core import DeepMorph
+        from repro.serve import DiagnosisService
+
+        train, test = tiny_splits
+        inputs, labels = test.arrays()
+        registry = ArtifactRegistry(tmp_path / "registry")
+        registry.register("a", fitted_deepmorph)
+        registry.register("b", fitted_deepmorph)
+        with DiagnosisService(
+            registry, max_loaded_models=1, batch_wait_seconds=0.001, num_workers=1
+        ) as service:
+            service.diagnose("a", inputs, labels, version="v1")
+            service.diagnose("b", inputs, labels)
+            assert service.loaded_models() == ["b@v1"]  # a@v1 left residency, not the cache
+            service.unregister("a")
+            assert service.cache.stats()["size"] == len(inputs)  # only b's rows remain
+            refit = DeepMorph(probe_epochs=2, rng=7).fit(trained_tiny_model, train)
+            registry.register("a", refit, version="v1")
+            hits = service.cache.stats()["hits"]
+            report = service.diagnose("a", inputs, labels, version="v1")
+            assert service.cache.stats()["hits"] == hits
+        with DiagnosisService(registry, cache_size=0, batch_wait_seconds=0.001) as fresh:
+            expected = fresh.diagnose("a", inputs, labels, version="v1")
+        assert report.ratios == expected.ratios
+        assert report.counts == expected.counts
 
 
 class TestServiceInferenceDtype:
