@@ -78,7 +78,7 @@ def gateway_scenario(tmp_path_factory):
     inputs, labels = test.arrays()
 
     pool = ReplicaPool.from_registry(
-        registry_dir, num_replicas=1, batch_wait_seconds=0.001, num_workers=1,
+        registry_dir, num_replicas=1, num_workers=1,
     )
     gateway = DiagnosisGateway(pool, port=0, response_cache_size=64).start()
     try:

@@ -45,7 +45,7 @@ NUM_REPLICAS = 2
 MIN_SPEEDUP = float(os.environ.get("BENCH_GATEWAY_MIN_SPEEDUP", "1.3"))
 RESULT_PATH = os.environ.get("BENCH_GATEWAY_JSON", "BENCH_gateway.json")
 
-SERVICE_KWARGS = dict(batch_wait_seconds=0.001, cache_size=4096, num_workers=1)
+SERVICE_KWARGS = dict(cache_size=4096, num_workers=1)
 
 
 @pytest.fixture(scope="module")

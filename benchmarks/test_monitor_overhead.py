@@ -54,7 +54,7 @@ RESULT_PATH = os.environ.get("BENCH_MONITOR_JSON", "BENCH_monitor.json")
 
 #: Caches off in BOTH phases: every request must reach extraction, where the
 #: monitor tap lives, or the comparison measures nothing.
-SERVICE_KWARGS = dict(batch_wait_seconds=0.001, cache_size=0, num_workers=1)
+SERVICE_KWARGS = dict(cache_size=0, num_workers=1)
 
 
 @pytest.fixture(scope="module")

@@ -46,7 +46,7 @@ def main() -> None:
     morph = DeepMorph(rng=3).fit(model, corrupted)
 
     inputs, labels = production.arrays()
-    config = DiagnoserConfig(batch_wait_seconds=0.001, num_workers=1)
+    config = DiagnoserConfig(num_workers=1)
 
     with tempfile.TemporaryDirectory() as root:
         registry = ArtifactRegistry(root)

@@ -47,8 +47,9 @@ class DiagnoserConfig:
     extraction_batch_size:
         Chunk size of instrumented forward passes (shared by every backend so
         local and served extraction stay bitwise-identical).
-    max_batch_cases, batch_wait_seconds:
-        Request-coalescing knobs of the batching engine.
+    max_batch_cases:
+        Soft cap on the cases the batching engine coalesces into one
+        extraction.
     cache_size:
         Footprint-cache capacity in cases (0 disables caching).
     num_workers:
@@ -128,7 +129,6 @@ class DiagnoserConfig:
     # -- service ---------------------------------------------------------------
     extraction_batch_size: int = 128
     max_batch_cases: int = 512
-    batch_wait_seconds: float = 0.005
     cache_size: int = 4096
     num_workers: int = 2
     max_loaded_models: int = 8
@@ -175,7 +175,6 @@ class DiagnoserConfig:
             if float(value) <= 0:
                 raise ConfigurationError(f"{name} must be > 0, got {value}")
         non_negative = {
-            "batch_wait_seconds": self.batch_wait_seconds,
             "cache_size": self.cache_size,
             "max_retries": self.max_retries,
             "retry_backoff_seconds": self.retry_backoff_seconds,
@@ -237,7 +236,6 @@ class DiagnoserConfig:
         """Constructor kwargs for :class:`~repro.serve.DiagnosisService`."""
         return {
             "max_batch_cases": self.max_batch_cases,
-            "batch_wait_seconds": self.batch_wait_seconds,
             "cache_size": self.cache_size,
             "num_workers": self.num_workers,
             "max_loaded_models": self.max_loaded_models,

@@ -46,11 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=2, help="async job worker threads")
     parser.add_argument(
         "--max-batch-cases", type=int, default=512,
-        help="cases coalesced into one extraction batch",
-    )
-    parser.add_argument(
-        "--batch-wait", type=float, default=0.005,
-        help="seconds a request waits for co-travellers before extraction",
+        help="cap on the queued cases coalesced into one extraction batch",
     )
     parser.add_argument(
         "--cache-size", type=int, default=4096,
@@ -180,7 +176,6 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     # and an embedded LocalDiagnoser run with identical knobs.
     config = DiagnoserConfig(
         max_batch_cases=args.max_batch_cases,
-        batch_wait_seconds=args.batch_wait,
         cache_size=args.cache_size,
         num_workers=args.workers,
         inference_dtype=args.inference_dtype,

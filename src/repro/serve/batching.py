@@ -4,11 +4,14 @@ Footprint extraction is naturally batchable — the instrumented forward pass
 and every probe evaluation are matrix products whose per-call overhead
 (eval-mode toggling, per-layer dispatch, python loop setup) is amortized over
 the batch dimension.  The batching engine exploits that across *requests*: a
-dedicated extraction thread drains the incoming queue, groups the pending
-requests by target model, concatenates their inputs, and pushes each group
-through one :meth:`repro.core.SoftmaxInstrumentedModel.layer_distributions_grouped`
-call.  Per-case results are memoized in a :class:`~repro.serve.cache.FootprintCache`
-so repeated production cases skip extraction entirely.
+dedicated extraction thread takes every request already queued, groups them by
+target model, concatenates their inputs, and pushes each group through one
+:meth:`repro.core.SoftmaxInstrumentedModel.layer_distributions_grouped` call.
+The thread never holds a request back to wait for others: an idle engine
+extracts a lone request at once, and the requests that queue while a batch
+extracts go out together in the next batch, so load still coalesces.  Per-case
+results are memoized in a :class:`~repro.serve.cache.FootprintCache` so
+repeated production cases skip extraction entirely.
 
 Funneling every extraction through the single engine thread also makes the
 service correct under concurrency: the numpy substrate's forward passes stash
@@ -56,6 +59,8 @@ class ExtractionRequest:
     submit time and engine-side spans parent to it.  ``deadline`` is captured
     the same way: the drain loop fails requests whose budget lapsed while
     they sat in the queue instead of spending a forward pass on them.
+    ``submitted_at`` (``perf_counter`` seconds) starts the request's queue
+    wait.
     """
 
     model_key: str
@@ -64,6 +69,7 @@ class ExtractionRequest:
     request_id: int = field(default_factory=lambda: next(_request_ids))
     trace: Optional[SpanContext] = None
     deadline: Optional[Deadline] = None
+    submitted_at: float = field(default_factory=time.perf_counter)
 
     @property
     def num_cases(self) -> int:
@@ -83,16 +89,14 @@ class BatchingEngine:
         disables caching.
     max_batch_cases:
         Soft cap on the number of cases coalesced into one batch; the drain
-        loop stops gathering once the pending batch reaches it.  A single
-        over-sized request is never split (the underlying extractor chunks
-        internally).
-    max_wait_seconds:
-        How long the drain loop keeps the first request of a batch waiting
-        for co-travellers before extracting.  Bounds added latency.
+        loop stops taking queued requests once the pending batch reaches it.
+        A single over-sized request is never split (the underlying extractor
+        chunks internally).
     metrics:
         Optional :class:`~repro.serve.metrics.MetricsRegistry`; when given,
         the engine records request/batch counters, coalesced batch sizes,
-        extraction latency, and its queue depth there.
+        each request's queue wait, extraction latency, and its queue depth
+        there.
     monitor:
         Optional :class:`~repro.monitor.MonitorSink` (duck-typed: anything
         with ``observe_extracted``).  Every freshly extracted stack is fed to
@@ -106,19 +110,15 @@ class BatchingEngine:
         extract_fn: ExtractFn,
         cache: Optional[FootprintCache] = None,
         max_batch_cases: int = 512,
-        max_wait_seconds: float = 0.005,
         metrics: Optional[MetricsRegistry] = None,
         monitor=None,
     ):
         if max_batch_cases < 1:
             raise ServeError(f"max_batch_cases must be >= 1, got {max_batch_cases}")
-        if max_wait_seconds < 0:
-            raise ServeError(f"max_wait_seconds must be >= 0, got {max_wait_seconds}")
         self.extract_fn = extract_fn
         self.cache = cache
         self.monitor = monitor
         self.max_batch_cases = int(max_batch_cases)
-        self.max_wait_seconds = float(max_wait_seconds)
         self._queue: "queue.Queue" = queue.Queue()
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
@@ -150,6 +150,10 @@ class BatchingEngine:
                 "engine.batch_cases",
                 "cases per coalesced batch",
                 buckets=DEFAULT_SIZE_BUCKETS,
+            )
+            self._m_queue_wait_seconds = metrics.histogram(
+                "engine.queue_wait_seconds",
+                "wait from submit to the start of the extraction that answers a request",
             )
             self._m_extract_seconds = metrics.histogram(
                 "engine.extraction_seconds", "wall time of one coalesced extraction call"
@@ -249,15 +253,14 @@ class BatchingEngine:
                 continue
             if first is _SHUTDOWN:
                 break
+            # Work-conserving: take only what is already queued.  Requests
+            # that arrive while this batch extracts queue up and leave
+            # together in the next one.
             batch = [first]
             cases = first.num_cases
-            deadline = time.monotonic() + self.max_wait_seconds
             while cases < self.max_batch_cases:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
                 try:
-                    request = self._queue.get(timeout=remaining)
+                    request = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if request is _SHUTDOWN:
@@ -273,7 +276,7 @@ class BatchingEngine:
         """Resolve a coalesced batch of requests, consulting the cache per case.
 
         Exposed for synchronous use and tests; the drain loop calls it with
-        whatever it gathered within one batching window.
+        every request that was queued when it took the batch.
         """
         if not requests:
             return
@@ -319,6 +322,10 @@ class BatchingEngine:
             self._m_batch_cases.observe(sum(r.num_cases for r in requests))
             self._m_queue_depth.set(self._queue.qsize())
         for model_key, group in by_model.items():
+            if self._metrics is not None:
+                started = time.perf_counter()
+                for request in group:
+                    self._m_queue_wait_seconds.observe(started - request.submitted_at)
             # Engine-side span, parented (via the explicitly captured context)
             # to the first co-travelling request's trace; requests coalesced
             # from *other* traces are noted by count.
@@ -357,6 +364,12 @@ class BatchingEngine:
         if self.cache is None:
             self._process_model_group_direct(model_key, group)
             return
+        # A zero-row request has no rows to look up, and only the extractor
+        # knows its (0, layers, classes) / (0, classes) shapes.
+        empty = [request for request in group if request.num_cases == 0]
+        if empty:
+            self._process_model_group_direct(model_key, empty)
+            group = [request for request in group if request.num_cases > 0]
         # Cached path from here on.  Per-case cache consultation: only rows
         # never seen before reach the model.  Duplicate rows *within* the
         # coalesced batch (the same faulty case submitted concurrently) are
@@ -416,9 +429,6 @@ class BatchingEngine:
         for request, entries in zip(group, slots):
             if request.future.done():
                 continue
-            if request.num_cases == 0:
-                request.future.set_result((np.zeros((0, 0, 0)), np.zeros((0, 0))))
-                continue
             trajectories = np.stack([entry[0] for entry in entries], axis=0)
             final_probs = np.stack([entry[1] for entry in entries], axis=0)
             request.future.set_result((trajectories, final_probs))
@@ -433,33 +443,21 @@ class BatchingEngine:
         groups are handed directly to one coalesced extraction call and the
         per-group results map straight back onto the waiting futures.
         """
-        pending = []
-        for request in group:
-            if request.num_cases == 0:
-                if not request.future.done():
-                    request.future.set_result((np.zeros((0, 0, 0)), np.zeros((0, 0))))
-            else:
-                pending.append(request)
-        if pending:
-            results = self._timed_extract(
-                model_key, [request.inputs for request in pending]
-            )
-            for request, pair in zip(pending, results):
-                if self.monitor is not None:
-                    self.monitor.observe_extracted(model_key, pair[0], pair[1])
-                if not request.future.done():
-                    request.future.set_result(pair)
+        results = self._timed_extract(model_key, [request.inputs for request in group])
+        for request, pair in zip(group, results):
+            if self.monitor is not None:
+                self.monitor.observe_extracted(model_key, pair[0], pair[1])
+            if not request.future.done():
+                request.future.set_result(pair)
+        extracted = sum(r.num_cases for r in group)
         with self._stats_lock:
-            self._stats["cases_extracted"] += sum(r.num_cases for r in pending)
-            if pending:
-                self._stats["extraction_calls"] += 1
+            self._stats["cases_extracted"] += extracted
+            self._stats["extraction_calls"] += 1
         if self._metrics is not None:
-            self._m_cases_extracted.inc(sum(r.num_cases for r in pending))
+            self._m_cases_extracted.inc(extracted)
         active = current_span()
         if active is not None:
-            active.set_attributes(
-                {"cases_from_cache": 0, "cases_extracted": sum(r.num_cases for r in pending)}
-            )
+            active.set_attributes({"cases_from_cache": 0, "cases_extracted": extracted})
 
     # -- introspection ------------------------------------------------------------
 
@@ -475,5 +473,5 @@ class BatchingEngine:
     def __repr__(self) -> str:
         return (
             f"BatchingEngine(max_batch_cases={self.max_batch_cases}, "
-            f"max_wait={self.max_wait_seconds}, running={self.is_running})"
+            f"running={self.is_running})"
         )

@@ -78,8 +78,10 @@ class DiagnosisService:
     ----------
     registry:
         The artifact registry (or a path, which is wrapped in one).
-    max_batch_cases, batch_wait_seconds:
-        Coalescing knobs of the batching engine.
+    max_batch_cases:
+        Soft cap on the cases the batching engine coalesces into one
+        extraction; it extracts whatever is queued, up to this cap, as soon
+        as it is idle.
     cache_size:
         Capacity (in cases) of the footprint cache; ``0`` disables caching.
     num_workers:
@@ -124,7 +126,6 @@ class DiagnosisService:
         self,
         registry,
         max_batch_cases: int = 512,
-        batch_wait_seconds: float = 0.005,
         cache_size: int = 4096,
         num_workers: int = 2,
         max_loaded_models: int = 8,
@@ -184,7 +185,6 @@ class DiagnosisService:
             extract_fn=self._extract_raw,
             cache=self.cache,
             max_batch_cases=max_batch_cases,
-            max_wait_seconds=batch_wait_seconds,
             metrics=self.metrics,
             monitor=self.monitor,
         ).start()

@@ -44,7 +44,7 @@ def local_diagnoser(registry_dir):
 
 @pytest.fixture(scope="module")
 def service_diagnoser(registry_dir):
-    config = DiagnoserConfig(batch_wait_seconds=0.001, num_workers=1)
+    config = DiagnoserConfig(num_workers=1)
     diagnoser = ServiceDiagnoser.from_registry(registry_dir, config=config)
     yield diagnoser
     diagnoser.close()
@@ -53,7 +53,7 @@ def service_diagnoser(registry_dir):
 @pytest.fixture(scope="module")
 def pool(registry_dir):
     pool = ReplicaPool.from_registry(
-        registry_dir, num_replicas=1, batch_wait_seconds=0.001, num_workers=1
+        registry_dir, num_replicas=1, num_workers=1
     )
     yield pool
     pool.close()
@@ -146,7 +146,7 @@ class TestThreeWayParity:
 
         # Shim 2: DiagnosisService.diagnose — the wire document IS the
         # library document.
-        service = DiagnosisService(registry_dir, batch_wait_seconds=0.001, num_workers=1)
+        service = DiagnosisService(registry_dir, num_workers=1)
         try:
             wire = service.diagnose("tiny", inputs, labels).as_dict()
         finally:
@@ -499,7 +499,7 @@ class TestBackendBehavior:
     def test_context_managers_close_backends(self, registry_dir, tiny_splits):
         _, test = tiny_splits
         inputs, labels = test.arrays()
-        config = DiagnoserConfig(batch_wait_seconds=0.001, num_workers=1)
+        config = DiagnoserConfig(num_workers=1)
         with ServiceDiagnoser.from_registry(registry_dir, config=config) as diagnoser:
             report = diagnoser.diagnose_arrays(inputs, labels, model="tiny")
             assert report.num_cases >= 1

@@ -11,6 +11,7 @@ oversized body, unknown model/version, saturation) and publish well-formed
 from __future__ import annotations
 
 import http.client
+import io
 import json
 import socket
 import threading
@@ -44,7 +45,6 @@ def pool(registry_dir):
         registry_dir,
         num_replicas=2,
         max_queue_per_replica=8,
-        batch_wait_seconds=0.001,
         num_workers=1,
     )
     yield pool
@@ -60,17 +60,33 @@ def gateway(pool):
     gateway.shutdown()
 
 
+def _urlopen(request, timeout: float = 60):
+    """``urlopen`` whose ``HTTPError`` holds its body in memory, not a socket.
+
+    ``pytest.raises`` keeps the error alive past the test, so an error still
+    holding its connection would leak the socket until garbage collection.
+    """
+    try:
+        return urllib.request.urlopen(request, timeout=timeout)
+    except urllib.error.HTTPError as error:
+        with error:
+            body = error.read()
+        raise urllib.error.HTTPError(
+            error.url, error.code, error.msg, error.headers, io.BytesIO(body)
+        ) from None
+
+
 def _post(url: str, payload, timeout: float = 60) -> dict:
     body = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(
         url, data=body, headers={"Content-Type": "application/json"}
     )
-    with urllib.request.urlopen(request, timeout=timeout) as response:
+    with _urlopen(request, timeout=timeout) as response:
         return json.loads(response.read())
 
 
 def _get(url: str) -> dict:
-    with urllib.request.urlopen(url, timeout=60) as response:
+    with _urlopen(url) as response:
         return json.loads(response.read())
 
 
@@ -93,7 +109,7 @@ class TestGatewayDiagnosis:
 
         via_gateway = _post(gateway.url + "/diagnose", payload)
 
-        with DiagnosisService(registry_dir, batch_wait_seconds=0.001, num_workers=1) as service:
+        with DiagnosisService(registry_dir, num_workers=1) as service:
             in_process = service.diagnose("tiny", inputs.tolist(), labels.tolist()).as_dict()
         # Bitwise-identical payloads: same artifact, same batch composition,
         # same extraction pipeline — the front end must not change the answer.
@@ -151,7 +167,7 @@ class TestGatewayDiagnosis:
         # The embedding recipe for a caller that already holds one service.
         _, test = tiny_splits
         inputs, labels = test.arrays()
-        service = DiagnosisService(registry_dir, batch_wait_seconds=0.001, num_workers=1)
+        service = DiagnosisService(registry_dir, num_workers=1)
         pool = ReplicaPool(lambda _: service, num_replicas=1)
         gateway = DiagnosisGateway(pool, port=0, response_cache_size=0).start()
         try:
@@ -388,7 +404,7 @@ class TestGatewayIntrospection:
         inputs, labels = test.arrays()
         payload = {"model": "tiny", "inputs": inputs.tolist(), "labels": labels.tolist()}
         single = ReplicaPool.from_registry(
-            registry_dir, num_replicas=1, batch_wait_seconds=0.001, num_workers=1
+            registry_dir, num_replicas=1, num_workers=1
         )
         gateway = DiagnosisGateway(single, port=0, response_cache_size=0).start()
         try:
@@ -560,7 +576,7 @@ class TestGatewayWireNegotiation:
     @staticmethod
     def _exchange(url, body, headers, timeout=60):
         request = urllib.request.Request(url, data=body, headers=headers)
-        with urllib.request.urlopen(request, timeout=timeout) as response:
+        with _urlopen(request, timeout=timeout) as response:
             return response.read(), dict(response.headers)
 
     def test_binary_round_trip_matches_json(self, gateway, payload):

@@ -104,7 +104,7 @@ class TestLocalDiagnoser:
 class TestDiagnosisService:
     @pytest.fixture(scope="class")
     def service(self, registry_dir):
-        with DiagnosisService(registry_dir, batch_wait_seconds=0.001, num_workers=1) as service:
+        with DiagnosisService(registry_dir, num_workers=1) as service:
             yield service
 
     @pytest.mark.parametrize("name", sorted(BAD_LABELS))
@@ -126,7 +126,7 @@ class TestGateway:
     @pytest.fixture(scope="class")
     def gateway(self, registry_dir):
         pool = ReplicaPool.from_registry(
-            registry_dir, num_replicas=1, batch_wait_seconds=0.001, num_workers=1
+            registry_dir, num_replicas=1, num_workers=1
         )
         gateway = DiagnosisGateway(pool, port=0, response_cache_size=0).start()
         yield gateway

@@ -30,7 +30,6 @@ from repro.serve import (
 )
 
 MONITOR_KWARGS = dict(
-    batch_wait_seconds=0.001,
     num_workers=1,
     # The drift window is fed by the engine drain with *freshly extracted*
     # rows; disable the footprint cache so every request exercises that tap.

@@ -31,7 +31,7 @@ def registry_dir(tmp_path_factory, fitted_deepmorph):
 @pytest.fixture(scope="module")
 def pool(registry_dir):
     pool = ReplicaPool.from_registry(
-        registry_dir, num_replicas=1, batch_wait_seconds=0.001, num_workers=1
+        registry_dir, num_replicas=1, num_workers=1
     )
     yield pool
     pool.close()
@@ -146,7 +146,7 @@ class TestServiceBackendTrace:
     def test_in_process_backend_traces_the_kernels(self, registry_dir, traced, tiny_payload):
         _, path = traced
         inputs, labels = tiny_payload
-        config = DiagnoserConfig(batch_wait_seconds=0.001, num_workers=1)
+        config = DiagnoserConfig(num_workers=1)
         with ServiceDiagnoser.from_registry(registry_dir, config=config) as diagnoser:
             report = diagnoser.diagnose_arrays(inputs, labels, model="tiny")
 

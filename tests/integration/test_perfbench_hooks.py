@@ -96,6 +96,6 @@ def test_diagnosis_service_calls_every_hook(registry_dir, tiny_splits, recorder)
     spans, recorder = recorder
     _, test = tiny_splits
     inputs, labels = test.arrays()
-    with DiagnosisService(registry_dir, batch_wait_seconds=0.001, num_workers=1) as service:
+    with DiagnosisService(registry_dir, num_workers=1) as service:
         report = service.diagnose("tiny", inputs, labels)
     check_core_spans(spans, recorder, report.num_cases, len(inputs))

@@ -83,7 +83,6 @@ def _make_stack(registry_dir, num_replicas: int):
         registry_dir,
         num_replicas=num_replicas,
         max_queue_per_replica=8,
-        batch_wait_seconds=0.001,
         num_workers=1,
         health_policy=HealthPolicy(
             failure_threshold=2,

@@ -218,6 +218,7 @@ class TestJsonlExporter:
             pass
         tracer.flush()
         [record] = load_jsonl(path)
+        tracer.clear_exporters()  # closes the file
         assert record["name"] == "written"
         assert record["attributes"]["n"] == 2
         assert record["duration_seconds"] >= 0.0

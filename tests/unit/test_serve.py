@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -151,6 +154,27 @@ def _stub_extract_factory(calls):
     return extract
 
 
+def _held_stub():
+    """A stub extract_fn whose first call blocks until ``release`` is set.
+
+    Returns ``(extract_fn, batches, entered, release)``: ``batches`` lists
+    each call's groups by their first element, and ``entered`` is set once
+    the first call is running.
+    """
+    batches = []
+    entered, release = threading.Event(), threading.Event()
+    stub = _stub_extract_factory([])
+
+    def extract(model_key, groups):
+        batches.append([float(g.flat[0]) for g in groups])
+        if len(batches) == 1:
+            entered.set()
+            release.wait(timeout=5)
+        return stub(model_key, groups)
+
+    return extract, batches, entered, release
+
+
 class TestBatchingEngine:
     def test_process_batch_coalesces_requests_into_one_extraction(self):
         calls = []
@@ -237,20 +261,96 @@ class TestBatchingEngine:
         for i in range(5):
             assert np.all(trajectories[i] == mixed[i].flat[0])
 
-    def test_background_thread_coalesces_concurrent_submissions(self):
-        calls = []
-        engine = BatchingEngine(
-            _stub_extract_factory(calls), cache=None,
-            max_batch_cases=64, max_wait_seconds=0.2,
-        ).start()
+    def test_requests_queued_during_an_extraction_form_the_next_batch(self):
+        held, batches, entered, release = _held_stub()
+        engine = BatchingEngine(held, cache=None, max_batch_cases=5).start()
         try:
-            requests = [engine.submit("m@v1", np.full((2, 2), float(i))) for i in range(5)]
-            results = [r.future.result(timeout=5) for r in requests]
-            assert all(traj.shape[0] == 2 for traj, _ in results)
-            # All 5 requests land within one 200 ms batching window.
-            assert len(calls) < 5
+            first = engine.submit("m@v1", np.full((2, 2), 0.0))
+            assert entered.wait(timeout=5)
+            queued = [engine.submit("m@v1", np.full((2, 2), float(i))) for i in (1, 2, 3, 4)]
+            release.set()
+            results = [r.future.result(timeout=5) for r in [first] + queued]
+        finally:
+            release.set()
+            engine.stop()
+        # The first request went out alone; the four that queued behind it
+        # coalesce, cut by the soft cap after the request that reaches it
+        # (2 + 2 + 2 >= 5 cases).
+        assert batches == [[0.0], [1.0, 2.0, 3.0], [4.0]]
+        for value, (trajectories, _) in enumerate(results):
+            assert trajectories.shape == (2, NUM_LAYERS, NUM_CLASSES)
+            assert np.all(trajectories == float(value))
+
+    def test_idle_engine_extracts_a_lone_request_at_once(self):
+        entered_at = []
+        stub = _stub_extract_factory([])
+
+        def timed(model_key, groups):
+            entered_at.append(time.perf_counter())
+            return stub(model_key, groups)
+
+        engine = BatchingEngine(timed, cache=None).start()
+        delays = []
+        try:
+            for i in range(20):
+                submitted = time.perf_counter()
+                engine.submit("m@v1", np.full((1, 2), float(i))).future.result(timeout=5)
+                delays.append(entered_at[-1] - submitted)
         finally:
             engine.stop()
+        assert float(np.median(delays)) < 0.0025, delays
+
+    def test_queue_wait_recorded_once_per_resolved_request(self):
+        from repro.serve.metrics import MetricsRegistry
+
+        hold = 0.05
+        metrics = MetricsRegistry()
+        held, _, entered, release = _held_stub()
+        engine = BatchingEngine(
+            held, cache=FootprintCache(maxsize=64), metrics=metrics
+        ).start()
+        try:
+            first = engine.submit("m@v1", np.full((1, 2), 0.0))
+            assert entered.wait(timeout=5)
+            queued = [engine.submit("m@v1", np.full((1, 2), float(i))) for i in (1, 2)]
+            time.sleep(hold)
+            release.set()
+            for request in [first] + queued:
+                request.future.result(timeout=5)
+            # A fully cached request is resolved without extraction; it is
+            # observed all the same.
+            engine.extract("m@v1", np.full((1, 2), 1.0), timeout=5)
+        finally:
+            release.set()
+            engine.stop()
+        waits = metrics.as_dict()["engine.queue_wait_seconds"]
+        assert waits["count"] == 4
+        assert waits["max"] >= hold
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_empty_request_has_the_extractor_shapes(self, fitted_deepmorph, cached):
+        from repro.core import FootprintExtractor
+
+        extractor = FootprintExtractor(fitted_deepmorph.instrumented)
+        engine = BatchingEngine(
+            lambda model_key, groups: extractor.extract_coalesced(groups),
+            cache=FootprintCache(maxsize=64) if cached else None,
+        )
+        shape = fitted_deepmorph.model.input_shape
+        layers = fitted_deepmorph.instrumented.num_layers
+        classes = fitted_deepmorph.model.num_classes
+        [(trajectories, finals)] = extractor.extract_coalesced([np.zeros((0,) + shape)])
+        assert (trajectories.shape, finals.shape) == ((0, layers, classes), (0, classes))
+
+        trajectories, finals = engine.extract("m@v1", np.zeros((0,) + shape))
+        assert (trajectories.shape, finals.shape) == ((0, layers, classes), (0, classes))
+        # Co-batched with a non-empty request, each keeps its own rows.
+        empty = ExtractionRequest("m@v1", np.zeros((0,) + shape))
+        full = ExtractionRequest("m@v1", np.random.default_rng(5).random((3,) + shape))
+        engine.process_batch([empty, full])
+        assert empty.future.result(timeout=1)[0].shape == (0, layers, classes)
+        trajectories, finals = full.future.result(timeout=1)
+        assert (trajectories.shape, finals.shape) == ((3, layers, classes), (3, classes))
 
     def test_extract_fn_failure_fails_the_waiting_future(self):
         def broken(model_key, groups):
@@ -271,8 +371,6 @@ class TestBatchingEngine:
         fn = _stub_extract_factory([])
         with pytest.raises(ServeError):
             BatchingEngine(fn, max_batch_cases=0)
-        with pytest.raises(ServeError):
-            BatchingEngine(fn, max_wait_seconds=-1.0)
 
 
 # ------------------------------------------------------------------ registry
@@ -358,7 +456,7 @@ class TestServiceEviction:
         inputs, labels = test.arrays()
         registry = ArtifactRegistry(tmp_path / "registry")
         registry.register("m", fitted_deepmorph)
-        with DiagnosisService(registry, batch_wait_seconds=0.001, num_workers=1) as service:
+        with DiagnosisService(registry, num_workers=1) as service:
             service.diagnose("m", inputs, labels)
             assert service.loaded_models() == ["m@v1"]
             service.unregister("m", "v1")
@@ -374,7 +472,7 @@ class TestServiceEviction:
         inputs, labels = test.arrays()
         registry = ArtifactRegistry(tmp_path / "registry")
         registry.register("m", fitted_deepmorph)
-        with DiagnosisService(registry, batch_wait_seconds=0.001, num_workers=1) as service:
+        with DiagnosisService(registry, num_workers=1) as service:
             service.diagnose("m", inputs, labels)
             size = service.metrics.gauge("cache.size")
             assert size.value == len(inputs)
@@ -394,7 +492,7 @@ class TestServiceEviction:
         registry.register("a", fitted_deepmorph)
         registry.register("b", fitted_deepmorph)
         with DiagnosisService(
-            registry, max_loaded_models=1, batch_wait_seconds=0.001, num_workers=1
+            registry, max_loaded_models=1, num_workers=1
         ) as service:
             service.diagnose("a", inputs, labels, version="v1")
             service.diagnose("b", inputs, labels)
@@ -406,7 +504,7 @@ class TestServiceEviction:
             hits = service.cache.stats()["hits"]
             report = service.diagnose("a", inputs, labels, version="v1")
             assert service.cache.stats()["hits"] == hits
-        with DiagnosisService(registry, cache_size=0, batch_wait_seconds=0.001) as fresh:
+        with DiagnosisService(registry, cache_size=0) as fresh:
             expected = fresh.diagnose("a", inputs, labels, version="v1")
         assert report.ratios == expected.ratios
         assert report.counts == expected.counts
@@ -423,7 +521,7 @@ class TestServiceInferenceDtype:
         registry = ArtifactRegistry(tmp_path / "registry")
         registry.register("m", fitted_deepmorph)
         with DiagnosisService(
-            registry, batch_wait_seconds=0.001, num_workers=1, inference_dtype="float64"
+            registry, num_workers=1, inference_dtype="float64"
         ) as service:
             report = service.diagnose("m", inputs, labels)
             assert report.num_cases > 0
@@ -436,7 +534,7 @@ class TestServiceInferenceDtype:
 
         registry = ArtifactRegistry(tmp_path / "registry")
         registry.register("m", fitted_deepmorph)
-        with DiagnosisService(registry, batch_wait_seconds=0.001, num_workers=1) as service:
+        with DiagnosisService(registry, num_workers=1) as service:
             entry = service._entry(service.resolve_key("m"))
             # Artifacts record their own policy (float32 by default).
             assert entry.morph.instrumented.inference_dtype == np.float32
