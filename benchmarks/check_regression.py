@@ -42,7 +42,6 @@ GATES = {
     ],
     "BENCH_serve.json": [
         "batched_vs_loop_speedup",
-        "cache_warm_vs_cold_speedup",
     ],
     "BENCH_client.json": [
         "client_vs_raw_efficiency",

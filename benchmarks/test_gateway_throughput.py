@@ -7,10 +7,10 @@ GIL contention between the executor threads — rather than raw extraction
 compute, which the extraction and diagnosis benchmarks cover in isolation.
 
 The same replica pool is served by two gateways: ``gateway`` as deployed
-(response cache on) and ``gateway_nocache`` (response cache off).  After the
-first round warms the footprint caches, the cached gateway answers repeats on
-the event loop at memory speed while the uncached one re-runs the whole
-per-request diagnosis pipeline on a replica.  Both must return payloads
+(response cache on) and ``gateway_nocache`` (response cache off).  The cached
+gateway answers repeats on the event loop at memory speed, while the uncached
+one runs the full pipeline on a replica for every repeat: extraction,
+specifics and scoring.  Both must return payloads
 **bitwise-identical** to an in-process ``DiagnosisService`` encoded with
 ``JsonCodec``, so the front end never changes the answer.
 
@@ -45,7 +45,7 @@ NUM_REPLICAS = 2
 MIN_SPEEDUP = float(os.environ.get("BENCH_GATEWAY_MIN_SPEEDUP", "1.3"))
 RESULT_PATH = os.environ.get("BENCH_GATEWAY_JSON", "BENCH_gateway.json")
 
-SERVICE_KWARGS = dict(cache_size=4096, num_workers=1)
+SERVICE_KWARGS = dict(num_workers=1)
 
 
 @pytest.fixture(scope="module")
@@ -171,10 +171,10 @@ def test_response_cache_speeds_up_recurring_traffic(serving_scenario):
     gateway = DiagnosisGateway(pool, port=0).start()
     nocache = DiagnosisGateway(pool, port=0, response_cache_size=0).start()
     try:
-        # Parity first (and cache warm-up): both gateways must return the
-        # in-process reference bitwise.  Warm every replica (model residency
-        # + footprint cache), not just the one the first request was routed
-        # to — sequential requests round-robin across equally-idle replicas.
+        # Parity first (and response-cache warm-up): both gateways must return
+        # the in-process reference bitwise.  Warm every replica's model
+        # residency, not just the one the first request was routed to —
+        # sequential requests round-robin across equally-idle replicas.
         for target in (gateway, nocache):
             for _ in range(NUM_REPLICAS):
                 assert _post_once(target.host, target.port, payload) == reference, (

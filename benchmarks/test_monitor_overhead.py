@@ -11,9 +11,9 @@ than stalling the request.
 This benchmark measures that claim the way ``test_obs_overhead.py`` measures
 tracing and ``test_resilience_overhead.py`` measures chaos: identical
 concurrent-client gateway workloads, monitor-on vs monitor-off.  Both phases
-run with the response cache AND the footprint cache disabled so every request
-walks the full extraction path the monitor taps — with caches on, monitored
-and unmonitored throughput are indistinguishable by construction.  The ratio
+run with the response cache disabled so every request walks the full
+extraction path the monitor taps — with it on, monitored and unmonitored
+throughput are indistinguishable by construction.  The ratio
 ``monitor_vs_plain_throughput`` is written to ``BENCH_monitor.json`` and
 gated in CI by ``benchmarks/check_regression.py`` (baseline 0.90, i.e. <=10%
 overhead, the gate's 30% tolerance absorbing runner noise).
@@ -52,9 +52,10 @@ NUM_REPLICAS = 2
 MIN_RATIO = float(os.environ.get("BENCH_MONITOR_MIN_RATIO", "0.60"))
 RESULT_PATH = os.environ.get("BENCH_MONITOR_JSON", "BENCH_monitor.json")
 
-#: Caches off in BOTH phases: every request must reach extraction, where the
-#: monitor tap lives, or the comparison measures nothing.
-SERVICE_KWARGS = dict(cache_size=0, num_workers=1)
+#: Shared by BOTH phases, each behind a gateway with its response cache off:
+#: every request must reach extraction, where the monitor tap lives, or the
+#: comparison measures nothing.
+SERVICE_KWARGS = dict(num_workers=1)
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +145,7 @@ def _hammer(host: str, port: int, payload: bytes):
 
 
 def _run_phase(registry_dir, payload, monitor: bool):
-    """Gateway throughput for one configuration (caches disabled throughout)."""
+    """Gateway throughput for one configuration (response cache disabled)."""
     kwargs = dict(SERVICE_KWARGS)
     if monitor:
         kwargs.update(monitor=True, monitor_window=2048)

@@ -49,7 +49,7 @@ MIN_RATIO = float(os.environ.get("BENCH_OBS_MIN_RATIO", "0.60"))
 RESULT_PATH = os.environ.get("BENCH_OBS_JSON", "BENCH_obs.json")
 TRACE_SAMPLE_PATH = os.environ.get("BENCH_OBS_TRACE", "BENCH_obs_trace.jsonl")
 
-SERVICE_KWARGS = dict(cache_size=4096, num_workers=1)
+SERVICE_KWARGS = dict(num_workers=1)
 
 
 @pytest.fixture(scope="module")

@@ -62,7 +62,7 @@ NUM_REPLICAS = 2
 MIN_RATIO = float(os.environ.get("BENCH_RESILIENCE_MIN_RATIO", "0.60"))
 RESULT_PATH = os.environ.get("BENCH_RESILIENCE_JSON", "BENCH_resilience.json")
 
-SERVICE_KWARGS = dict(cache_size=4096, num_workers=1)
+SERVICE_KWARGS = dict(num_workers=1)
 
 
 @pytest.fixture(scope="module")

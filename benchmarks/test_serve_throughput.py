@@ -1,9 +1,8 @@
-"""Micro-benchmark of the serving layer's batched, cached footprint extraction.
+"""Micro-benchmark of the serving layer's batched footprint extraction.
 
 The serving claim: coalescing diagnosis requests into vectorized extraction
 batches beats the naive per-case loop (one instrumented forward pass per
-production case), and the footprint cache makes repeated cases almost free.
-The speedup comes from amortizing per-call overhead — eval-mode toggling,
+production case).  The speedup comes from amortizing per-call overhead — eval-mode toggling,
 per-layer probe dispatch, python loop setup — over the batch dimension of the
 underlying matrix products.
 """
@@ -21,7 +20,7 @@ from repro.core import DeepMorph, FootprintExtractor
 from repro.data import SyntheticConfig, SyntheticImageClassification
 from repro.models import LeNet
 from repro.optim import Adam
-from repro.serve import BatchingEngine, FootprintCache
+from repro.serve import BatchingEngine
 from repro.training import Trainer
 
 NUM_CASES = 48
@@ -72,9 +71,7 @@ def test_batched_extraction_beats_per_case_loop(fitted_scenario):
     per_case = [extractor.extract_arrays(inputs[i:i + 1]) for i in range(inputs.shape[0])]
     per_case_seconds = time.perf_counter() - start
 
-    engine = BatchingEngine(
-        lambda key, groups: extractor.extract_coalesced(groups), cache=None
-    )
+    engine = BatchingEngine(lambda key, groups: extractor.extract_coalesced(groups))
     start = time.perf_counter()
     batched_traj, batched_final = engine.extract("bench@v1", inputs)
     batched_seconds = time.perf_counter() - start
@@ -103,34 +100,3 @@ def test_batched_extraction_beats_per_case_loop(fitted_scenario):
         f"batched extraction ({batched_seconds:.4f}s) should beat the per-case "
         f"loop ({per_case_seconds:.4f}s) on {inputs.shape[0]} cases"
     )
-
-
-def test_cache_makes_repeated_cases_cheap(fitted_scenario):
-    morph, inputs = fitted_scenario
-    extractor = FootprintExtractor(morph.instrumented)
-    engine = BatchingEngine(
-        lambda key, groups: extractor.extract_coalesced(groups),
-        cache=FootprintCache(maxsize=4 * NUM_CASES),
-    )
-
-    start = time.perf_counter()
-    cold_traj, _ = engine.extract("bench@v1", inputs)
-    cold_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    warm_traj, _ = engine.extract("bench@v1", inputs)
-    warm_seconds = time.perf_counter() - start
-
-    np.testing.assert_array_equal(cold_traj, warm_traj)
-    stats = engine.stats()
-    assert stats["cases_extracted"] == inputs.shape[0]
-    assert stats["cases_from_cache"] == inputs.shape[0]
-    print(
-        f"\ncold: {cold_seconds * 1e3:7.1f} ms   warm (cached): {warm_seconds * 1e3:7.1f} ms"
-    )
-    _record(
-        cold_ms=cold_seconds * 1e3,
-        warm_ms=warm_seconds * 1e3,
-        cache_warm_vs_cold_speedup=cold_seconds / max(warm_seconds, 1e-9),
-    )
-    assert warm_seconds < cold_seconds, "a fully cached batch must beat extraction"

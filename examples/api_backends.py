@@ -5,13 +5,16 @@ Fits a small DeepMorph artifact, registers it, and then diagnoses the same
 production batch through all three ``Diagnoser`` backends:
 
 * ``LocalDiagnoser``   — embedded, no serving machinery;
-* ``ServiceDiagnoser`` — in-process batched/cached service;
+* ``ServiceDiagnoser`` — in-process batched service;
 * ``RemoteDiagnoser``  — HTTP client against an asyncio gateway.
 
-The three reports are bitwise-identical, which is the point: code written
-against the API moves from a notebook to a service to a fleet without its
-numbers changing.  The remote backend is then repeated over the binary wire
-codec (``DiagnoserConfig(wire_codec="binary")``) — same report again, raw
+Each request here is extracted alone, so the three reports are
+bitwise-identical, which is the point: code written against the API moves
+from a notebook to a service to a fleet without its numbers changing.  (A
+served request co-batched with other traffic moves by about 3e-8 in
+float32; see the README's dtype paragraph.)  The remote backend is then
+repeated over the binary wire codec
+(``DiagnoserConfig(wire_codec="binary")``) — same report again, raw
 array bytes instead of JSON text on the wire, and a response-cache hit
 shared with the JSON client.  The script ends with the streaming
 ``diagnose_iter``, which bounds memory on production sets too large to hold.

@@ -16,8 +16,8 @@ The package is organized as:
   fitted DeepMorph instances.
 * :mod:`repro.serve` — the production serving layer: a named/versioned
   artifact registry, request batching that coalesces concurrent diagnoses
-  into vectorized footprint extraction, an LRU footprint cache, an async
-  job queue, and a JSON-over-HTTP front end (``repro-serve``).
+  into vectorized footprint extraction, an async job queue, and an HTTP
+  front end with a response cache (``repro-serve``).
 * :mod:`repro.api` — the versioned public API: the ``v1``
   ``DiagnosisRequest``/``DiagnosisReport`` schema (shared with the serving
   wire protocol), the consolidated ``DiagnoserConfig``, and the ``Diagnoser``

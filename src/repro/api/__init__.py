@@ -18,7 +18,10 @@ The paper's Figure-1 workflow behind one stable, schema-versioned surface:
   ``RemoteDiagnoser``  against a repro-serve server fleet-wide scale-out
   ==================== ============================ ==========================
 
-All three return bitwise-identical reports for the same artifact and inputs.
+A request extracted alone gets a bitwise-identical report from all three
+(``test_bitwise_identical_reports_across_backends`` runs exactly that).  A
+served request that shares an extraction batch with other traffic moves by
+about 3e-8 in float32; see the dtype paragraph of the README.
 
 Quickstart::
 

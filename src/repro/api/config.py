@@ -45,13 +45,12 @@ class DiagnoserConfig:
     Service knobs
     -------------
     extraction_batch_size:
-        Chunk size of instrumented forward passes (shared by every backend so
-        local and served extraction stay bitwise-identical).
+        Chunk size of instrumented forward passes, shared by every backend so
+        a request extracted alone gives the same bits locally and served
+        (co-batched traffic moves served rows by about 3e-8 in float32).
     max_batch_cases:
         Soft cap on the cases the batching engine coalesces into one
         extraction.
-    cache_size:
-        Footprint-cache capacity in cases (0 disables caching).
     num_workers:
         Worker threads for asynchronous jobs.
     max_loaded_models:
@@ -129,7 +128,6 @@ class DiagnoserConfig:
     # -- service ---------------------------------------------------------------
     extraction_batch_size: int = 128
     max_batch_cases: int = 512
-    cache_size: int = 4096
     num_workers: int = 2
     max_loaded_models: int = 8
     request_timeout: float = 120.0
@@ -175,7 +173,6 @@ class DiagnoserConfig:
             if float(value) <= 0:
                 raise ConfigurationError(f"{name} must be > 0, got {value}")
         non_negative = {
-            "cache_size": self.cache_size,
             "max_retries": self.max_retries,
             "retry_backoff_seconds": self.retry_backoff_seconds,
             "retry_after_cap_seconds": self.retry_after_cap_seconds,
@@ -236,7 +233,6 @@ class DiagnoserConfig:
         """Constructor kwargs for :class:`~repro.serve.DiagnosisService`."""
         return {
             "max_batch_cases": self.max_batch_cases,
-            "cache_size": self.cache_size,
             "num_workers": self.num_workers,
             "max_loaded_models": self.max_loaded_models,
             "extraction_batch_size": self.extraction_batch_size,

@@ -7,16 +7,17 @@ array/dataset/streaming conveniences — with interchangeable implementations:
   (optionally loaded from an artifact registry); zero serving machinery.
 * :class:`ServiceDiagnoser` — routes through an in-process
   :class:`~repro.serve.DiagnosisService` or
-  :class:`~repro.serve.ReplicaPool` (batching engine, footprint cache,
-  replica sharding).
+  :class:`~repro.serve.ReplicaPool` (batching engine, replica sharding).
 * :class:`~repro.api.remote.RemoteDiagnoser` — HTTP client for a
   ``repro-serve`` gateway (its own module; no server-side imports here).
 
 All three funnel requests through the shared ``v1`` schema and the same
 array validation, and extraction runs through the same coalesced code path
-with the same chunk size, so for the same artifact and inputs the three
-backends return **bitwise-identical** reports — callers can move between
-embedded and scale-out serving without their numbers moving.
+with the same chunk size, so a request that is extracted alone gets a
+**bitwise-identical** report from each backend.  A served request that shares
+an extraction batch with other traffic can move by about 3e-8 in float32 (see
+the dtype paragraph of the README); ``inference_dtype="float64"`` shrinks that
+to ~1e-16.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ class Diagnoser(abc.ABC):
         client-side span and the request is stamped with a request id in its
         metadata, so the id travels through any backend — including the wire
         to a remote gateway — and back in the report.  With tracing disabled
-        (the default) the request passes through **unmodified**, preserving
-        bitwise report parity across backends.
+        (the default) the request passes through **unmodified**, so a request
+        extracted alone keeps bitwise report parity across backends.
         """
         if request.schema != SCHEMA_VERSION:
             raise SchemaVersionError(
@@ -250,7 +251,9 @@ class LocalDiagnoser(Diagnoser):
     validation, the coalesced extraction path with the configured chunk
     size, the batched specifics/scoring core, and the same metadata shape —
     so a report from this backend is bitwise-identical to one served by
-    :class:`ServiceDiagnoser` or a remote gateway for the same artifact.
+    :class:`ServiceDiagnoser` or a remote gateway for the same artifact when
+    the served request is extracted alone (co-batched, it moves by about
+    3e-8 in float32).
 
     Parameters
     ----------

@@ -1,4 +1,4 @@
-"""``repro-serve``: run the batched, cached diagnosis service over HTTP.
+"""``repro-serve``: run the batched diagnosis service over HTTP.
 
 Typical flow: train a model and fit DeepMorph (``repro-train`` + the library
 API), register the fitted instance in an artifact registry directory, then::
@@ -7,10 +7,11 @@ API), register the fitted instance in an artifact registry directory, then::
 
 and POST production batches to ``/diagnose``.  Requests are served by the
 asyncio gateway over ``--replicas`` service shards, with ``--max-inflight``
-admission control and ``GET /metrics``.  ``--list`` prints the registry's
-contents without starting a server, and ``--bootstrap-demo`` fits and
-registers a small demo model first so the quickstart works from an empty
-directory.
+admission control and ``GET /metrics``.  The gateway's response cache answers
+byte-identical repeats; every other request is extracted by a replica.
+``--list`` prints the registry's contents without starting a server, and
+``--bootstrap-demo`` fits and registers a small demo model first so the
+quickstart works from an empty directory.
 """
 
 from __future__ import annotations
@@ -49,13 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap on the queued cases coalesced into one extraction batch",
     )
     parser.add_argument(
-        "--cache-size", type=int, default=4096,
-        help="footprint cache capacity in cases (0 disables caching)",
-    )
-    parser.add_argument(
         "--replicas", type=int, default=2,
         help="service replicas behind the gateway (each with its own "
-             "engine thread and cache)",
+             "engine thread and resident models)",
     )
     parser.add_argument(
         "--max-inflight", type=int, default=None,
@@ -176,7 +173,6 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     # and an embedded LocalDiagnoser run with identical knobs.
     config = DiagnoserConfig(
         max_batch_cases=args.max_batch_cases,
-        cache_size=args.cache_size,
         num_workers=args.workers,
         inference_dtype=args.inference_dtype,
         wire_codec=args.wire_codec,

@@ -43,6 +43,8 @@ def _dataset_batches(dataset: Dataset, batch_size: int):
     is assembled batch by batch through ``__getitem__``, so memory stays flat
     even for lazily-generated production sets.
     """
+    if batch_size < 1:
+        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     n = len(dataset)
     if isinstance(dataset, ArrayDataset):
         inputs, labels = dataset.inputs, dataset.labels

@@ -268,9 +268,9 @@ class FootprintExtractor:
     ) -> FootprintBatch:
         """Wrap precomputed ``(trajectories, final_probs)`` arrays into a :class:`FootprintBatch`.
 
-        The inverse of :meth:`extract_arrays`: serving layers that cache or
-        batch raw extraction arrays use this to rebuild footprints without
-        touching the model again.  The whole batch is validated once (shapes,
+        The inverse of :meth:`extract_arrays`: serving layers that batch raw
+        extraction arrays use this to rebuild footprints without touching
+        the model again.  The whole batch is validated once (shapes,
         class-count agreement, integral labels) and predictions are one
         ``argmax``; no per-case object is built.
         """

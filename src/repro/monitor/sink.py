@@ -4,9 +4,10 @@ One sink instance watches one service's traffic across all of its models.
 Two taps feed it, with no double counting:
 
 * ``observe_extracted`` — called from the batching engine's drain with the
-  **freshly extracted** ``(trajectories, final_probs)`` of each model group.
-  These rows feed the drift window (cache-hit repeats of the same payload
-  never re-enter it, so a hot cached request cannot swamp the window).
+  extracted ``(trajectories, final_probs)`` of each request.  Every row a
+  replica extracts feeds the drift window; whole-payload repeats answered by
+  the gateway's response cache never reach a replica, so a hot repeated
+  request cannot swamp the window.
 * ``observe_labeled`` — called from ``DiagnosisService.diagnose`` with every
   request's labeled arrays.  These feed the misclassification counters and
   the per-model :class:`~repro.monitor.update.PatternUpdater` buffers.
@@ -220,7 +221,7 @@ class MonitorSink:
     def observe_extracted(
         self, model_key: str, trajectories: np.ndarray, final_probs: np.ndarray
     ) -> None:
-        """Feed freshly extracted cases into the drift window (engine drain tap)."""
+        """Feed extracted cases into the drift window (engine drain tap)."""
         try:
             with obs_span("monitor.update", {"model": model_key, "stage": "window"}):
                 state = self._model(model_key)

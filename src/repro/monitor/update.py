@@ -64,9 +64,9 @@ class PatternUpdater:
 
     The updater owns its *own* :class:`DeepMorph` instance (typically loaded
     fresh from the registry), never the one the serving layer is answering
-    requests with — serving state (cached per-model contexts, footprint
-    caches) stays immutable, and an update only becomes visible by
-    registering a new artifact version.
+    requests with — serving state (resident models and their precomputed
+    per-model contexts) stays immutable, and an update only becomes visible
+    by registering a new artifact version.
 
     Parameters
     ----------

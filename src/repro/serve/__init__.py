@@ -1,12 +1,10 @@
-"""repro.serve — a batched, cached, scale-out diagnosis service over DeepMorph.
+"""repro.serve — a batched, scale-out diagnosis service over DeepMorph.
 
 The paper's pipeline runs one-shot: ``fit`` then ``diagnose``.  This package
 turns it into a long-lived service for production traffic:
 
 * :mod:`~repro.serve.registry` — persist/load fitted DeepMorph artifacts by
   name and version on top of :mod:`repro.serialize`.
-* :mod:`~repro.serve.cache` — a thread-safe LRU cache of per-case footprint
-  extraction results keyed on input digest.
 * :mod:`~repro.serve.batching` — coalesce concurrent diagnosis requests into
   single vectorized instrumented passes.
 * :mod:`~repro.serve.jobs` — worker pool and job store for asynchronous
@@ -19,6 +17,8 @@ turns it into a long-lived service for production traffic:
   with queue-depth-aware routing and admission control.
 * :mod:`~repro.serve.gateway` — :class:`DiagnosisGateway`, the asyncio HTTP
   front end over a replica pool (what ``repro-serve`` runs).
+* :mod:`~repro.serve.cache` — the gateway's response cache (whole-payload
+  repeats are answered there, before any replica) over a thread-safe LRU.
 
 Quickstart::
 
@@ -43,7 +43,7 @@ An embedder with a single service wraps it in a one-replica pool:
 """
 
 from .batching import BatchingEngine, ExtractionRequest
-from .cache import FootprintCache, LRUCache, input_digest
+from .cache import LRUCache
 from .gateway import DiagnosisGateway, parse_request_head, serve_gateway_forever
 from .jobs import Job, JobStatus, JobStore, WorkerPool
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, merge_counters
@@ -59,7 +59,6 @@ __all__ = [
     "DiagnosisGateway",
     "DiagnosisService",
     "ExtractionRequest",
-    "FootprintCache",
     "Gauge",
     "Histogram",
     "Job",
@@ -71,7 +70,6 @@ __all__ = [
     "ReplicaLease",
     "ReplicaPool",
     "WorkerPool",
-    "input_digest",
     "merge_counters",
     "parse_request_head",
     "serve_gateway_forever",

@@ -9,9 +9,9 @@ target model, concatenates their inputs, and pushes each group through one
 :meth:`repro.core.SoftmaxInstrumentedModel.layer_distributions_grouped` call.
 The thread never holds a request back to wait for others: an idle engine
 extracts a lone request at once, and the requests that queue while a batch
-extracts go out together in the next batch, so load still coalesces.  Per-case
-results are memoized in a :class:`~repro.serve.cache.FootprintCache` so
-repeated production cases skip extraction entirely.
+extracts go out together in the next batch, so load still coalesces.  Every
+row of every request reaches the model: whole-payload repeats are answered
+upstream, by the gateway's response cache, and never reach the engine.
 
 Funneling every extraction through the single engine thread also makes the
 service correct under concurrency: the numpy substrate's forward passes stash
@@ -35,7 +35,6 @@ from ..exceptions import DeadlineExceededError, ServeError
 from ..nn.dtype import policy_float
 from ..obs import SpanContext, current_span, get_tracer
 from ..resilience import Deadline, current_deadline, get_injector
-from .cache import FootprintCache
 from .metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 
 __all__ = ["ExtractionRequest", "BatchingEngine"]
@@ -77,16 +76,14 @@ class ExtractionRequest:
 
 
 class BatchingEngine:
-    """Coalesces extraction requests into vectorized, cached batches.
+    """Coalesces extraction requests into vectorized batches.
 
     Parameters
     ----------
     extract_fn:
-        Raw (uncached) coalesced extraction callback, typically bound to
-        ``FootprintExtractor.extract_coalesced`` of a resolved model.
-    cache:
-        Per-case footprint cache consulted before extraction.  ``None``
-        disables caching.
+        Coalesced extraction callback, typically bound to
+        ``FootprintExtractor.extract_coalesced`` of a resolved model.  Each
+        model group of a batch is one call.
     max_batch_cases:
         Soft cap on the number of cases coalesced into one batch; the drain
         loop stops taking queued requests once the pending batch reaches it.
@@ -99,16 +96,13 @@ class BatchingEngine:
         there.
     monitor:
         Optional :class:`~repro.monitor.MonitorSink` (duck-typed: anything
-        with ``observe_extracted``).  Every freshly extracted stack is fed to
-        it from the drain — cache hits are not re-fed, so repeated payloads
-        cannot swamp the drift window.  The sink's contract is to never raise
-        and never block.
+        with ``observe_extracted``).  Every extracted stack is fed to it from
+        the drain.  The sink's contract is to never raise and never block.
     """
 
     def __init__(
         self,
         extract_fn: ExtractFn,
-        cache: Optional[FootprintCache] = None,
         max_batch_cases: int = 512,
         metrics: Optional[MetricsRegistry] = None,
         monitor=None,
@@ -116,7 +110,6 @@ class BatchingEngine:
         if max_batch_cases < 1:
             raise ServeError(f"max_batch_cases must be >= 1, got {max_batch_cases}")
         self.extract_fn = extract_fn
-        self.cache = cache
         self.monitor = monitor
         self.max_batch_cases = int(max_batch_cases)
         self._queue: "queue.Queue" = queue.Queue()
@@ -129,7 +122,6 @@ class BatchingEngine:
             "extraction_calls": 0,
             "cases_requested": 0,
             "cases_extracted": 0,
-            "cases_from_cache": 0,
             "requests_expired": 0,
         }
         self._metrics = metrics
@@ -142,9 +134,6 @@ class BatchingEngine:
             )
             self._m_cases_extracted = metrics.counter(
                 "engine.cases_extracted_total", "cases that reached the instrumented model"
-            )
-            self._m_cases_cached = metrics.counter(
-                "engine.cases_from_cache_total", "cases resolved from the footprint cache"
             )
             self._m_batch_cases = metrics.histogram(
                 "engine.batch_cases",
@@ -211,8 +200,8 @@ class BatchingEngine:
         """Enqueue an extraction request; its future resolves to ``(traj, final)``.
 
         When the engine thread is not running the request is processed
-        synchronously on the calling thread (still through the cache), so the
-        engine degrades gracefully to a direct-call library API.
+        synchronously on the calling thread, so the engine degrades gracefully
+        to a direct-call library API.
         """
         if self._stop.is_set():
             raise ServeError("batching engine is stopped")
@@ -273,7 +262,7 @@ class BatchingEngine:
     # -- batch processing ---------------------------------------------------------
 
     def process_batch(self, requests: Sequence[ExtractionRequest]) -> None:
-        """Resolve a coalesced batch of requests, consulting the cache per case.
+        """Resolve a coalesced batch of requests: one extraction call per model.
 
         Exposed for synchronous use and tests; the drain loop calls it with
         every request that was queued when it took the batch.
@@ -361,87 +350,10 @@ class BatchingEngine:
             self._m_extract_seconds.observe(time.perf_counter() - start)
 
     def _process_model_group(self, model_key: str, group: List[ExtractionRequest]) -> None:
-        if self.cache is None:
-            self._process_model_group_direct(model_key, group)
-            return
-        # A zero-row request has no rows to look up, and only the extractor
-        # knows its (0, layers, classes) / (0, classes) shapes.
-        empty = [request for request in group if request.num_cases == 0]
-        if empty:
-            self._process_model_group_direct(model_key, empty)
-            group = [request for request in group if request.num_cases > 0]
-        # Cached path from here on.  Per-case cache consultation: only rows
-        # never seen before reach the model.  Duplicate rows *within* the
-        # coalesced batch (the same faulty case submitted concurrently) are
-        # extracted once, via their digest.
-        # `slots[r][i]` is row i of request r; a missing slot holds the index
-        # into `missing_rows` it will be filled from.
-        slots: List[List[Optional[Tuple[np.ndarray, np.ndarray]]]] = []
-        digests_per_request: List[List[str]] = []
-        missing_rows: List[np.ndarray] = []
-        missing_at: List[Tuple[int, int, int]] = []
-        digest_to_slot: Dict[str, int] = {}
-        for r, request in enumerate(group):
-            entries, digests = self.cache.lookup(model_key, request.inputs)
-            slots.append(entries)
-            digests_per_request.append(digests)
-            for i, entry in enumerate(entries):
-                if entry is not None:
-                    continue
-                digest = digests[i]
-                if digest in digest_to_slot:
-                    row_index = digest_to_slot[digest]
-                else:
-                    row_index = len(missing_rows)
-                    missing_rows.append(request.inputs[i])
-                    digest_to_slot[digest] = row_index
-                missing_at.append((r, i, row_index))
+        """Hand the group's input stacks to one coalesced extraction call.
 
-        # Dup slots resolved from a co-travelling row count as "from cache":
-        # cases_from_cache + cases_extracted always equals cases_requested.
-        cached_count = sum(r.num_cases for r in group) - len(missing_rows)
-        if missing_rows:
-            stacked = np.stack(missing_rows, axis=0)
-            (trajectories, final_probs), = self._timed_extract(model_key, [stacked])
-            if self.monitor is not None:
-                self.monitor.observe_extracted(model_key, trajectories, final_probs)
-            stored: set = set()
-            for r, i, row_index in missing_at:
-                pair = (trajectories[row_index], final_probs[row_index])
-                slots[r][i] = pair
-                if row_index not in stored:
-                    stored.add(row_index)
-                    self.cache.store(model_key, digests_per_request[r][i], *pair)
-        with self._stats_lock:
-            self._stats["cases_from_cache"] += cached_count
-            self._stats["cases_extracted"] += len(missing_rows)
-            if missing_rows:
-                self._stats["extraction_calls"] += 1
-        if self._metrics is not None:
-            self._m_cases_cached.inc(cached_count)
-            self._m_cases_extracted.inc(len(missing_rows))
-        active = current_span()
-        if active is not None:
-            active.set_attributes(
-                {"cases_from_cache": cached_count, "cases_extracted": len(missing_rows)}
-            )
-
-        for request, entries in zip(group, slots):
-            if request.future.done():
-                continue
-            trajectories = np.stack([entry[0] for entry in entries], axis=0)
-            final_probs = np.stack([entry[1] for entry in entries], axis=0)
-            request.future.set_result((trajectories, final_probs))
-
-    def _process_model_group_direct(
-        self, model_key: str, group: List[ExtractionRequest]
-    ) -> None:
-        """Cache-free fast path: the whole coalesced group goes to the batched core.
-
-        Without a cache there is nothing to consult per row, so the per-slot
-        bookkeeping of the cached path is pure overhead; the requests' input
-        groups are handed directly to one coalesced extraction call and the
-        per-group results map straight back onto the waiting futures.
+        Zero-row requests go along too: only the extractor knows their
+        ``(0, layers, classes)`` / ``(0, classes)`` shapes.
         """
         results = self._timed_extract(model_key, [request.inputs for request in group])
         for request, pair in zip(group, results):
@@ -457,16 +369,14 @@ class BatchingEngine:
             self._m_cases_extracted.inc(extracted)
         active = current_span()
         if active is not None:
-            active.set_attributes({"cases_from_cache": 0, "cases_extracted": extracted})
+            active.set_attribute("cases_extracted", extracted)
 
     # -- introspection ------------------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
-        """Counters describing coalescing and cache effectiveness."""
+        """Counters describing coalescing."""
         with self._stats_lock:
             counters = dict(self._stats)
-        if self.cache is not None:
-            counters["cache"] = self.cache.stats()
         counters["running"] = self.is_running
         return counters
 

@@ -1,17 +1,12 @@
-"""Footprint caching for the diagnosis service.
+"""Response caching for the diagnosis gateway.
 
-Production monitoring re-submits the same inputs over and over (the same
-faulty cases keep showing up while a defect is being investigated), and
-footprint extraction — a full instrumented forward pass plus one probe
-evaluation per hidden layer — is by far the most expensive step of a
-diagnosis.  The service therefore memoizes per-case extraction results in a
-bounded, thread-safe LRU cache keyed on a digest of the raw input bytes.
-
-Cache values are ``(trajectory, final_probs)`` pairs, which are independent of
-the request's true labels: labels are only attached when footprints are
-rebuilt through :meth:`repro.core.FootprintExtractor.from_arrays`, so a case
-cached during one request is reusable by any later request regardless of
-labeling.
+Production monitoring re-submits the same payloads over and over (the same
+faulty cases keep showing up while a defect is being investigated), and a
+diagnosis — extraction, specifics, scoring — is far costlier than a lookup.
+The gateway therefore answers whole-payload repeats from a bounded, TTL'd
+:class:`ResponseCache` before any replica is involved; every request that
+misses it runs the full pipeline.  :class:`LRUCache` is the thread-safe
+mapping underneath.
 """
 
 from __future__ import annotations
@@ -20,33 +15,17 @@ import hashlib
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Optional, Tuple
 
-import numpy as np
-
-__all__ = ["LRUCache", "FootprintCache", "ResponseCache", "ResponseEntry", "input_digest"]
-
-
-def input_digest(row: np.ndarray) -> str:
-    """Stable content digest of one input example.
-
-    Hashes the raw bytes together with shape and dtype so arrays that compare
-    equal after a reshape or cast do not collide.
-    """
-    row = np.ascontiguousarray(row)
-    hasher = hashlib.blake2b(digest_size=16)
-    hasher.update(str(row.dtype).encode())
-    hasher.update(str(row.shape).encode())
-    hasher.update(row.tobytes())
-    return hasher.hexdigest()
+__all__ = ["LRUCache", "ResponseCache", "ResponseEntry"]
 
 
 class LRUCache:
     """A thread-safe least-recently-used mapping with hit/miss accounting.
 
     ``maxsize <= 0`` disables the cache entirely (every ``get`` misses and
-    ``put`` is a no-op), which gives the service a uniform code path for the
-    "caching off" configuration.
+    ``put`` is a no-op), which gives the response cache a uniform code path
+    for the "caching off" configuration.
     """
 
     def __init__(self, maxsize: int = 1024):
@@ -103,92 +82,6 @@ class LRUCache:
 
     def __repr__(self) -> str:
         return f"LRUCache(size={len(self)}, maxsize={self.maxsize})"
-
-
-class FootprintCache:
-    """Per-case ``(trajectory, final_probs)`` cache keyed on ``(model, input digest)``.
-
-    The model key is part of the cache key because the same input produces
-    different footprints under different registered models (or versions of the
-    same model).  When a :class:`~repro.serve.metrics.MetricsRegistry` is
-    given, per-row hits/misses, evictions, and the resident size are recorded
-    there (in addition to the cache's own :meth:`stats` counters).
-    """
-
-    def __init__(self, maxsize: int = 4096, metrics=None):
-        self._cache = LRUCache(maxsize)
-        self._metrics = metrics
-        if metrics is not None:
-            self._m_hits = metrics.counter("cache.hits_total", "footprint cache row hits")
-            self._m_misses = metrics.counter("cache.misses_total", "footprint cache row misses")
-            self._m_evictions = metrics.counter(
-                "cache.evictions_total", "footprint cache rows evicted"
-            )
-            self._m_size = metrics.gauge("cache.size", "footprint cache resident rows")
-
-    def lookup(
-        self, model_key: str, inputs: np.ndarray
-    ) -> Tuple[List[Optional[Tuple[np.ndarray, np.ndarray]]], List[str]]:
-        """Check every row of ``inputs`` against the cache.
-
-        Returns ``(entries, digests)`` where ``entries[i]`` is the cached
-        ``(trajectory, final_probs)`` pair for row ``i`` or ``None`` on a
-        miss, and ``digests[i]`` is row ``i``'s content digest (so the caller
-        can :meth:`store` freshly-extracted rows without re-hashing).
-        """
-        entries: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
-        digests: List[str] = []
-        for i in range(inputs.shape[0]):
-            digest = input_digest(inputs[i])
-            digests.append(digest)
-            entries.append(self._cache.get((model_key, digest)))
-        if self._metrics is not None:
-            hits = sum(1 for entry in entries if entry is not None)
-            self._m_hits.inc(hits)
-            self._m_misses.inc(len(entries) - hits)
-        return entries, digests
-
-    def store(
-        self, model_key: str, digest: str, trajectory: np.ndarray, final_probs: np.ndarray
-    ) -> None:
-        """Cache one freshly-extracted case."""
-        before = self._cache.evictions
-        self._cache.put((model_key, digest), (trajectory.copy(), final_probs.copy()))
-        if self._metrics is not None:
-            self._m_evictions.inc(self._cache.evictions - before)
-        self._update_size()
-
-    def clear(self) -> None:
-        self._cache.clear()
-        self._update_size()
-
-    def invalidate_model(self, name: str, version: Optional[str] = None) -> int:
-        """Drop every cached case of ``name@version`` (every version if ``None``).
-
-        Matches the cache's own keys, not the models resident in a service: a
-        model that has left residency still has its footprints cached.
-        Returns how many cases were dropped.
-        """
-        with self._cache._lock:
-            doomed = [
-                key for key in self._cache._data
-                if key[0] == f"{name}@{version}"
-                or (version is None and key[0].partition("@")[0] == name)
-            ]
-            for key in doomed:
-                del self._cache._data[key]
-        self._update_size()
-        return len(doomed)
-
-    def _update_size(self) -> None:
-        if self._metrics is not None:
-            self._m_size.set(len(self._cache))
-
-    def stats(self) -> Dict[str, int]:
-        return self._cache.stats()
-
-    def __repr__(self) -> str:
-        return f"FootprintCache({self._cache!r})"
 
 
 class ResponseEntry:

@@ -34,7 +34,7 @@ Routes (:meth:`DiagnosisGateway._dispatch_get` and
 ``GET /models``
     Manifest records of every registered artifact version.
 ``GET /stats``
-    Gateway, pool, and per-replica engine/cache/job counters.
+    Gateway, pool, and per-replica engine/job counters.
 ``GET /metrics``
     Counters/gauges/histograms as JSON, or Prometheus text
     (``?format=text`` or ``Accept: text/plain``).

@@ -2,7 +2,7 @@
 
 A long-lived service is only operable if its internals are visible: how many
 requests arrived, how big the coalesced batches actually are, how often the
-footprint cache hits, how deep the replica queues run, and how many requests
+response cache hits, how deep the replica queues run, and how many requests
 were shed at admission.  This module provides the three classic instrument
 kinds — :class:`Counter`, :class:`Gauge`, :class:`Histogram` — behind a
 :class:`MetricsRegistry` that components share and the HTTP layer exposes at
@@ -213,7 +213,7 @@ class MetricsRegistry:
 
     Components ask the registry for their instruments by name; asking twice
     returns the same instrument, so wiring one registry through the service,
-    engine, cache, and job layers needs no coordination beyond the shared
+    engine, and job layers needs no coordination beyond the shared
     object.  Re-registering a name as a different kind is a configuration
     error (it would silently fork the metric).
     """

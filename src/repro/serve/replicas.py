@@ -4,7 +4,7 @@ One :class:`~repro.serve.service.DiagnosisService` serializes every
 extraction on its single engine thread — correct, but a scale ceiling: two
 requests for *different* models still queue behind each other.  The
 :class:`ReplicaPool` runs N independent service replicas (each with its own
-engine thread, loaded-model LRU, and footprint cache) over the same artifact
+engine thread and loaded-model LRU) over the same artifact
 registry, so independent requests extract in parallel while each individual
 replica keeps its single-forward-pass-at-a-time invariant.
 
@@ -145,7 +145,7 @@ class ReplicaPool:
         :meth:`from_registry` for the common same-registry case.
     num_replicas:
         Pool size.  Each replica owns a full service stack (engine thread,
-        cache, worker pool), so memory scales with this.
+        resident models, worker pool), so memory scales with this.
     max_queue_per_replica:
         In-flight requests one replica accepts before it stops being an
         admission candidate.

@@ -1,4 +1,4 @@
-"""The diagnosis service: a long-lived, batched, cached front over DeepMorph.
+"""The diagnosis service: a long-lived, batched front over DeepMorph.
 
 :class:`DiagnosisService` owns
 
@@ -8,9 +8,7 @@
   training inconsistency — which are fixed once fitted and therefore must not
   be recomputed per request),
 * a :class:`~repro.serve.batching.BatchingEngine` that coalesces concurrent
-  requests into vectorized footprint extraction over one forward pass,
-* a :class:`~repro.serve.cache.FootprintCache` so repeated production cases
-  are never re-extracted, and
+  requests into vectorized footprint extraction over one forward pass, and
 * a :class:`~repro.serve.jobs.WorkerPool` for asynchronous multi-model
   diagnosis with polled job status.
 
@@ -47,7 +45,6 @@ from ..nn.dtype import resolve_dtype
 from ..obs import span as obs_span
 from ..resilience import check_deadline, get_injector, remaining_budget
 from .batching import BatchingEngine
-from .cache import FootprintCache
 from .jobs import Job, JobStore, WorkerPool
 from .metrics import MetricsRegistry
 from .registry import ArtifactRegistry
@@ -72,7 +69,7 @@ class LoadedModel:
 
 
 class DiagnosisService:
-    """Serve batched, cached DeepMorph diagnoses for registered models.
+    """Serve batched DeepMorph diagnoses for registered models.
 
     Parameters
     ----------
@@ -82,8 +79,6 @@ class DiagnosisService:
         Soft cap on the cases the batching engine coalesces into one
         extraction; it extracts whatever is queued, up to this cap, as soon
         as it is idle.
-    cache_size:
-        Capacity (in cases) of the footprint cache; ``0`` disables caching.
     num_workers:
         Worker threads for asynchronous jobs.
     max_loaded_models:
@@ -102,7 +97,7 @@ class DiagnosisService:
     metrics:
         Optional shared :class:`~repro.serve.metrics.MetricsRegistry`; by
         default the service creates its own.  The registry is threaded through
-        the batching engine, footprint cache, and worker pool, and exposed at
+        the batching engine and worker pool, and exposed at
         ``GET /metrics`` by the gateway, one snapshot per replica.
     monitor:
         When ``True``, a :class:`~repro.monitor.MonitorSink` watches the
@@ -126,7 +121,6 @@ class DiagnosisService:
         self,
         registry,
         max_batch_cases: int = 512,
-        cache_size: int = 4096,
         num_workers: int = 2,
         max_loaded_models: int = 8,
         extraction_batch_size: int = 128,
@@ -161,9 +155,6 @@ class DiagnosisService:
         self._m_errors = self.metrics.counter(
             "service.errors_total", "diagnoses that raised an error"
         )
-        self.cache = (
-            FootprintCache(cache_size, metrics=self.metrics) if cache_size > 0 else None
-        )
         self.monitor: Optional[MonitorSink] = None
         if monitor:
             updater_factory = (
@@ -183,7 +174,6 @@ class DiagnosisService:
             )
         self.engine = BatchingEngine(
             extract_fn=self._extract_raw,
-            cache=self.cache,
             max_batch_cases=max_batch_cases,
             metrics=self.metrics,
             monitor=self.monitor,
@@ -242,15 +232,12 @@ class DiagnosisService:
             return list(self._entries)
 
     def evict(self, name: str, version: Optional[str] = None) -> List[str]:
-        """Drop resident copies and cached footprints of a model.
+        """Drop resident copies of a model.
 
         Must accompany ``registry.delete`` on a live service — residency
         otherwise keeps serving the deleted artifact (see :meth:`unregister`
         for the combined operation).  ``version=None`` evicts every version
-        of ``name``.  Cached footprints are dropped whether or not the model
-        is still resident, so a version registered again under the same name
-        is never answered from its predecessor's cache.  Returns the evicted
-        resident keys.
+        of ``name``.  Returns the evicted resident keys.
         """
         with self._entries_lock:
             doomed = [
@@ -259,8 +246,6 @@ class DiagnosisService:
             ]
             for key in doomed:
                 del self._entries[key]
-        if self.cache is not None:
-            self.cache.invalidate_model(name, version)
         return doomed
 
     def unregister(self, name: str, version: Optional[str] = None) -> None:
@@ -391,8 +376,8 @@ class DiagnosisService:
                 raise
         if self.monitor is not None:
             # Labeled tap: misclassification counters + partial_fit buffers.
-            # (The drift window is fed by the engine drain with freshly
-            # extracted rows only, so cache hits are not double counted.)
+            # (The drift window is fed by the engine drain, so it is not
+            # fed again here.)
             self.monitor.observe_labeled(key, trajectories, final_probs, labels)
         with obs_span("service.footprints") as fp_span:
             faulty = entry.extractor.from_arrays(trajectories, final_probs, labels).misclassified()

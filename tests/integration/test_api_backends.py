@@ -9,6 +9,7 @@ the pre-facade entry points (``DeepMorph.diagnose``,
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -118,6 +119,26 @@ class TestThreeWayParity:
 
         assert local.to_dict() == service.to_dict() == remote.to_dict()
         assert local.metadata["run"] == "parity"
+
+    def test_rows_seen_in_a_wider_batch_are_extracted_alone_again(
+        self, local_diagnoser, service_diagnoser, remote_diagnoser, tiny_splits
+    ):
+        """Earlier traffic that carried the same rows does not leak into a report."""
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        noise = np.random.default_rng(9).standard_normal(inputs.shape)
+        wider_inputs = np.concatenate([noise, inputs])
+        wider_labels = np.concatenate([np.roll(labels, 1), labels])
+        service_diagnoser.diagnose_arrays(wider_inputs, wider_labels, model="tiny")
+        remote_diagnoser.diagnose_arrays(wider_inputs.tolist(), wider_labels.tolist())
+        # Metadata no earlier test sends, so the gateway's response cache misses.
+        kwargs = dict(metadata={"run": "after-a-wider-batch"})
+
+        local = local_diagnoser.diagnose_arrays(inputs, labels, **kwargs)
+        service = service_diagnoser.diagnose_arrays(inputs, labels, model="tiny", **kwargs)
+        remote = remote_diagnoser.diagnose_arrays(inputs.tolist(), labels.tolist(), **kwargs)
+
+        assert local.to_dict() == service.to_dict() == remote.to_dict()
 
     def test_service_diagnoser_over_a_replica_pool(self, local_diagnoser, pool, tiny_splits):
         _, test = tiny_splits
@@ -341,6 +362,9 @@ class TestStreamingDiagnosis:
             list(local_diagnoser.diagnose_iter(inputs, None, batch_size=8))
         with pytest.raises(ConfigurationError):
             list(local_diagnoser.diagnose_iter(inputs, labels, batch_size=0))
+        for batch_size in (0, -1):
+            with pytest.raises(ConfigurationError, match="batch_size"):
+                list(local_diagnoser.diagnose_iter(test, batch_size=batch_size))
 
 
 class TestBackendBehavior:
@@ -459,8 +483,6 @@ class TestBackendBehavior:
     def test_local_config_dtype_applies_on_both_construction_paths(
         self, registry_dir, fitted_deepmorph
     ):
-        import numpy as np
-
         from repro.api import LocalDiagnoser
 
         config = DiagnoserConfig(inference_dtype="float64")

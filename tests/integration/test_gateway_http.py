@@ -398,8 +398,10 @@ class TestGatewayIntrospection:
         assert stats["response_cache"]["maxsize"] == 5
         assert stats["response_cache"]["ttl_seconds"] == 1.5
 
-    def test_repeat_request_is_served_from_footprint_cache(self, registry_dir, tiny_splits):
-        # One replica: a two-replica pool can route the repeat to a cold cache.
+    def test_repeat_request_reaches_the_model_without_the_response_cache(
+        self, registry_dir, tiny_splits
+    ):
+        # One replica, so both requests land on the engine whose stats are read.
         _, test = tiny_splits
         inputs, labels = test.arrays()
         payload = {"model": "tiny", "inputs": inputs.tolist(), "labels": labels.tolist()}
@@ -415,9 +417,8 @@ class TestGatewayIntrospection:
         finally:
             gateway.shutdown()
             single.close()
-        assert second["ratios"] == first["ratios"]
-        assert after["cases_from_cache"] >= before["cases_from_cache"] + len(test)
-        assert after["cases_extracted"] == before["cases_extracted"]
+        assert second == first
+        assert after["cases_extracted"] == before["cases_extracted"] + len(test)
 
     def test_metrics_schema(self, gateway, tiny_splits):
         _, test = tiny_splits
@@ -497,6 +498,30 @@ class TestGatewayResponseCache:
             assert stats["misses"] == 1
         finally:
             gateway.shutdown()
+
+    def test_hit_never_reaches_the_replica(self, registry_dir, tiny_splits):
+        # One replica, so its engine stats see every request that gets past
+        # the response cache.
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        payload = {"model": "tiny", "inputs": inputs.tolist(), "labels": labels.tolist()}
+        single = ReplicaPool.from_registry(
+            registry_dir, num_replicas=1, num_workers=1
+        )
+        gateway = DiagnosisGateway(single, port=0, response_cache_size=64).start()
+        try:
+            first = _post(gateway.url + "/diagnose", payload)
+            before = _get(gateway.url + "/stats")["pool"]["replicas"][0]["engine"]
+            second = _post(gateway.url + "/diagnose", payload)
+            after = _get(gateway.url + "/stats")["pool"]["replicas"][0]["engine"]
+            cache = _get(gateway.url + "/stats")["gateway"]["response_cache"]
+        finally:
+            gateway.shutdown()
+            single.close()
+        assert second == first
+        assert before["cases_extracted"] == len(test)
+        assert after == before
+        assert (cache["hits"], cache["misses"]) == (1, 1)
 
     def test_cached_response_served_even_when_pool_is_saturated(self, pool, tiny_splits):
         _, test = tiny_splits

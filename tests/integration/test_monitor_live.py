@@ -29,12 +29,7 @@ from repro.serve import (
     ReplicaPool,
 )
 
-MONITOR_KWARGS = dict(
-    num_workers=1,
-    # The drift window is fed by the engine drain with *freshly extracted*
-    # rows; disable the footprint cache so every request exercises that tap.
-    cache_size=0,
-)
+MONITOR_KWARGS = dict(num_workers=1)
 
 
 def _post(url: str, payload: dict) -> dict:
@@ -116,6 +111,29 @@ class TestDriftAlertAndRollback:
             assert rollback == baseline
         finally:
             service.close()
+
+
+class TestDriftWindowFeed:
+    def test_repeated_request_feeds_the_window_each_time(
+        self, monitored_registry, tiny_splits
+    ):
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        service = DiagnosisService(
+            ArtifactRegistry(monitored_registry),
+            monitor=True,
+            monitor_window=256,
+            **MONITOR_KWARGS,
+        )
+        try:
+            for _ in range(2):
+                service.diagnose("tiny", inputs, labels)
+            window = service.monitor_payload()["models"]["tiny@v1"]["window"]
+            observed = service.metrics.as_dict()["monitor.observed_cases"]["value"]
+        finally:
+            service.close()
+        assert window["cases"] == 2 * len(test)
+        assert observed == 2 * len(test)
 
 
 class TestMonitorEndpoints:

@@ -206,6 +206,17 @@ class TestDiagnoserConfig:
         accepted = set(signature(DiagnosisService.__init__).parameters)
         assert set(DiagnoserConfig().service_kwargs()) <= accepted
 
+    def test_every_service_knob_is_configurable(self):
+        from inspect import signature
+
+        from repro.serve.service import DiagnosisService
+
+        # Not knobs: the registry is the backend's, metrics are owned per service.
+        knobs = set(signature(DiagnosisService.__init__).parameters) - {
+            "self", "registry", "metrics",
+        }
+        assert knobs == set(DiagnoserConfig().service_kwargs())
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             DiagnoserConfig(probe_epochs=0)
@@ -217,8 +228,8 @@ class TestDiagnoserConfig:
             DiagnoserConfig(inference_dtype="float16")
 
     def test_with_overrides_revalidates(self):
-        config = DiagnoserConfig().with_overrides(cache_size=0)
-        assert config.cache_size == 0
+        config = DiagnoserConfig().with_overrides(max_batch_cases=32)
+        assert config.max_batch_cases == 32
         with pytest.raises(ConfigurationError):
             config.with_overrides(num_workers=0)
 

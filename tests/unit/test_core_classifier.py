@@ -181,6 +181,31 @@ class TestDeepMorphFacade:
         assert inputs.shape[0] == labels.shape[0] == predictions.shape[0]
         assert np.all(labels != predictions)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_find_faulty_cases_rejects_non_positive_batch_size(
+        self, fitted_deepmorph, tiny_splits, batch_size
+    ):
+        _, test = tiny_splits
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            find_faulty_cases(fitted_deepmorph.model, test, batch_size=batch_size)
+
+    def test_find_faulty_cases_is_independent_of_batch_size(
+        self, fitted_deepmorph, tiny_splits
+    ):
+        from repro.data import Subset
+
+        _, test = tiny_splits
+        expected = find_faulty_cases(fitted_deepmorph.model, test)
+        assert expected[0].shape[0] >= 1
+        lazy = Subset(test, np.arange(len(test)))  # streamed through __getitem__
+        for dataset in (test, lazy):
+            for batch_size in (1, 7):
+                found = find_faulty_cases(
+                    fitted_deepmorph.model, dataset, batch_size=batch_size
+                )
+                for got, want in zip(found, expected):
+                    np.testing.assert_array_equal(got, want)
+
     def test_find_faulty_cases_empty_dataset(self, fitted_deepmorph):
         from repro.data import ArrayDataset
 

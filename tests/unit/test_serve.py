@@ -1,4 +1,4 @@
-"""Unit tests for the serving subsystem: cache, batching engine, registry, jobs."""
+"""Unit tests for the serving subsystem: LRU cache, batching engine, registry, jobs."""
 
 from __future__ import annotations
 
@@ -13,12 +13,10 @@ from repro.serve import (
     ArtifactRegistry,
     BatchingEngine,
     ExtractionRequest,
-    FootprintCache,
     JobStatus,
     JobStore,
     LRUCache,
     WorkerPool,
-    input_digest,
 )
 
 NUM_LAYERS = 3
@@ -62,70 +60,6 @@ class TestLRUCache:
         cache.put("a", 1)
         assert cache.get("a") is None
         assert len(cache) == 0
-
-
-class TestInputDigest:
-    def test_equal_content_equal_digest(self):
-        row = np.arange(12, dtype=np.float64).reshape(3, 4)
-        assert input_digest(row) == input_digest(row.copy())
-
-    def test_shape_and_dtype_matter(self):
-        row = np.arange(12, dtype=np.float64)
-        assert input_digest(row) != input_digest(row.reshape(3, 4))
-        assert input_digest(row) != input_digest(row.astype(np.float32))
-
-    def test_content_matters(self):
-        row = np.zeros(8)
-        other = row.copy()
-        other[3] = 1e-9
-        assert input_digest(row) != input_digest(other)
-
-
-class TestFootprintCache:
-    def test_lookup_miss_store_hit(self):
-        cache = FootprintCache(maxsize=16)
-        inputs = np.random.default_rng(0).random((2, 1, 4, 4))
-        entries, digests = cache.lookup("m@v1", inputs)
-        assert entries == [None, None]
-        cache.store("m@v1", digests[0], np.ones((3, 4)), np.ones(4))
-        entries, _ = cache.lookup("m@v1", inputs)
-        assert entries[0] is not None
-        assert entries[1] is None
-        trajectory, final = entries[0]
-        np.testing.assert_array_equal(trajectory, np.ones((3, 4)))
-        np.testing.assert_array_equal(final, np.ones(4))
-
-    def test_model_key_partitions_the_cache(self):
-        cache = FootprintCache(maxsize=16)
-        inputs = np.random.default_rng(1).random((1, 2, 2))
-        _, digests = cache.lookup("m@v1", inputs)
-        cache.store("m@v1", digests[0], np.zeros((3, 4)), np.zeros(4))
-        entries, _ = cache.lookup("m@v2", inputs)
-        assert entries == [None]
-
-    def test_invalidate_model_matches_name_and_version(self):
-        cache = FootprintCache(maxsize=16)
-        for key in ("m@v1", "m@v2", "mm@v1"):
-            cache.store(key, "digest", np.zeros((3, 4)), np.zeros(4))
-        assert cache.invalidate_model("m", "v1") == 1
-        assert cache.invalidate_model("m", "v1") == 0
-        assert cache.invalidate_model("m") == 1  # m@v2; mm@v1 is another model
-        assert cache.stats()["size"] == 1
-
-    def test_size_gauge_follows_invalidation_and_clear(self):
-        from repro.serve.metrics import MetricsRegistry
-
-        metrics = MetricsRegistry()
-        cache = FootprintCache(maxsize=16, metrics=metrics)
-        for digest in ("a", "b", "c"):
-            cache.store("m@v1", digest, np.zeros((3, 4)), np.zeros(4))
-        cache.store("n@v1", "a", np.zeros((3, 4)), np.zeros(4))
-        size = metrics.gauge("cache.size")
-        assert size.value == 4
-        cache.invalidate_model("m")
-        assert size.value == 1
-        cache.clear()
-        assert size.value == 0
 
 
 # ------------------------------------------------------------ batching engine
@@ -178,7 +112,7 @@ def _held_stub():
 class TestBatchingEngine:
     def test_process_batch_coalesces_requests_into_one_extraction(self):
         calls = []
-        engine = BatchingEngine(_stub_extract_factory(calls), cache=None)
+        engine = BatchingEngine(_stub_extract_factory(calls))
         rng = np.random.default_rng(2)
         req_a = ExtractionRequest("m@v1", rng.random((3, 2)) + 1)
         req_b = ExtractionRequest("m@v1", rng.random((5, 2)) + 10)
@@ -193,7 +127,7 @@ class TestBatchingEngine:
 
     def test_results_split_back_per_request(self):
         calls = []
-        engine = BatchingEngine(_stub_extract_factory(calls), cache=None)
+        engine = BatchingEngine(_stub_extract_factory(calls))
         a = np.full((2, 3), 7.0)
         b = np.full((4, 3), 9.0)
         ra = engine.submit("m@v1", a)
@@ -207,63 +141,93 @@ class TestBatchingEngine:
 
     def test_requests_for_different_models_are_not_mixed(self):
         calls = []
-        engine = BatchingEngine(_stub_extract_factory(calls), cache=None)
+        engine = BatchingEngine(_stub_extract_factory(calls))
         ra = ExtractionRequest("m@v1", np.full((2, 2), 1.0))
         rb = ExtractionRequest("other@v3", np.full((2, 2), 2.0))
         engine.process_batch([ra, rb])
         assert sorted(key for key, _ in calls) == ["m@v1", "other@v3"]
 
-    def test_duplicate_rows_in_one_batch_extracted_once(self):
+    def test_each_model_group_is_one_extraction_call_in_submission_order(self):
         calls = []
-        cache = FootprintCache(maxsize=64)
-        engine = BatchingEngine(_stub_extract_factory(calls), cache=cache)
+        engine = BatchingEngine(_stub_extract_factory(calls))
+        requests = [
+            ExtractionRequest("m@v1", np.full((2, 2), 1.0)),
+            ExtractionRequest("other@v3", np.full((1, 2), 2.0)),
+            ExtractionRequest("m@v1", np.zeros((0, 2))),
+            ExtractionRequest("m@v1", np.full((3, 2), 3.0)),
+        ]
+        engine.process_batch(requests)
+        # Zero-row requests travel in their group's call like any other.
+        assert calls == [("m@v1", [2, 0, 3]), ("other@v3", [1])]
+        for request, value in zip(requests, (1.0, 2.0, None, 3.0)):
+            trajectories, finals = request.future.result(timeout=1)
+            assert trajectories.shape == (request.num_cases, NUM_LAYERS, NUM_CLASSES)
+            assert finals.shape == (request.num_cases, NUM_CLASSES)
+            if value is not None:
+                assert np.all(trajectories == value) and np.all(finals == value)
+        assert engine.stats()["extraction_calls"] == 2
+
+    def test_duplicate_rows_in_one_batch_are_each_extracted(self):
+        calls = []
+        engine = BatchingEngine(_stub_extract_factory(calls))
         row = np.full((1, 2), 5.0)
         requests = [ExtractionRequest("m@v1", row.copy()) for _ in range(4)]
         engine.process_batch(requests)
-        # One extraction call for ONE unique row, not four.
-        assert calls == [("m@v1", [1])]
+        assert calls == [("m@v1", [1, 1, 1, 1])]
         for request in requests:
             trajectories, finals = request.future.result(timeout=1)
             assert np.all(trajectories == 5.0) and np.all(finals == 5.0)
-        stats = engine.stats()
-        assert stats["cases_extracted"] == 1
-        assert stats["cases_from_cache"] == 3
+        assert engine.stats()["cases_extracted"] == 4
 
-    def test_cache_short_circuits_repeated_cases(self):
+    def test_repeated_request_is_extracted_again(self):
         calls = []
-        cache = FootprintCache(maxsize=64)
-        engine = BatchingEngine(_stub_extract_factory(calls), cache=cache)
+        engine = BatchingEngine(_stub_extract_factory(calls))
         inputs = np.random.default_rng(3).random((6, 2))
         first = engine.extract("m@v1", inputs)
-        assert len(calls) == 1
         second = engine.extract("m@v1", inputs)
-        assert len(calls) == 1, "fully cached batch must not reach the model"
+        assert calls == [("m@v1", [6]), ("m@v1", [6])]
         np.testing.assert_array_equal(first[0], second[0])
         np.testing.assert_array_equal(first[1], second[1])
-        stats = engine.stats()
-        assert stats["cases_from_cache"] == 6
-        assert stats["cases_extracted"] == 6
+        assert engine.stats()["cases_extracted"] == 12
 
-    def test_partial_cache_hit_extracts_only_missing_rows(self):
-        calls = []
-        cache = FootprintCache(maxsize=64)
-        engine = BatchingEngine(_stub_extract_factory(calls), cache=cache)
+    def test_every_requested_case_is_extracted(self):
+        engine = BatchingEngine(_stub_extract_factory([]))
         rng = np.random.default_rng(4)
         seen = rng.random((3, 2))
         engine.extract("m@v1", seen)
-        calls.clear()
-        fresh = rng.random((2, 2))
-        mixed = np.concatenate([seen, fresh], axis=0)
-        trajectories, finals = engine.extract("m@v1", mixed)
-        assert len(calls) == 1
-        assert calls[0][1] == [2], "only the 2 unseen rows reach extraction"
-        assert trajectories.shape[0] == 5
-        for i in range(5):
-            assert np.all(trajectories[i] == mixed[i].flat[0])
+        engine.extract("m@v1", np.concatenate([seen, rng.random((2, 2))]))
+        engine.process_batch([
+            ExtractionRequest("m@v1", seen),
+            ExtractionRequest("n@v1", np.zeros((0, 2))),
+        ])
+        stats = engine.stats()
+        assert stats["cases_requested"] == stats["cases_extracted"] == 11
+        assert (stats["requests"], stats["batches"], stats["extraction_calls"]) == (4, 3, 4)
+
+    def test_monitor_observes_every_extracted_request(self):
+        class RecordingMonitor:
+            def __init__(self):
+                self.observed = []
+
+            def observe_extracted(self, model_key, trajectories, final_probs):
+                self.observed.append((model_key, trajectories.shape[0], final_probs.shape[0]))
+
+        monitor = RecordingMonitor()
+        engine = BatchingEngine(_stub_extract_factory([]), monitor=monitor)
+        inputs = np.random.default_rng(6).random((3, 2))
+        engine.extract("m@v1", inputs)
+        engine.extract("m@v1", inputs)
+        engine.process_batch([
+            ExtractionRequest("m@v1", inputs[:1]),
+            ExtractionRequest("n@v2", inputs),
+        ])
+        assert monitor.observed == [
+            ("m@v1", 3, 3), ("m@v1", 3, 3), ("m@v1", 1, 1), ("n@v2", 3, 3),
+        ]
 
     def test_requests_queued_during_an_extraction_form_the_next_batch(self):
         held, batches, entered, release = _held_stub()
-        engine = BatchingEngine(held, cache=None, max_batch_cases=5).start()
+        engine = BatchingEngine(held, max_batch_cases=5).start()
         try:
             first = engine.submit("m@v1", np.full((2, 2), 0.0))
             assert entered.wait(timeout=5)
@@ -289,7 +253,7 @@ class TestBatchingEngine:
             entered_at.append(time.perf_counter())
             return stub(model_key, groups)
 
-        engine = BatchingEngine(timed, cache=None).start()
+        engine = BatchingEngine(timed).start()
         delays = []
         try:
             for i in range(20):
@@ -306,9 +270,7 @@ class TestBatchingEngine:
         hold = 0.05
         metrics = MetricsRegistry()
         held, _, entered, release = _held_stub()
-        engine = BatchingEngine(
-            held, cache=FootprintCache(maxsize=64), metrics=metrics
-        ).start()
+        engine = BatchingEngine(held, metrics=metrics).start()
         try:
             first = engine.submit("m@v1", np.full((1, 2), 0.0))
             assert entered.wait(timeout=5)
@@ -317,24 +279,19 @@ class TestBatchingEngine:
             release.set()
             for request in [first] + queued:
                 request.future.result(timeout=5)
-            # A fully cached request is resolved without extraction; it is
-            # observed all the same.
-            engine.extract("m@v1", np.full((1, 2), 1.0), timeout=5)
         finally:
             release.set()
             engine.stop()
         waits = metrics.as_dict()["engine.queue_wait_seconds"]
-        assert waits["count"] == 4
+        assert waits["count"] == 3
         assert waits["max"] >= hold
 
-    @pytest.mark.parametrize("cached", [False, True])
-    def test_empty_request_has_the_extractor_shapes(self, fitted_deepmorph, cached):
+    def test_empty_request_has_the_extractor_shapes(self, fitted_deepmorph):
         from repro.core import FootprintExtractor
 
         extractor = FootprintExtractor(fitted_deepmorph.instrumented)
         engine = BatchingEngine(
-            lambda model_key, groups: extractor.extract_coalesced(groups),
-            cache=FootprintCache(maxsize=64) if cached else None,
+            lambda model_key, groups: extractor.extract_coalesced(groups)
         )
         shape = fitted_deepmorph.model.input_shape
         layers = fitted_deepmorph.instrumented.num_layers
@@ -356,13 +313,13 @@ class TestBatchingEngine:
         def broken(model_key, groups):
             raise RuntimeError("model exploded")
 
-        engine = BatchingEngine(broken, cache=None)
+        engine = BatchingEngine(broken)
         request = engine.submit("m@v1", np.ones((1, 2)))
         with pytest.raises(RuntimeError, match="model exploded"):
             request.future.result(timeout=1)
 
     def test_stop_fails_queued_requests(self):
-        engine = BatchingEngine(_stub_extract_factory([]), cache=None)
+        engine = BatchingEngine(_stub_extract_factory([]))
         engine.start()
         engine.stop()
         assert not engine.is_running
@@ -461,28 +418,12 @@ class TestServiceEviction:
             assert service.loaded_models() == ["m@v1"]
             service.unregister("m", "v1")
             assert service.loaded_models() == []
-            assert service.cache.stats()["size"] == 0
             with pytest.raises(ArtifactNotFoundError):
                 service.diagnose("m", inputs, labels, version="v1")
 
-    def test_unregister_resets_the_cache_size_gauge(self, tmp_path, fitted_deepmorph, tiny_splits):
-        from repro.serve import DiagnosisService
-
-        _, test = tiny_splits
-        inputs, labels = test.arrays()
-        registry = ArtifactRegistry(tmp_path / "registry")
-        registry.register("m", fitted_deepmorph)
-        with DiagnosisService(registry, num_workers=1) as service:
-            service.diagnose("m", inputs, labels)
-            size = service.metrics.gauge("cache.size")
-            assert size.value == len(inputs)
-            service.unregister("m")
-            assert size.value == 0
-
-    def test_unregister_drops_cached_footprints_of_a_non_resident_model(
+    def test_version_registered_again_after_unregister_serves_the_new_artifact(
         self, tmp_path, fitted_deepmorph, trained_tiny_model, tiny_splits
     ):
-        """A version registered again under the same name is not served stale footprints."""
         from repro.core import DeepMorph
         from repro.serve import DiagnosisService
 
@@ -490,24 +431,59 @@ class TestServiceEviction:
         inputs, labels = test.arrays()
         registry = ArtifactRegistry(tmp_path / "registry")
         registry.register("a", fitted_deepmorph)
-        registry.register("b", fitted_deepmorph)
-        with DiagnosisService(
-            registry, max_loaded_models=1, num_workers=1
-        ) as service:
-            service.diagnose("a", inputs, labels, version="v1")
-            service.diagnose("b", inputs, labels)
-            assert service.loaded_models() == ["b@v1"]  # a@v1 left residency, not the cache
+        with DiagnosisService(registry, num_workers=1) as service:
+            before = service.diagnose("a", inputs, labels, version="v1")
             service.unregister("a")
-            assert service.cache.stats()["size"] == len(inputs)  # only b's rows remain
             refit = DeepMorph(probe_epochs=2, rng=7).fit(trained_tiny_model, train)
             registry.register("a", refit, version="v1")
-            hits = service.cache.stats()["hits"]
             report = service.diagnose("a", inputs, labels, version="v1")
-            assert service.cache.stats()["hits"] == hits
-        with DiagnosisService(registry, cache_size=0) as fresh:
+        with DiagnosisService(registry, num_workers=1) as fresh:
             expected = fresh.diagnose("a", inputs, labels, version="v1")
-        assert report.ratios == expected.ratios
-        assert report.counts == expected.counts
+        assert report.as_dict() == expected.as_dict()
+        assert report.ratios != before.ratios
+
+
+class TestServiceExtraction:
+    def test_repeat_diagnosis_reaches_the_model_again(
+        self, tmp_path, fitted_deepmorph, tiny_splits
+    ):
+        from repro.serve import DiagnosisService
+
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        registry = ArtifactRegistry(tmp_path / "registry")
+        registry.register("m", fitted_deepmorph)
+        with DiagnosisService(registry, num_workers=1) as service:
+            first = service.diagnose("m", inputs, labels)
+            second = service.diagnose("m", inputs, labels)
+            metrics = service.metrics.as_dict()
+            stats = service.engine.stats()
+        assert second.as_dict() == first.as_dict()
+        assert metrics["engine.cases_extracted_total"]["value"] == 2 * len(inputs)
+        assert stats["cases_extracted"] == stats["cases_requested"] == 2 * len(inputs)
+        assert not [name for name in metrics if name.startswith("cache.")]
+
+    def test_report_depends_only_on_the_artifact_and_the_inputs(
+        self, tmp_path, fitted_deepmorph, tiny_splits
+    ):
+        """Rows seen before, inside a larger batch, are extracted alone again."""
+        from repro.serve import DiagnosisService
+
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        noise = np.random.default_rng(8).standard_normal(inputs.shape)
+        registry = ArtifactRegistry(tmp_path / "registry")
+        registry.register("m", fitted_deepmorph)
+        with DiagnosisService(registry, num_workers=1) as service:
+            service.diagnose(
+                "m",
+                np.concatenate([noise, inputs]),
+                np.concatenate([np.roll(labels, 1), labels]),
+            )
+            report = service.diagnose("m", inputs, labels)
+        with DiagnosisService(registry, num_workers=1) as fresh:
+            expected = fresh.diagnose("m", inputs, labels)
+        assert report.as_dict() == expected.as_dict()
 
 
 class TestServiceInferenceDtype:
