@@ -208,10 +208,12 @@ def _measure_codec(gateway, inputs, labels, codec: str) -> float:
 def test_binary_codec_efficiency_vs_json(gateway_scenario):
     """The point of the binary wire format: skip the float→text→float tax.
 
-    Both clients post the *same numpy batch* to the same warmed gateway (the
-    response cache shares one entry across codecs, so the server side is a
-    memory lookup either way); the JSON client pays ``tolist`` + ``dumps`` per
-    request, the binary client a contiguous buffer copy.  The gated metric is
+    Both clients post the *same numpy batch* to the same warmed gateway.  The
+    response cache keys on the raw body, so the binary client's first request
+    (the parity guard below) is a miss; every later request of either client
+    is a byte-identical repeat answered from memory.  The JSON client pays
+    ``tolist`` + ``dumps`` per request, the binary client a contiguous buffer
+    copy.  The gated metric is
     the ratio of their ``client_vs_raw_efficiency`` values, which reduces to
     ``json_seconds / binary_seconds``.
     """

@@ -14,14 +14,17 @@ from a notebook to a service to a fleet without its numbers changing.  (A
 served request co-batched with other traffic moves by about 3e-8 in
 float32; see the README's dtype paragraph.)  The remote backend is then
 repeated over the binary wire codec
-(``DiagnoserConfig(wire_codec="binary")``) — same report again, raw
-array bytes instead of JSON text on the wire, and a response-cache hit
-shared with the JSON client.  The script ends with the streaming
+(``DiagnoserConfig(wire_codec="binary")``) — raw array bytes instead of
+JSON text on the wire.  Its body differs from the JSON one, so the
+gateway's response cache misses and the server diagnoses it again; the
+report must still be the same.  The script ends with the streaming
 ``diagnose_iter``, which bounds memory on production sets too large to hold.
+It exits with status 1 when the reports differ.
 
     python examples/api_backends.py
 """
 
+import sys
 import tempfile
 
 from repro import DeepMorph
@@ -34,7 +37,7 @@ from repro.serve import ArtifactRegistry, DiagnosisGateway, ReplicaPool
 from repro.training import Trainer
 
 
-def main() -> None:
+def main() -> int:
     # ---------------------------------------------------------------- artifact
     generator = SyntheticMNIST()
     train_data, production = generator.splits(n_train_per_class=60, n_test_per_class=30, rng=0)
@@ -72,14 +75,14 @@ def main() -> None:
             # Binary wire codec: same request, same report, but the arrays
             # cross the wire as raw bytes instead of JSON text — the fast
             # choice for clients that already hold numpy batches.  The server
-            # needs no flag: codecs are negotiated per request, and both
-            # codecs share one response-cache entry, so this request hits the
-            # entry the JSON client just warmed.
+            # needs no flag: codecs are negotiated per request.  The response
+            # cache keys on the raw body, so this is a miss and a second full
+            # diagnosis, compared below with the JSON client's report.
             binary_config = config.with_overrides(wire_codec="binary")
             with RemoteDiagnoser(gateway.url, config=binary_config, default_model="demo") as remote:
                 reports["binary"] = remote.diagnose_arrays(inputs, labels)
                 print(f"binary cache    : {reports['binary'].cache_state} "
-                      f"(shared with the JSON client's entry)")
+                      f"(another body than the JSON request's, diagnosed again)")
         finally:
             gateway.shutdown()
             pool.close()
@@ -95,7 +98,8 @@ def main() -> None:
         print("\nstreaming diagnose_iter (batches of 64 production cases):")
         for i, report in enumerate(local.diagnose_iter(production, batch_size=64)):
             print(f"  batch {i}: {report.num_cases:3d} faulty -> {report.format_row()}")
+    return 0 if identical else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

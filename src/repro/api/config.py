@@ -91,14 +91,10 @@ class DiagnoserConfig:
         Total budget stamped on remote requests as ``X-Deadline-Ms``; the
         server refuses work the budget can no longer pay for (HTTP 504).
         ``None`` (the default) sends no deadline.
-    hedge_after_seconds:
-        When set, a ``/diagnose`` call that has not answered after this many
-        seconds launches one backup attempt; the first response wins and the
-        loser is abandoned.  Tail-latency insurance for idempotent reads;
-        ``None`` disables hedging.
     breaker_failure_threshold, breaker_reset_seconds:
         Client-side circuit breaker of :class:`~repro.api.RemoteDiagnoser`:
-        after ``breaker_failure_threshold`` consecutive failures calls fail
+        after ``breaker_failure_threshold`` consecutive failures (transport
+        errors after retries, 5xx responses other than ``504``) calls fail
         locally with :class:`~repro.exceptions.CircuitOpenError` until a
         half-open probe succeeds after ``breaker_reset_seconds``.
     propagate_trace_headers:
@@ -145,7 +141,6 @@ class DiagnoserConfig:
     wire_codec: str = "json"
     connection_pool_size: int = 2
     deadline_seconds: Optional[float] = None
-    hedge_after_seconds: Optional[float] = None
     breaker_failure_threshold: int = 5
     breaker_reset_seconds: float = 5.0
 
@@ -184,7 +179,6 @@ class DiagnoserConfig:
                 raise ConfigurationError(f"{name} must be >= 0, got {value}")
         for name, value in (
             ("deadline_seconds", self.deadline_seconds),
-            ("hedge_after_seconds", self.hedge_after_seconds),
             ("monitor_max_age_seconds", self.monitor_max_age_seconds),
         ):
             if value is not None and float(value) <= 0:

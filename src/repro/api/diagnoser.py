@@ -111,11 +111,10 @@ class Diagnoser(abc.ABC):
     def diagnose_many(self, requests: Sequence[DiagnosisRequest]) -> List[DiagnosisReport]:
         """Diagnose several independent requests, reports in request order.
 
-        The base implementation is a sequential loop; backends with a wire in
-        between override it (``RemoteDiagnoser`` pipelines the batch over one
-        keep-alive connection, amortizing a round-trip per request down to
-        one send/receive phase).  Error semantics match the loop: the first
-        failing request raises its typed exception.
+        A sequential loop over :meth:`diagnose` on every backend, so each
+        request keeps the contract of a single call (on ``RemoteDiagnoser``:
+        the circuit breaker, retries and deadline), and the first failing
+        request raises its typed exception.
         """
         return [self.diagnose(request) for request in requests]
 

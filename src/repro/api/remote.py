@@ -1,7 +1,10 @@
 """``RemoteDiagnoser``: the HTTP client backend for a ``repro-serve`` gateway.
 
-A thin, dependency-free (stdlib ``http.client`` + ``socket``) counterpart of
-the serving gateway:
+A thin, dependency-free (stdlib ``http.client``) counterpart of the serving
+gateway.  Every call — ``diagnose``, the inherited sequential
+``diagnose_many`` loop, and the ``GET`` introspection endpoints — takes one
+path, :meth:`RemoteDiagnoser._request`, so each pays the same breaker,
+retries and deadline:
 
 * **pluggable wire codec** — requests are encoded by the codec named in
   ``DiagnoserConfig.wire_codec`` (``"json"``, the compatibility default, or
@@ -10,11 +13,10 @@ the serving gateway:
   reads a JSON error document;
 * **keep-alive connection pool** — up to ``config.connection_pool_size``
   persistent connections are kept and reused; concurrent callers beyond the
-  pool size open short-lived extras instead of serializing on a lock;
-* **request pipelining** — :meth:`diagnose_many` writes a whole batch of
-  ``POST /diagnose`` requests down one connection before reading any
-  response, collapsing N round-trip latencies into one send/receive phase on
-  the thin-payload path;
+  pool size open short-lived extras instead of serializing on a lock.  A
+  pooled connection the server closed while it sat idle is replaced at once:
+  the request goes out again on a new connection, with no backoff and no
+  retry spent;
 * **bounded retries with full jitter** — transport failures back off by
   ``uniform(0, base * 2**attempt)`` so a burst of failing clients
   decorrelates instead of retrying in lock-step, and 503 responses honor
@@ -23,14 +25,16 @@ the serving gateway:
   :class:`~repro.exceptions.ServiceSaturatedError` is surfaced;
 * **a circuit breaker per endpoint** — after
   ``DiagnoserConfig.breaker_failure_threshold`` consecutive failures
-  (transport errors after retries, or 5xx responses) calls fail locally
-  with :class:`~repro.exceptions.CircuitOpenError` until a half-open probe
-  succeeds, so this client stops feeding a struggling server;
-* **deadlines and hedging** — ``DiagnoserConfig.deadline_seconds`` stamps
-  the remaining budget on the wire as ``X-Deadline-Ms`` (an ambient server
-  deadline propagates automatically in server-to-server calls), and
-  ``DiagnoserConfig.hedge_after_seconds`` launches one backup ``/diagnose``
-  attempt when the first is slow — first response wins;
+  (transport errors after retries, or 5xx responses other than ``504``)
+  calls fail locally with :class:`~repro.exceptions.CircuitOpenError` until
+  a half-open probe succeeds, so this client stops feeding a struggling
+  server;
+* **deadlines** — ``DiagnoserConfig.deadline_seconds`` stamps the remaining
+  budget on the wire as ``X-Deadline-Ms`` (an ambient server deadline
+  propagates automatically in server-to-server calls); a budget that runs
+  out, here or at the gateway (``504``), raises
+  :class:`~repro.exceptions.DeadlineExceededError` and never counts as a
+  breaker failure;
 * **typed errors** — every non-200 response is mapped back onto the
   :mod:`repro.exceptions` hierarchy via
   :func:`~repro.exceptions.exception_from_wire`, so remote callers catch the
@@ -41,15 +45,12 @@ the serving gateway:
 
 from __future__ import annotations
 
-import contextvars
 import http.client
 import json
-import queue
 import random
-import socket
 import threading
 import time
-from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
 
 from ..exceptions import (
@@ -57,7 +58,6 @@ from ..exceptions import (
     ConfigurationError,
     DeadlineExceededError,
     RemoteTransportError,
-    SchemaVersionError,
     exception_from_wire,
 )
 from ..obs import current_request_id, get_tracer
@@ -72,14 +72,9 @@ from ..resilience import (
 from ..wire import Codec, codec_for_content_type, get_codec
 from .config import DiagnoserConfig
 from .diagnoser import Diagnoser
-from .schema import SCHEMA_VERSION, DiagnosisReport, DiagnosisRequest, JsonDict
+from .schema import DiagnosisReport, DiagnosisRequest, JsonDict
 
 __all__ = ["RemoteDiagnoser"]
-
-#: Requests written down one pipelined connection before responses are read.
-#: Bounds the bytes in flight so a server draining slowly cannot deadlock the
-#: client against a full socket send buffer.
-_PIPELINE_DEPTH = 16
 
 
 def _parse_retry_after(value: Optional[str]) -> Optional[float]:
@@ -94,6 +89,11 @@ def _parse_retry_after(value: Optional[str]) -> Optional[float]:
 class RemoteDiagnoser(Diagnoser):
     """Diagnose against a remote ``repro-serve`` gateway.
 
+    Every request goes through :meth:`_request` (pooled keep-alive
+    connection, circuit breaker, retries, deadline).  ``diagnose_many`` is
+    the base class's sequential loop, so each request of a batch keeps the
+    error contract of a single ``diagnose`` call.
+
     Parameters
     ----------
     url:
@@ -102,7 +102,9 @@ class RemoteDiagnoser(Diagnoser):
         Shared :class:`DiagnoserConfig`; the remote-client knobs
         (``wire_codec``, ``connection_pool_size``, ``read_timeout``,
         ``max_retries``, ``retry_backoff_seconds``,
-        ``retry_after_cap_seconds``) apply here.
+        ``retry_after_cap_seconds``, ``deadline_seconds``,
+        ``breaker_failure_threshold``, ``breaker_reset_seconds``,
+        ``propagate_trace_headers``) apply here.
     default_model:
         Model name used when a convenience call omits ``model=``.
     rng:
@@ -146,11 +148,14 @@ class RemoteDiagnoser(Diagnoser):
 
     # -- connection pool -----------------------------------------------------------
 
-    def _checkout(self) -> http.client.HTTPConnection:
-        """An idle pooled connection, or a fresh one when the pool is empty."""
+    def _checkout(self) -> Tuple[http.client.HTTPConnection, bool]:
+        """``(connection, pooled)``: an idle pooled connection, or a new one."""
         with self._pool_lock:
             if self._idle:
-                return self._idle.pop()
+                return self._idle.pop(), True
+        return self._connect(), False
+
+    def _connect(self) -> http.client.HTTPConnection:
         return http.client.HTTPConnection(
             self.host, self.port, timeout=self.config.read_timeout
         )
@@ -229,7 +234,15 @@ class RemoteDiagnoser(Diagnoser):
         body: Optional[bytes],
         deadline: Optional[Deadline] = None,
     ) -> Tuple[int, Dict[str, str], bytes]:
-        """One request over a pooled keep-alive connection; raises on transport failure."""
+        """One request over a pooled keep-alive connection; raises on transport failure.
+
+        The gateway closes a keep-alive connection left idle past its
+        ``idle_timeout``, so a pooled one can be dead before anything is
+        sent.  When a pooled connection fails with a ``ConnectionError``
+        before any response arrives, the request goes out once more on a new
+        connection — no backoff, no retry spent.  A new connection's failure
+        propagates to the retry loop.
+        """
         injector = get_injector()
         if injector.enabled:
             mode = injector.inject("remote.send")
@@ -237,17 +250,25 @@ class RemoteDiagnoser(Diagnoser):
                 raise ConnectionResetError("chaos: connection dropped before send")
             if mode == "corrupt" and body is not None:
                 body = corrupt_bytes(body)
-        connection = self._checkout()
+        headers: Dict[str, str] = {}
+        if body is not None:
+            headers["Content-Type"] = self.codec.content_type
+            headers["Accept"] = self.codec.content_type
+        if deadline is not None:
+            headers[DEADLINE_HEADER] = deadline.header_value()
+        headers.update(self._trace_headers())
+        connection, pooled = self._checkout()
         try:
-            headers: Dict[str, str] = {}
-            if body is not None:
-                headers["Content-Type"] = self.codec.content_type
-                headers["Accept"] = self.codec.content_type
-            if deadline is not None:
-                headers[DEADLINE_HEADER] = deadline.header_value()
-            headers.update(self._trace_headers())
-            connection.request(method, path, body=body, headers=headers)
-            response = connection.getresponse()
+            while True:
+                try:
+                    connection.request(method, path, body=body, headers=headers)
+                    response = connection.getresponse()
+                    break
+                except ConnectionError:
+                    if not pooled:
+                        raise
+                    self._discard(connection)
+                    connection, pooled = self._connect(), False
             payload = response.read()
         except BaseException:
             self._discard(connection)
@@ -265,8 +286,8 @@ class RemoteDiagnoser(Diagnoser):
         """Issue one HTTP request, gated by the endpoint's circuit breaker.
 
         The breaker counts whole logical calls: a transport failure that
-        survives every retry, or a 5xx response, is one failure; anything the
-        server answered below 500 is a success.  An open breaker raises
+        survives every retry, or a 5xx response other than ``504``, is one
+        failure; anything else is a success.  An open breaker raises
         :class:`~repro.exceptions.CircuitOpenError` without touching the
         network.
         """
@@ -281,7 +302,9 @@ class RemoteDiagnoser(Diagnoser):
         except Exception:
             breaker.record_failure()
             raise
-        if status >= 500:
+        # The gateway answers 504 only for DeadlineExceededError: the same
+        # spent caller budget as above, counted the same way.
+        if status >= 500 and status != 504:
             breaker.record_failure()
         else:
             breaker.record_success()
@@ -390,187 +413,11 @@ class RemoteDiagnoser(Diagnoser):
             "remote.roundtrip",
             {"url": self.url, "body_bytes": len(body), "codec": self.codec.name},
         ) as rt_span:
-            if self.config.hedge_after_seconds is not None:
-                rt_span.set_attribute("hedged", True)
-                status, headers, payload = self._hedged_request("/diagnose", body)
-            else:
-                status, headers, payload = self._request("POST", "/diagnose", body)
+            status, headers, payload = self._request("POST", "/diagnose", body)
             rt_span.set_attribute("status", status)
         if status != 200:
             self._raise_for_error(status, headers, payload)
         return self._decode_report(headers, payload)
-
-    def _hedged_request(
-        self, path: str, body: bytes
-    ) -> Tuple[int, Dict[str, str], bytes]:
-        """Issue a request with one hedged backup; the first response wins.
-
-        If the primary has not answered after ``config.hedge_after_seconds``,
-        a second identical attempt launches on its own connection.  Whichever
-        answers first is returned; the loser runs to completion on its daemon
-        thread and is discarded.  Both attempts go through :meth:`_request`,
-        so each pays the breaker gate and retry budget independently.  The
-        hedge only narrows tail latency of idempotent reads — it never turns
-        a failure into a success the primary would not have had: errors are
-        held until both attempts have reported.
-        """
-        results: "queue.Queue[Tuple[bool, object]]" = queue.Queue()
-        ambient = contextvars.copy_context()
-
-        def attempt() -> None:
-            try:
-                results.put((True, ambient.run(self._request, "POST", path, body)))
-            except BaseException as error:  # noqa: BLE001 - relayed to the caller
-                results.put((False, error))
-
-        launched = 1
-        threading.Thread(target=attempt, daemon=True, name="repro-remote-hedge").start()
-        first_error: Optional[BaseException] = None
-        received = 0
-        while received < launched:
-            try:
-                ok, outcome = results.get(timeout=self.config.hedge_after_seconds)
-            except queue.Empty:
-                if launched == 1:  # primary is slow: launch the one backup
-                    launched += 1
-                    threading.Thread(
-                        target=attempt, daemon=True, name="repro-remote-hedge"
-                    ).start()
-                continue
-            received += 1
-            if ok:
-                return outcome  # type: ignore[return-value]
-            if first_error is None:
-                first_error = outcome  # type: ignore[assignment]
-        assert first_error is not None
-        raise first_error
-
-    def diagnose_many(self, requests: Sequence[DiagnosisRequest]) -> List[DiagnosisReport]:
-        """Diagnose a batch over one pipelined keep-alive connection.
-
-        All requests (in windows of bounded depth) are written before any
-        response is read, so the batch pays one network round trip per
-        window instead of one per request.  Reports come back in request
-        order; the first error response raises its typed exception, exactly
-        like the sequential loop it replaces.
-        """
-        pending = list(requests)
-        for request in pending:
-            if request.schema != SCHEMA_VERSION:
-                raise SchemaVersionError(
-                    f"unsupported request schema version {request.schema!r}; this "
-                    f"library speaks {SCHEMA_VERSION!r}"
-                )
-        if len(pending) <= 1:
-            return [self.diagnose(request) for request in pending]
-        bodies = [self.codec.encode_request(request) for request in pending]
-        reports: List[DiagnosisReport] = []
-        with get_tracer().span(
-            "remote.pipeline",
-            {"url": self.url, "requests": len(pending), "codec": self.codec.name},
-        ):
-            while len(reports) < len(pending):
-                window = bodies[len(reports):len(reports) + _PIPELINE_DEPTH]
-                responses = self._pipeline_window(window)
-                for status, headers, payload in responses:
-                    if status != 200:
-                        self._raise_for_error(status, headers, payload)
-                    reports.append(self._decode_report(headers, payload))
-        return reports
-
-    def _pipeline_window(
-        self, bodies: Sequence[bytes]
-    ) -> List[Tuple[int, Dict[str, str], bytes]]:
-        """Send one window of ``POST /diagnose`` bodies, read its responses.
-
-        Uses a dedicated raw socket: ``http.client`` cannot overlap requests
-        on one connection.  The socket is never pooled — pipelining leaves no
-        cleanly reusable state if anything short of full success happens.
-        """
-        injector = get_injector()
-        if injector.enabled:
-            mode = injector.inject("remote.send")
-            if mode == "drop":
-                raise RemoteTransportError(
-                    "chaos: connection dropped before pipelined send"
-                )
-            if mode == "corrupt" and bodies:
-                bodies = [corrupt_bytes(bodies[0]), *bodies[1:]]
-        deadline = self._call_deadline()
-        trace = self._trace_headers()
-        chunks: List[bytes] = []
-        for body in bodies:
-            lines = [
-                "POST /diagnose HTTP/1.1",
-                f"Host: {self.host}:{self.port}",
-                f"Content-Type: {self.codec.content_type}",
-                f"Accept: {self.codec.content_type}",
-                f"Content-Length: {len(body)}",
-            ]
-            if deadline is not None:
-                lines.append(f"{DEADLINE_HEADER}: {deadline.header_value()}")
-            lines.extend(f"{name}: {value}" for name, value in trace.items())
-            chunks.append(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
-            chunks.append(body)
-        try:
-            with socket.create_connection(
-                (self.host, self.port), timeout=self.config.read_timeout
-            ) as sock:
-                sock.sendall(b"".join(chunks))
-                reader = sock.makefile("rb")
-                try:
-                    responses: List[Tuple[int, Dict[str, str], bytes]] = []
-                    for _ in bodies:
-                        response = self._read_pipelined_response(reader)
-                        responses.append(response)
-                        status, headers, _payload = response
-                        # The server may close after an error; stop reading
-                        # there — the caller raises on it (or re-pipelines the
-                        # unanswered tail on a fresh connection).
-                        if status != 200 or headers.get("connection", "").lower() == "close":
-                            break
-                    return responses
-                finally:
-                    reader.close()
-        except (OSError, ValueError) as error:
-            raise RemoteTransportError(
-                f"pipelined POST {self.url}/diagnose failed: "
-                f"{type(error).__name__}: {error}"
-            ) from error
-
-    @staticmethod
-    def _read_pipelined_response(reader: BinaryIO) -> Tuple[int, Dict[str, str], bytes]:
-        """Parse one ``Content-Length``-framed HTTP/1.1 response off the stream."""
-        status_line = reader.readline()
-        if not status_line:
-            raise RemoteTransportError("server closed the connection mid-pipeline")
-        parts = status_line.decode("latin-1").rstrip("\r\n").split(" ", 2)
-        if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-            raise RemoteTransportError(f"malformed status line {status_line!r}")
-        try:
-            status = int(parts[1])
-        except ValueError as error:
-            raise RemoteTransportError(f"malformed status line {status_line!r}") from error
-        headers: Dict[str, str] = {}
-        while True:
-            line = reader.readline()
-            if line in (b"\r\n", b"\n"):
-                break
-            if not line:
-                raise RemoteTransportError("server closed the connection mid-headers")
-            name, separator, value = line.decode("latin-1").partition(":")
-            if separator:
-                headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError as error:
-            raise RemoteTransportError(
-                f"malformed Content-Length {headers.get('content-length')!r}"
-            ) from error
-        payload = reader.read(length) if length > 0 else b""
-        if len(payload) != length:
-            raise RemoteTransportError("server closed the connection mid-body")
-        return status, headers, payload
 
     # -- server introspection -------------------------------------------------------
 

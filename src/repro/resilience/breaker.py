@@ -16,8 +16,9 @@ load by N·M — the retry storm *is* the outage extender.  A
 
 The breaker is thread-safe and clock-injectable; it counts *outcomes*, so
 the caller decides what a failure is (for :class:`~repro.api.RemoteDiagnoser`:
-transport errors after its bounded retries, and 5xx/503 responses — a 400 is
-the caller's bug, not the server's health).
+transport errors after its bounded retries, and 5xx/503 responses other than
+a 504 — a 400 is the caller's bug and a 504 the caller's spent deadline, not
+the server's health).
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 Production monitoring re-submits the same payloads over and over (the same
 faulty cases keep showing up while a defect is being investigated), and a
 diagnosis — extraction, specifics, scoring — is far costlier than a lookup.
-The gateway therefore answers whole-payload repeats from a bounded, TTL'd
-:class:`ResponseCache` before any replica is involved; every request that
-misses it runs the full pipeline.  :class:`LRUCache` is the thread-safe
+The gateway therefore answers byte-identical repeats of a request body from a
+bounded, TTL'd :class:`ResponseCache` before any replica is involved; every
+request that misses it runs the full pipeline.  :class:`LRUCache` is the thread-safe
 mapping underneath.
 """
 
@@ -89,8 +89,8 @@ class ResponseEntry:
 
     The document is codec-neutral; wire bytes are produced lazily per codec
     and memoized, so a cache hit re-serves the exact bytes of the original
-    response (bitwise identity for same-codec repeats) and a JSON entry can
-    answer a binary client without recomputing the diagnosis.
+    response (bitwise identity for same-codec repeats) and answers whatever
+    codec the repeat's ``Accept`` names without recomputing the diagnosis.
     """
 
     __slots__ = ("expires_at", "document", "_encoded", "_lock")
@@ -112,25 +112,18 @@ class ResponseEntry:
 
 
 class ResponseCache:
-    """Two-level TTL'd response cache keyed on *decoded* request identity.
+    """TTL'd LRU of ``/diagnose`` responses keyed on the raw request body.
 
-    A raw-body digest cannot share entries across wire codecs (the same
-    arrays have different byte representations per encoding), so the cache
-    keys twice:
+    The key is :meth:`body_key`: a digest of the request's content type and
+    its exact bytes, so a hit needs no decoding at all.  Only a
+    byte-identical repeat under the same codec hits; the same request
+    re-sent under another codec, or in another JSON spelling, is a miss and
+    runs the full pipeline.
 
-    * ``(content type, body digest) -> canonical key`` — the loop-side fast
-      path: a byte-identical repeat resolves to its entry without decoding
-      anything;
-    * ``canonical key -> ResponseEntry`` — the canonical level, keyed on
-      :func:`repro.wire.request_digest` of the decoded request, so a JSON and
-      a binary request for the same payload share one entry (the second
-      codec's first hit pays one decode+digest, then its body digest is
-      linked for the fast path).
-
-    ``maxsize <= 0`` disables both levels.  Expired entries read as misses
-    and are replaced by the next store.  Hit/miss accounting is the
-    *caller's* (response-level counters live in the gateway's metrics);
-    the embedded ``LRUCache`` counters are internal.
+    ``maxsize <= 0`` disables the cache.  Expired entries read as misses and
+    are replaced by the next store.  Hit/miss accounting is the *caller's*
+    (response-level counters live in the gateway's metrics); the embedded
+    ``LRUCache`` counters are internal.
     """
 
     def __init__(
@@ -142,9 +135,6 @@ class ResponseCache:
         self.maxsize = int(maxsize)
         self.ttl_seconds = float(ttl_seconds)
         self._clock = clock
-        # Sized alike: every entry has at least one body alias, and LRU
-        # eviction keeps the alias map from outliving its entries for long.
-        self._bodies = LRUCache(self.maxsize)
         self._entries = LRUCache(self.maxsize)
 
     @property
@@ -160,50 +150,29 @@ class ResponseCache:
         hasher.update(body)
         return hasher.hexdigest()
 
-    def _fresh(self, canonical_key: str) -> Optional[ResponseEntry]:
-        entry = self._entries.get(canonical_key)
-        if isinstance(entry, ResponseEntry) and self._clock() < entry.expires_at:
-            return entry
-        return None
-
     def lookup_body(
         self, content_type: str, body: bytes
     ) -> Tuple[Optional[str], Optional[ResponseEntry]]:
-        """``(body key, fresh entry or None)`` — the pre-decode fast path.
+        """``(body key, fresh entry or None)`` for one raw request.
 
-        The key is ``None`` when the cache is disabled (callers skip every
-        later cache step on ``None``).
+        The key is ``None`` when the cache is disabled (callers then store
+        nothing).
         """
         if not self.enabled:
             return None, None
         key = self.body_key(content_type, body)
-        canonical = self._bodies.get(key)
-        if canonical is None:
-            return key, None
-        return key, self._fresh(canonical)
+        entry = self._entries.get(key)
+        if entry is not None and self._clock() < entry.expires_at:
+            return key, entry
+        return key, None
 
-    def lookup_canonical(self, canonical_key: Optional[str]) -> Optional[ResponseEntry]:
-        """A fresh entry under the decoded request's digest, if any."""
-        if not self.enabled or canonical_key is None:
-            return None
-        return self._fresh(canonical_key)
-
-    def link(self, body_key: Optional[str], canonical_key: str) -> None:
-        """Alias one raw wire form to an entry (cross-codec fast-path admission)."""
-        if self.enabled and body_key is not None:
-            self._bodies.put(body_key, canonical_key)
-
-    def store(
-        self, body_key: Optional[str], canonical_key: str, document: Dict
-    ) -> ResponseEntry:
-        """Admit a freshly computed response under both key levels."""
+    def store(self, body_key: str, document: Dict) -> ResponseEntry:
+        """Admit a freshly computed response under its body key."""
         entry = ResponseEntry(self._clock() + self.ttl_seconds, document)
-        self._entries.put(canonical_key, entry)
-        self.link(body_key, canonical_key)
+        self._entries.put(body_key, entry)
         return entry
 
     def clear(self) -> None:
-        self._bodies.clear()
         self._entries.clear()
 
     def __len__(self) -> int:

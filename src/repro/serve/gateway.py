@@ -90,7 +90,6 @@ from .protocol import (
     is_loopback_peer,
     negotiate_codecs,
     parse_json_body,
-    request_digest,
     resolve_deadline,
     resolve_request_id,
     wants_text_metrics,
@@ -101,6 +100,8 @@ __all__ = ["ParsedRequest", "parse_request_head", "DiagnosisGateway", "serve_gat
 
 DEFAULT_MAX_BODY_BYTES = 16 * 1024 * 1024
 MAX_HEADER_BYTES = 64 * 1024
+#: How long a stopping gateway waits for connection handlers to return.
+_SHUTDOWN_GRACE_SECONDS = 1.0
 
 _REASONS = {
     200: "OK",
@@ -224,6 +225,8 @@ class DiagnosisGateway:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._stop_event: Optional[asyncio.Event] = None
+        #: Open connections: each handler task and its writer (loop-only state).
+        self._connections: Dict["asyncio.Task[None]", asyncio.StreamWriter] = {}
         self._thread: Optional[threading.Thread] = None
         self._bound: Optional[Tuple[str, int]] = None
         self._started = threading.Event()
@@ -253,8 +256,8 @@ class DiagnosisGateway:
         )
         #: Response codec used when the client sends no/any ``Accept``.
         self.default_codec = get_codec(default_codec)
-        #: Response cache, keyed on decoded request digest with a per-codec
-        #: body-digest fast path (``response_cache_size <= 0`` disables it).
+        #: Response cache, keyed on the raw request body and its content type
+        #: (``response_cache_size <= 0`` disables it).
         self.response_cache_ttl = float(response_cache_ttl)
         self._response_cache = ResponseCache(
             int(response_cache_size), self.response_cache_ttl
@@ -346,15 +349,34 @@ class DiagnosisGateway:
         try:
             async with self._server:
                 await self._stop_event.wait()
+                await self._close_connections()
         finally:
             self._executor.shutdown(wait=False)
             self._bound = None
+
+    async def _close_connections(self) -> None:
+        """Stop accepting, then end every open connection before the loop stops.
+
+        A keep-alive handler idles in ``readuntil``; closing its transport
+        feeds it EOF, so it returns on its own and its client reads EOF.  A
+        handler still running when ``asyncio.run`` returns is cancelled
+        instead, and Python 3.11's stream protocol logs a ``CancelledError``
+        traceback for each one.  A handler waiting on the executor gets
+        ``_SHUTDOWN_GRACE_SECONDS`` to finish; its response goes nowhere.
+        """
+        self._server.close()
+        for writer in list(self._connections.values()):
+            writer.close()
+        if self._connections:
+            await asyncio.wait(list(self._connections), timeout=_SHUTDOWN_GRACE_SECONDS)
 
     # -- connection handling --------------------------------------------------------
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         self._m_connections.inc()
         try:
             while True:
@@ -374,6 +396,7 @@ class DiagnosisGateway:
             pass
         finally:
             self._m_connections.dec()
+            del self._connections[task]
             writer.close()
             try:
                 await writer.wait_closed()
@@ -660,22 +683,16 @@ class DiagnosisGateway:
             # (pool.acquire opens its own "replicas.route" span.)
             lease = self.pool.acquire()
             with tracer.span("gateway.dispatch", {"body_bytes": len(body)}):
-                status, payload, extra, cache_state = await self._run_blocking(
+                status, payload, extra = await self._run_blocking(
                     self._diagnose_blocking, lease, body, request_codec, body_key
                 )
             if status != 200:
                 return status, payload, extra
-            if cache_state == "hit":
-                # Canonical-level hit: same decoded request first seen under a
-                # different wire form (other codec, or other JSON spelling).
-                self._m_response_hits.inc()
-            elif cache_state == "miss":
+            if body_key is None:
+                encoded, cache_state = response_codec.encode_report(payload), "off"
+            else:
                 self._m_response_misses.inc()
-            encoded = (
-                payload.encoded(response_codec)
-                if isinstance(payload, ResponseEntry)
-                else response_codec.encode_report(payload)
-            )
+                encoded, cache_state = payload.encoded(response_codec), "miss"
             return 200, encoded, (
                 ("X-Response-Cache", cache_state),
                 ("Content-Type", response_codec.content_type),
@@ -694,13 +711,14 @@ class DiagnosisGateway:
 
     def _diagnose_blocking(
         self, lease, body: bytes, codec: Codec, body_key: Optional[str]
-    ) -> Tuple[int, Union[Dict, ResponseEntry], Sequence[Tuple[str, str]], str]:
-        """Decode, consult the canonical cache level, diagnose, admit.
+    ) -> Tuple[int, Union[Dict, ResponseEntry], Sequence[Tuple[str, str]]]:
+        """Decode, diagnose, and admit the response under its body key.
 
-        Returns ``(status, payload, extra headers, cache state)``; the payload
-        is a :class:`~repro.serve.cache.ResponseEntry` when the cache is on
-        (so the loop side reuses its memoized encodings) and a plain document
-        when it is off.
+        The request is decoded once here and validated once, inside the
+        replica's service.  Returns ``(status, payload, extra headers)``; a
+        200 payload is the stored :class:`~repro.serve.cache.ResponseEntry`
+        when the cache is on (``body_key`` set, so the loop side reuses its
+        memoized encodings) and a plain document when it is off.
         """
         started = time.perf_counter()
         try:
@@ -708,17 +726,6 @@ class DiagnosisGateway:
             if injector.enabled and injector.inject("codec.decode") == "corrupt":
                 body = corrupt_bytes(body)
             request = codec.decode_request(body)
-            canonical_key: Optional[str] = None
-            if body_key is not None:
-                canonical_key = request_digest(request)
-                entry = self._response_cache.lookup_canonical(canonical_key)
-                if entry is not None:
-                    # Same decoded request, first seen under another wire
-                    # form: link this body for the loop-side fast path and
-                    # answer from the shared entry.
-                    self._response_cache.link(body_key, canonical_key)
-                    lease.release(latency_seconds=time.perf_counter() - started)
-                    return 200, entry, (), "hit"
             report = lease.service.diagnose(
                 request.model,
                 request.inputs,
@@ -727,10 +734,9 @@ class DiagnosisGateway:
                 metadata=request.metadata,
             ).as_dict()
             lease.release(latency_seconds=time.perf_counter() - started)
-            if canonical_key is not None:
-                entry = self._response_cache.store(body_key, canonical_key, report)
-                return 200, entry, (), "miss"
-            return 200, report, (), "off"
+            if body_key is not None:
+                return 200, self._response_cache.store(body_key, report), ()
+            return 200, report, ()
         except Exception as error:  # noqa: BLE001 - mapped to a status, keep serving
             # The outcome feeds replica health: infrastructure faults count
             # toward ejection, a client's bad request does not (classified
@@ -738,8 +744,7 @@ class DiagnosisGateway:
             lease.release(error=error, latency_seconds=time.perf_counter() - started)
             if isinstance(error, DeadlineExceededError):
                 self._m_deadline_rejected.inc()
-            status, payload, extra = error_response(error)
-            return status, payload, extra, "error"
+            return error_response(error)
 
     def _submit_job_blocking(
         self, body: bytes, codec: Codec

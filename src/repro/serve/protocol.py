@@ -36,7 +36,6 @@ from ..wire import (
     codec_for_accept,
     codec_for_content_type,
     negotiate as negotiate_codecs,
-    request_digest,
 )
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "negotiate_codecs",
     "codec_for_content_type",
     "codec_for_accept",
-    "request_digest",
 ]
 
 Headers = Sequence[Tuple[str, str]]

@@ -4,9 +4,8 @@ One :class:`Codec` owns the whole bytes↔document boundary for one content
 type; :class:`JsonCodec` (the default, byte-compatible with every pre-codec
 client) and :class:`BinaryCodec` (framed raw-array transport) are registered
 out of the box.  The serving front ends negotiate between them per request
-(:func:`negotiate`), clients pick one by name (:func:`get_codec` via the
-``wire_codec`` config knob), and :func:`request_digest` gives both encodings
-one canonical cache identity.
+(:func:`negotiate`), and clients pick one by name (:func:`get_codec` via the
+``wire_codec`` config knob).
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .codec import (
     default_codec,
     get_codec,
     negotiate,
-    request_digest,
 )
 
 __all__ = [
@@ -38,5 +36,4 @@ __all__ = [
     "codec_for_accept",
     "default_codec",
     "negotiate",
-    "request_digest",
 ]

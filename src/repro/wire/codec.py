@@ -17,9 +17,9 @@ ends — so no single component could negotiate or swap an encoding.  A
 
 Both codecs are **bitwise-interchangeable**: for the same
 :class:`~repro.api.schema.DiagnosisRequest` they decode to equal documents,
-so a server answers a JSON and a binary client with identical reports (and
-the gateway's response cache, keyed on :func:`request_digest`, shares one
-entry between them).
+so a server answers a JSON and a binary client with identical reports.  The
+gateway's response cache keys on the raw body, so the two forms of one
+request are two entries.
 
 Codecs are resolved by name (:func:`get_codec`) or by HTTP media type
 (:func:`codec_for_content_type` / :func:`codec_for_accept`) — the latter two
@@ -30,11 +30,8 @@ ends surface as 415.
 from __future__ import annotations
 
 import abc
-import hashlib
 import json
 from typing import Dict, Mapping, Optional, Tuple, Union
-
-import numpy as np
 
 from ..api.schema import DiagnosisReport, DiagnosisRequest, JsonDict
 from ..exceptions import CodecError, ConfigurationError, UnsupportedMediaTypeError
@@ -49,7 +46,6 @@ __all__ = [
     "codec_for_accept",
     "default_codec",
     "negotiate",
-    "request_digest",
 ]
 
 #: What the encode side accepts for a report: the typed object or its ``v1``
@@ -292,36 +288,3 @@ def negotiate(
     request_codec = codec_for_content_type(headers.get("content-type"))
     response_codec = codec_for_accept(headers.get("accept"), default=default)
     return request_codec, response_codec
-
-
-# -- canonical request identity --------------------------------------------------------
-
-
-def request_digest(request: DiagnosisRequest) -> str:
-    """Content digest of a *decoded* request, identical across codecs.
-
-    The digest covers everything that determines the response — schema
-    version, model, pinned version, metadata (canonical JSON), and the
-    validated arrays' dtype/shape/bytes — so a JSON request and a binary
-    request for the same payload hash to the same key and share one response
-    cache entry.  Raw-body digests cannot do this: the same arrays have
-    different byte representations per codec (and per JSON whitespace).
-    """
-    inputs, labels = request.arrays()
-    hasher = hashlib.blake2b(digest_size=16)
-    for piece in (request.schema, request.model, request.version or ""):
-        hasher.update(piece.encode("utf-8"))
-        hasher.update(b"\x1f")
-    metadata = (
-        json.dumps(request.metadata, sort_keys=True, separators=(",", ":"))
-        if request.metadata is not None
-        else "null"
-    )
-    hasher.update(metadata.encode("utf-8"))
-    for array in (inputs, labels):
-        contiguous = np.ascontiguousarray(array)
-        hasher.update(b"\x1f")
-        hasher.update(contiguous.dtype.str.encode("ascii"))
-        hasher.update(repr(contiguous.shape).encode("ascii"))
-        hasher.update(contiguous.tobytes())
-    return hasher.hexdigest()

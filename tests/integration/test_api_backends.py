@@ -9,6 +9,9 @@ the pre-facade entry points (``DeepMorph.diagnose``,
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -246,7 +249,7 @@ class TestWireCodecParity:
         finally:
             obs.configure(enabled=False, reset=True)
 
-    def test_cross_codec_response_cache_sharing(self, pool, tiny_splits):
+    def test_other_codec_is_a_cache_miss_with_an_equal_report(self, pool, tiny_splits):
         _, test = tiny_splits
         inputs, labels = test.arrays()
         gateway = DiagnosisGateway(pool, port=0, response_cache_size=64).start()
@@ -256,16 +259,16 @@ class TestWireCodecParity:
         )
         try:
             metadata = {"probe": "cross-codec-cache"}
-            # JSON warms the cache; the binary request decodes to the same
-            # canonical digest and must hit the same entry.
+            # JSON warms the cache; the binary form of the same request is
+            # another body, so it runs the full pipeline and must agree.
             warm = json_client.diagnose_arrays(
                 inputs.tolist(), labels.tolist(), metadata=metadata
             )
-            shared = binary_client.diagnose_arrays(inputs, labels, metadata=metadata)
+            fresh = binary_client.diagnose_arrays(inputs, labels, metadata=metadata)
             assert warm.cache_state == "miss"
-            assert shared.cache_state == "hit"
-            assert warm.to_dict() == shared.to_dict()
-            # The linked body alias now serves the binary repeat pre-decode.
+            assert fresh.cache_state == "miss"
+            assert warm.to_dict() == fresh.to_dict()
+            # The byte-identical binary repeat is answered from its own entry.
             again = binary_client.diagnose_arrays(inputs, labels, metadata=metadata)
             assert again.cache_state == "hit"
             assert again.to_dict() == warm.to_dict()
@@ -286,18 +289,18 @@ class TestDiagnoseMany:
             for i in range(count)
         ]
 
-    def test_pipelined_reports_match_sequential(
+    def test_reports_match_sequential(
         self, remote_diagnoser, local_diagnoser, tiny_splits
     ):
         requests = self._requests(tiny_splits, 3)
-        pipelined = remote_diagnoser.diagnose_many(requests)
+        reports = remote_diagnoser.diagnose_many(requests)
         sequential = [local_diagnoser.diagnose(request) for request in requests]
-        assert len(pipelined) == 3
-        for got, expected, request in zip(pipelined, sequential, requests):
+        assert len(reports) == 3
+        for got, expected, request in zip(reports, sequential, requests):
             assert got.to_dict() == expected.to_dict()
             assert got.metadata["batch"] == request.metadata["batch"]  # order kept
 
-    def test_pipelining_under_binary_codec(self, binary_remote_diagnoser, tiny_splits):
+    def test_diagnose_many_under_binary_codec(self, binary_remote_diagnoser, tiny_splits):
         requests = self._requests(tiny_splits, 3)
         reports = binary_remote_diagnoser.diagnose_many(requests)
         assert [r.metadata["batch"] for r in reports] == ["0", "1", "2"]
@@ -322,6 +325,38 @@ class TestDiagnoseMany:
         local = local_diagnoser.diagnose_many(requests)
         service = service_diagnoser.diagnose_many(requests)
         assert [r.to_dict() for r in local] == [r.to_dict() for r in service]
+
+    def test_transient_saturation_is_retried(self, gateway, pool, tiny_splits):
+        # diagnose_many keeps diagnose's contract: a 503 is retried after the
+        # (capped) Retry-After while the pool is saturated, then succeeds.
+        requests = [
+            DiagnosisRequest(
+                model="tiny", inputs=request.inputs, labels=request.labels,
+                metadata={"probe": "many-retry-clears", "batch": str(i)},
+            )
+            for i, request in enumerate(self._requests(tiny_splits, 2))
+        ]
+        client = RemoteDiagnoser(
+            gateway.url,
+            config=DiagnoserConfig(
+                max_retries=6, retry_backoff_seconds=0.05, retry_after_cap_seconds=0.1
+            ),
+            default_model="tiny",
+        )
+        lease = pool.acquire()
+        release_timer = threading.Timer(0.15, lease.release)
+        extra = [pool.acquire() for _ in range(pool.max_inflight - 1)]
+        release_timer.start()
+        try:
+            reports = client.diagnose_many(requests)
+            assert [r.metadata["batch"] for r in reports] == ["0", "1"]
+            assert all(r.num_cases >= 1 for r in reports)
+        finally:
+            release_timer.cancel()
+            lease.release()
+            for item in extra:
+                item.release()
+            client.close()
 
 
 class TestStreamingDiagnosis:
@@ -493,6 +528,20 @@ class TestBackendBehavior:
             registry.ArtifactRegistry(registry_dir).load("tiny"), config=config
         )
         assert np.dtype(wrapped.morph.instrumented.inference_dtype) == np.float64
+
+    def test_remote_replaces_a_pooled_connection_the_server_closed(self, pool):
+        # The gateway closes the idle keep-alive connection after 0.2 s; the
+        # next call sends again on a new connection without spending a retry.
+        gateway = DiagnosisGateway(pool, port=0, idle_timeout=0.2).start()
+        client = RemoteDiagnoser(gateway.url, config=DiagnoserConfig(max_retries=0))
+        try:
+            assert client.health()["status"] == "ok"
+            time.sleep(0.5)
+            assert client.health()["status"] == "ok"
+            assert client.breaker_snapshot()["/health"]["state"] == "closed"
+        finally:
+            client.close()
+            gateway.shutdown()
 
     def test_remote_transport_error_on_dead_server(self):
         client = RemoteDiagnoser(

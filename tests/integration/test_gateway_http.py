@@ -13,6 +13,7 @@ from __future__ import annotations
 import http.client
 import io
 import json
+import logging
 import socket
 import threading
 import time
@@ -283,6 +284,26 @@ class TestGatewayErrorPaths:
                 assert time.monotonic() - started < 5
         finally:
             quick.shutdown()
+
+    def test_shutdown_ends_idle_keep_alive_connections_quietly(self, pool, caplog):
+        # An idle keep-alive handler must end on EOF at shutdown: one left
+        # for asyncio.run to cancel logs a CancelledError traceback on 3.11.
+        quick = DiagnosisGateway(pool, port=0).start()
+        connection = http.client.HTTPConnection(quick.host, quick.port, timeout=10)
+        try:
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            response.read()
+            assert response.getheader("Connection") == "keep-alive"
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                quick.shutdown()
+            assert connection.sock.recv(1) == b""
+        finally:
+            connection.close()
+            quick.shutdown()
+        errors = [r for r in caplog.records if r.name == "asyncio" and r.levelno >= logging.ERROR]
+        assert errors == []
 
     def test_truncated_body_times_out_with_408(self, pool):
         quick = DiagnosisGateway(pool, port=0, body_timeout=0.2).start()
@@ -563,6 +584,35 @@ class TestGatewayResponseCache:
             response.read()
             assert response.headers.get("X-Response-Cache") == "off"
 
+    def test_miss_validates_its_arrays_once(self, pool, tiny_splits, monkeypatch):
+        from repro.api.schema import DiagnosisRequest, validate_arrays
+
+        calls = []
+        arrays = DiagnosisRequest.arrays
+
+        def spy_arrays(request, *args, **kwargs):
+            calls.append("DiagnosisRequest.arrays")
+            return arrays(request, *args, **kwargs)
+
+        def spy_validate(*args, **kwargs):
+            calls.append("DiagnosisService._validate_request")
+            return validate_arrays(*args, **kwargs)
+
+        monkeypatch.setattr(DiagnosisRequest, "arrays", spy_arrays)
+        monkeypatch.setattr(DiagnosisService, "_validate_request", staticmethod(spy_validate))
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        payload = {
+            "model": "tiny", "inputs": inputs.tolist(), "labels": labels.tolist(),
+            "metadata": {"probe": "validate-once"},
+        }
+        gateway = DiagnosisGateway(pool, port=0, response_cache_size=64).start()
+        try:
+            assert _post(gateway.url + "/diagnose", payload)["num_cases"] >= 1
+        finally:
+            gateway.shutdown()
+        assert calls == ["DiagnosisService._validate_request"]
+
     def test_expired_entry_is_a_miss(self, pool, tiny_splits):
         _, test = tiny_splits
         inputs, labels = test.arrays()
@@ -714,7 +764,7 @@ class TestGatewayWireNegotiation:
         ticket = json.loads(body)  # tickets are JSON documents
         assert ticket["status"] == "pending"
 
-    def test_cache_hit_across_codecs_over_http(self, pool, payload):
+    def test_other_codec_is_a_miss_with_an_equal_report_over_http(self, pool, payload):
         from repro.api import DiagnosisRequest
         from repro.wire import BinaryCodec
 
@@ -732,15 +782,16 @@ class TestGatewayWireNegotiation:
                 warm = response.read()
                 assert response.headers["X-Response-Cache"] == "miss"
 
-            # Same decoded request over the binary codec: canonical-level hit.
+            # The binary form of the cached JSON request is another body: a
+            # miss, diagnosed again end to end, with the same report.
             first, headers = self._exchange(
                 gateway.url + "/diagnose", frame,
                 {"Content-Type": binary.content_type, "Accept": binary.content_type},
             )
-            assert headers["X-Response-Cache"] == "hit"
+            assert headers["X-Response-Cache"] == "miss"
             assert binary.decode_report(first).to_dict() == json.loads(warm)
 
-            # Byte-identical binary repeat: fast path, bitwise-identical bytes.
+            # Byte-identical binary repeat: a hit with bitwise-identical bytes.
             second, headers = self._exchange(
                 gateway.url + "/diagnose", frame,
                 {"Content-Type": binary.content_type, "Accept": binary.content_type},

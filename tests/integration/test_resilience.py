@@ -224,6 +224,40 @@ class TestCircuitBreaker:
             pool.shutdown()
 
 
+    def test_open_breaker_stops_diagnose_many_before_the_wire(
+        self, registry_dir, tiny_splits
+    ):
+        pool, gateway = _make_stack(registry_dir, num_replicas=1)
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        request = DiagnosisRequest(model="tiny", inputs=inputs, labels=labels)
+        client = RemoteDiagnoser(
+            gateway.url,
+            config=DiagnoserConfig(
+                max_retries=0, breaker_failure_threshold=1, breaker_reset_seconds=60.0
+            ),
+        )
+        try:
+            configure_chaos({
+                "plans": [{"site": "remote.send", "mode": "drop", "max_injections": 1}],
+            })
+            with pytest.raises(RemoteTransportError):
+                client.diagnose(request)
+            assert client.breaker_snapshot()["/diagnose"]["state"] == "open"
+
+            requests_before = gateway.metrics.as_dict()["gateway.requests_total"]["value"]
+            with pytest.raises(CircuitOpenError):
+                client.diagnose_many([request, request])
+            assert (
+                gateway.metrics.as_dict()["gateway.requests_total"]["value"]
+                == requests_before
+            )
+        finally:
+            client.close()
+            gateway.shutdown()
+            pool.shutdown()
+
+
 class TestDeadlines:
     def test_expired_deadline_is_refused_before_any_diagnosis_work(
         self, registry_dir, payload
@@ -270,7 +304,8 @@ class TestDeadlines:
         inputs, labels = test.arrays()
         request = DiagnosisRequest(model="tiny", inputs=inputs, labels=labels)
         client = RemoteDiagnoser(
-            gateway.url, config=DiagnoserConfig(deadline_seconds=0.02)
+            gateway.url,
+            config=DiagnoserConfig(deadline_seconds=0.02, breaker_failure_threshold=1),
         )
         try:
             configure_chaos({
@@ -282,6 +317,9 @@ class TestDeadlines:
             })
             with pytest.raises(DeadlineExceededError):
                 client.diagnose(request)
+            # The gateway's 504 reports the caller's spent budget, not a
+            # server fault: one of them must not open the breaker.
+            assert client.breaker_snapshot()["/diagnose"]["state"] == "closed"
         finally:
             client.close()
             gateway.shutdown()

@@ -2,8 +2,8 @@
 
 Covers the codec registry and HTTP media-type negotiation, JSON↔binary
 interchangeability (property-based: 1e-12 agreement through JSON, bitwise
-through binary), the decoded-request digest that lets both codecs share one
-response-cache entry, and — most importantly — that every malformed binary
+through binary, the same validated arrays from both), the gateway's
+body-keyed response cache, and — most importantly — that every malformed binary
 frame fails with a typed :class:`~repro.exceptions.CodecError` (a 4xx at the
 HTTP boundary), never an unhandled exception or an attacker-sized allocation.
 """
@@ -38,7 +38,6 @@ from repro.wire import (
     default_codec,
     get_codec,
     negotiate,
-    request_digest,
 )
 from repro.wire.binary import _PRELUDE
 
@@ -450,34 +449,13 @@ class TestCrossCodecInterchangeability:
 
     @given(req=wire_requests())
     @settings(max_examples=40, deadline=None)
-    def test_digest_is_codec_invariant(self, req):
-        via_json = JSON.decode_request(JSON.encode_request(req))
-        via_binary = BINARY.decode_request(BINARY.encode_request(req))
-        assert request_digest(via_json) == request_digest(via_binary)
-
-    def test_digest_separates_distinct_requests(self):
-        base = make_request()
-        assert request_digest(base) == request_digest(make_request())
-        other_model = DiagnosisRequest(model="other", inputs=base.inputs, labels=base.labels)
-        with_meta = DiagnosisRequest(
-            model="tiny", inputs=base.inputs, labels=base.labels, metadata={"k": 1}
-        )
-        with_version = DiagnosisRequest(
-            model="tiny", inputs=base.inputs, labels=base.labels, version="2"
-        )
-        digests = {
-            request_digest(request)
-            for request in (base, other_model, with_meta, with_version)
-        }
-        assert len(digests) == 4
-
-    def test_digest_separates_dtypes(self):
-        # Same values, different extraction precision → different responses.
-        f32 = make_request(dtype=np.float32)
-        f64 = DiagnosisRequest(
-            model="tiny", inputs=np.asarray(f32.inputs, dtype=np.float64), labels=f32.labels
-        )
-        assert request_digest(f32) != request_digest(f64)
+    def test_codecs_decode_to_the_same_validated_arrays(self, req):
+        via_json = JSON.decode_request(JSON.encode_request(req)).arrays()
+        via_binary = BINARY.decode_request(BINARY.encode_request(req)).arrays()
+        for from_json, from_binary in zip(via_json, via_binary):
+            assert from_json.dtype == from_binary.dtype
+            assert from_json.shape == from_binary.shape
+            assert from_json.tobytes() == from_binary.tobytes()
 
 
 class TestSchemaDelegation:
@@ -502,29 +480,55 @@ class TestResponseCache:
         kwargs.setdefault("ttl_seconds", 10.0)
         return ResponseCache(clock=lambda: self.now, **kwargs)
 
-    def test_cross_codec_sharing(self):
+    def test_only_a_byte_identical_repeat_hits(self):
         cache = self.make_cache()
-        report = make_report().to_dict()
-        json_body = b'{"model": "tiny"}'
-        key, entry = cache.lookup_body("application/json", json_body)
+        request = make_request()
+        json_body = JSON.encode_request(request)
+        key, entry = cache.lookup_body(JSON.content_type, json_body)
         assert key is not None and entry is None
-        stored = cache.store(key, "canonical-1", report)
+        stored = cache.store(key, make_report().to_dict())
 
-        # Byte-identical repeat: fast path, no decode needed.
-        _, hit = cache.lookup_body("application/json", json_body)
-        assert hit is stored
-
-        # Same request over the binary codec: body misses, canonical hits.
-        binary_key, entry = cache.lookup_body("application/x-repro-binary", b"RPWB...")
+        assert cache.lookup_body(JSON.content_type, json_body) == (key, stored)
+        # The same request under the other codec, or in another JSON
+        # spelling, is a different body: a miss.
+        _, entry = cache.lookup_body(BINARY.content_type, BINARY.encode_request(request))
         assert entry is None
-        assert cache.lookup_canonical("canonical-1") is stored
-        cache.link(binary_key, "canonical-1")
-        _, hit = cache.lookup_body("application/x-repro-binary", b"RPWB...")
-        assert hit is stored
+        respelled = json.dumps(request.to_dict(), indent=1).encode("utf-8")
+        assert JSON.decode_request(respelled).to_dict() == request.to_dict()
+        _, entry = cache.lookup_body(JSON.content_type, respelled)
+        assert entry is None
+        assert len(cache) == 1
+
+    def test_body_key_separates_distinct_requests(self):
+        base = make_request()
+        other_model = DiagnosisRequest(model="other", inputs=base.inputs, labels=base.labels)
+        with_meta = DiagnosisRequest(
+            model="tiny", inputs=base.inputs, labels=base.labels, metadata={"k": 1}
+        )
+        with_version = DiagnosisRequest(
+            model="tiny", inputs=base.inputs, labels=base.labels, version="2"
+        )
+        for codec in (JSON, BINARY):
+            keys = [
+                ResponseCache.body_key(codec.content_type, codec.encode_request(request))
+                for request in (base, make_request(), other_model, with_meta, with_version)
+            ]
+            assert keys[0] == keys[1]  # same request, same bytes, same key
+            assert len(set(keys)) == 4
+
+    def test_body_key_separates_dtypes(self):
+        # Same values, different extraction precision → different responses.
+        f32 = make_request(dtype=np.float32)
+        f64 = DiagnosisRequest(
+            model="tiny", inputs=np.asarray(f32.inputs, dtype=np.float64), labels=f32.labels
+        )
+        assert ResponseCache.body_key(BINARY.content_type, BINARY.encode_request(f32)) != (
+            ResponseCache.body_key(BINARY.content_type, BINARY.encode_request(f64))
+        )
 
     def test_entry_encodings_are_memoized(self):
         cache = self.make_cache()
-        entry = cache.store("k", "c", make_report().to_dict())
+        entry = cache.store("k", make_report().to_dict())
         json_bytes = entry.encoded(JSON)
         assert entry.encoded(JSON) is json_bytes  # bitwise-identical replay
         assert entry.encoded(BINARY) != json_bytes
@@ -541,32 +545,40 @@ class TestResponseCache:
     def test_ttl_expiry(self):
         cache = self.make_cache(ttl_seconds=5.0)
         key, _ = cache.lookup_body("application/json", b"x")
-        cache.store(key, "c", {"num_cases": 1})
-        assert cache.lookup_canonical("c") is not None
+        cache.store(key, {"num_cases": 1})
+        self.now = 4.9
+        assert cache.lookup_body("application/json", b"x")[1] is not None
         self.now = 5.1
-        assert cache.lookup_canonical("c") is None
-        _, entry = cache.lookup_body("application/json", b"x")
-        assert entry is None
+        assert cache.lookup_body("application/json", b"x") == (key, None)
+        # The next store replaces the expired entry.
+        fresh = cache.store(key, {"num_cases": 2})
+        assert cache.lookup_body("application/json", b"x") == (key, fresh)
+        assert len(cache) == 1
 
     def test_disabled_cache(self):
         cache = self.make_cache(maxsize=0)
         assert not cache.enabled
         assert cache.lookup_body("application/json", b"x") == (None, None)
-        assert cache.lookup_canonical("c") is None
-        cache.store(None, "c", {})
+        cache.store("k", {})
         assert len(cache) == 0
 
-    def test_eviction_bounds_both_levels(self):
+    def test_lru_eviction(self):
         cache = self.make_cache(maxsize=2)
-        for i in range(4):
-            cache.store(f"body-{i}", f"canon-{i}", {"i": i})
+        keys = [cache.lookup_body("application/json", b"%d" % i)[0] for i in range(3)]
+        cache.store(keys[0], {"i": 0})
+        cache.store(keys[1], {"i": 1})
+        # A hit makes body 0 the most recent, so body 1 is evicted next.
+        assert cache.lookup_body("application/json", b"0")[1] is not None
+        cache.store(keys[2], {"i": 2})
         assert len(cache) == 2
-        assert cache.lookup_canonical("canon-0") is None
-        assert cache.lookup_canonical("canon-3") is not None
+        assert cache.lookup_body("application/json", b"1")[1] is None
+        assert cache.lookup_body("application/json", b"0")[1].document == {"i": 0}
+        assert cache.lookup_body("application/json", b"2")[1].document == {"i": 2}
 
     def test_clear(self):
         cache = self.make_cache()
-        cache.store("k", "c", {})
+        key, _ = cache.lookup_body("application/json", b"x")
+        cache.store(key, {})
         cache.clear()
         assert len(cache) == 0
-        assert cache.lookup_canonical("c") is None
+        assert cache.lookup_body("application/json", b"x") == (key, None)
