@@ -52,9 +52,6 @@ GATES = {
     "BENCH_obs.json": [
         "traced_vs_untraced_throughput",
     ],
-    "BENCH_resilience.json": [
-        "armed_vs_disarmed_throughput",
-    ],
     "BENCH_monitor.json": [
         "monitor_vs_plain_throughput",
     ],

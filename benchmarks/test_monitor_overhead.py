@@ -9,8 +9,8 @@ itself runs amortized, and a contended window *drops* the observation rather
 than stalling the request.
 
 This benchmark measures that claim the way ``test_obs_overhead.py`` measures
-tracing and ``test_resilience_overhead.py`` measures chaos: identical
-concurrent-client gateway workloads, monitor-on vs monitor-off.  Both phases
+tracing: identical concurrent-client gateway workloads, monitor-on vs
+monitor-off.  Both phases
 run with the response cache disabled so every request walks the full
 extraction path the monitor taps — with it on, monitored and unmonitored
 throughput are indistinguishable by construction.  The ratio

@@ -61,14 +61,7 @@ from ..exceptions import (
     exception_from_wire,
 )
 from ..obs import current_request_id, get_tracer
-from ..resilience import (
-    DEADLINE_HEADER,
-    CircuitBreaker,
-    Deadline,
-    corrupt_bytes,
-    current_deadline,
-    get_injector,
-)
+from ..resilience import DEADLINE_HEADER, CircuitBreaker, Deadline, current_deadline
 from ..wire import Codec, codec_for_content_type, get_codec
 from .config import DiagnoserConfig
 from .diagnoser import Diagnoser
@@ -243,13 +236,6 @@ class RemoteDiagnoser(Diagnoser):
         connection — no backoff, no retry spent.  A new connection's failure
         propagates to the retry loop.
         """
-        injector = get_injector()
-        if injector.enabled:
-            mode = injector.inject("remote.send")
-            if mode == "drop":
-                raise ConnectionResetError("chaos: connection dropped before send")
-            if mode == "corrupt" and body is not None:
-                body = corrupt_bytes(body)
         headers: Dict[str, str] = {}
         if body is not None:
             headers["Content-Type"] = self.codec.content_type

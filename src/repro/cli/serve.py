@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 
 from .. import obs
 from ..api import DiagnoserConfig
-from ..resilience import configure_chaos
 from ..serve import (
     ArtifactRegistry,
     MetricsRegistry,
@@ -103,12 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
              f"(uses the experiment preset flags)",
     )
     parser.add_argument(
-        "--chaos", default=None, metavar="SPEC.json",
-        help="arm the fault injector from a chaos spec file before serving "
-             "(JSON: {\"seed\": n, \"plans\": [{\"site\": ..., \"mode\": ...}]}; "
-             "reconfigure at runtime via POST /debug/chaos from loopback)",
-    )
-    parser.add_argument(
         "--trace", action="store_true",
         help="enable request tracing: per-stage spans feed GET /debug/traces, "
              "per-stage latency histograms in GET /metrics, and structured "
@@ -158,15 +151,6 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{record.key:30s} kind={record.model_kind:10s} "
                   f"classes={record.num_classes}  {record.path}")
         return 0
-
-    if args.chaos is not None:
-        import json as _json
-
-        with open(args.chaos, "r", encoding="utf-8") as handle:
-            spec = _json.load(handle)
-        injector = configure_chaos(spec)
-        armed = len(injector.stats()["plans"])
-        print(f"chaos armed from {args.chaos}: {armed} plan(s)")
 
     # One consolidated config object: the flags project onto the same
     # DiagnoserConfig every repro.api backend uses, so the served pipeline

@@ -6,9 +6,6 @@ analogue of the reproduction's instrumentation):
 * :mod:`repro.resilience.deadline` — request deadlines propagated as a
   budget (``X-Deadline-Ms`` on the wire, a ``contextvars`` variable inside
   the process) so expired requests are refused *before* work is spent.
-* :mod:`repro.resilience.chaos` — a process-global, seeded
-  :class:`FaultInjector` with named sites compiled into the stack; the
-  chaos harness that keeps the rest of this package honest.
 * :mod:`repro.resilience.health` — per-replica failure/latency tracking,
   quarantine with exponential re-admission, and the policy knobs the
   :class:`~repro.serve.replicas.ReplicaPool` supervisor runs on.
@@ -17,22 +14,14 @@ analogue of the reproduction's instrumentation):
 
 Everything here is stdlib-only and imports nothing from :mod:`repro.serve`
 (the serving stack imports *this* package), mirroring the cycle-free
-discipline of :mod:`repro.obs`.
+discipline of :mod:`repro.obs`.  Nothing here injects faults: the tests in
+``tests/integration/test_resilience.py`` cause each one by patching a seam
+the serving stack already has.
 """
 
 from __future__ import annotations
 
 from .breaker import BreakerState, CircuitBreaker
-from .chaos import (
-    FAULT_MODES,
-    FAULT_SITES,
-    FaultInjector,
-    FaultPlan,
-    chaos_spec_from_dict,
-    configure_chaos,
-    corrupt_bytes,
-    get_injector,
-)
 from .deadline import (
     DEADLINE_HEADER,
     Deadline,
@@ -52,14 +41,6 @@ __all__ = [
     "current_deadline",
     "check_deadline",
     "remaining_budget",
-    "FaultPlan",
-    "FaultInjector",
-    "FAULT_SITES",
-    "FAULT_MODES",
-    "get_injector",
-    "configure_chaos",
-    "chaos_spec_from_dict",
-    "corrupt_bytes",
     "HealthPolicy",
     "HealthState",
     "ReplicaHealth",

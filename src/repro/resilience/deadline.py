@@ -23,6 +23,7 @@ is crossed explicitly by capturing :func:`current_deadline` at submit time
 from __future__ import annotations
 
 import contextvars
+import math
 import time
 from typing import Callable, Optional
 
@@ -76,10 +77,11 @@ class Deadline:
 
         The header carries *remaining milliseconds* (never an absolute
         timestamp), so it is immune to wall-clock skew between peers.
-        Absent or malformed values yield ``None`` — a garbage header must
-        not reject a request that never asked for a deadline; a negative or
-        zero budget yields an already-expired deadline (the sender has
-        given up, which is exactly what 504 should report).
+        Absent or malformed values (``"nan"`` included) yield ``None`` — a
+        garbage header must not reject a request that never asked for a
+        deadline; a negative or zero budget is clamped to zero and yields an
+        already-expired deadline (the sender has given up, which is exactly
+        what 504 should report).
         """
         if value is None:
             return None
@@ -87,7 +89,9 @@ class Deadline:
             budget_ms = float(value.strip())
         except (ValueError, AttributeError):
             return None
-        budget_ms = min(budget_ms, float(MAX_DEADLINE_MS))
+        if math.isnan(budget_ms):
+            return None
+        budget_ms = min(max(budget_ms, 0.0), float(MAX_DEADLINE_MS))
         return cls(clock() + budget_ms / 1000.0, clock=clock)
 
     # -- queries -----------------------------------------------------------------

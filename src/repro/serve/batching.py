@@ -34,7 +34,7 @@ import numpy as np
 from ..exceptions import DeadlineExceededError, ServeError
 from ..nn.dtype import policy_float
 from ..obs import SpanContext, current_span, get_tracer
-from ..resilience import Deadline, current_deadline, get_injector
+from ..resilience import Deadline, current_deadline
 from .metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 
 __all__ = ["ExtractionRequest", "BatchingEngine"]
@@ -269,15 +269,6 @@ class BatchingEngine:
         """
         if not requests:
             return
-        injector = get_injector()
-        if injector.enabled:
-            try:
-                injector.inject("batching.drain")
-            except Exception as error:  # noqa: BLE001 - injected fault fails the batch
-                for request in requests:
-                    if not request.future.done():
-                        request.future.set_exception(error)
-                return
         # Deadline triage: a request whose budget lapsed while queued gets a
         # typed failure now — a forward pass on it would be pure waste, and
         # its caller has already given up.

@@ -45,8 +45,8 @@ Routes (:meth:`DiagnosisGateway._dispatch_get` and
     per ``Accept``.
 ``POST /jobs``, ``GET /jobs``, ``GET /jobs/<id>``
     Asynchronous diagnosis: submit, list, poll.
-``GET /debug/traces``, ``GET|POST /debug/chaos``
-    Tracing ring and fault-injector control (``POST`` from loopback only).
+``GET /debug/traces``
+    The tracing ring.
 """
 
 from __future__ import annotations
@@ -74,22 +74,13 @@ from ..obs import (
     new_request_id,
     unbind_request_id,
 )
-from ..resilience import (
-    bind_deadline,
-    configure_chaos,
-    corrupt_bytes,
-    current_deadline,
-    get_injector,
-    unbind_deadline,
-)
+from ..resilience import bind_deadline, current_deadline, unbind_deadline
 from ..wire import Codec, get_codec
 from .cache import ResponseCache, ResponseEntry
 from .metrics import MetricsRegistry, render_registries_text
 from .protocol import (
     error_response,
-    is_loopback_peer,
     negotiate_codecs,
-    parse_json_body,
     resolve_deadline,
     resolve_request_id,
     wants_text_metrics,
@@ -109,7 +100,6 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
-    403: "Forbidden",
     408: "Request Timeout",
     413: "Payload Too Large",
     415: "Unsupported Media Type",
@@ -496,26 +486,6 @@ class DiagnosisGateway:
                 sent = await self._respond(writer, 408, payload, False, rid_header)
                 return 408, payload, False, sent
 
-        injector = get_injector()
-        if injector.enabled:
-            plan = injector.planned("gateway.read_body")
-            if plan is not None:
-                # planned() not inject(): a blocking sleep here would stall
-                # every connection on the loop, not just this request.
-                if plan.mode in ("delay", "hang"):
-                    await asyncio.sleep(plan.delay_seconds)
-                elif plan.mode == "drop":
-                    return 0, {}, False, False
-                elif plan.mode == "corrupt":
-                    body = corrupt_bytes(body)
-                elif plan.mode == "error":
-                    status, payload, extra = error_response(plan.build_error())
-                    payload["request_id"] = request_id
-                    sent = await self._respond(
-                        writer, status, payload, False, tuple(extra) + rid_header
-                    )
-                    return status, payload, False, sent
-
         # Admission gate for the deadline: a budget that is already spent is
         # refused here — after the body read keeps the connection in sync, but
         # before any cache, admission, or executor work happens.
@@ -532,9 +502,7 @@ class DiagnosisGateway:
             )
             return status, payload, keep_alive, sent
 
-        status, payload, extra = await self._dispatch(
-            request, body, writer.get_extra_info("peername")
-        )
+        status, payload, extra = await self._dispatch(request, body)
         if status >= 400 and isinstance(payload, dict):
             payload.setdefault("request_id", request_id)
         keep_alive = request.keep_alive and status < 500
@@ -579,7 +547,7 @@ class DiagnosisGateway:
     # -- routing --------------------------------------------------------------------
 
     async def _dispatch(
-        self, request: ParsedRequest, body: bytes, peer: object = None
+        self, request: ParsedRequest, body: bytes
     ) -> Tuple[int, Union[Dict, bytes], Sequence[Tuple[str, str]]]:
         raw_path, _, query = request.path.partition("?")
         path = raw_path.rstrip("/") or "/"
@@ -587,7 +555,7 @@ class DiagnosisGateway:
             if request.method == "GET":
                 return await self._dispatch_get(path, query, request.headers)
             if request.method == "POST":
-                return await self._dispatch_post(path, body, request.headers, peer)
+                return await self._dispatch_post(path, body, request.headers)
             return 405, {"error": f"method {request.method} not allowed"}, ()
         except Exception as error:  # noqa: BLE001 - mapped to a status, keep serving
             if isinstance(error, ServiceSaturatedError):
@@ -610,8 +578,6 @@ class DiagnosisGateway:
             return (503 if payload["status"] == "unavailable" else 200), payload, ()
         if path == "/debug/traces":
             return 200, get_tracer().debug_payload(), ()
-        if path == "/debug/chaos":
-            return 200, get_injector().stats(), ()
         if path == "/models":
             records = await self._run_blocking(self.pool.records)
             return 200, {"models": records}, ()
@@ -649,15 +615,8 @@ class DiagnosisGateway:
         return 404, {"error": f"unknown path {path!r}"}, ()
 
     async def _dispatch_post(
-        self, path: str, body: bytes, headers: Dict[str, str], peer: object = None
+        self, path: str, body: bytes, headers: Dict[str, str]
     ) -> Tuple[int, Union[Dict, bytes], Sequence[Tuple[str, str]]]:
-        if path == "/debug/chaos":
-            # Runtime chaos control mutates process-global state: only the
-            # operator's own host may, and never through a proxy.
-            if not is_loopback_peer(peer):
-                return 403, {"error": "chaos control is loopback-only"}, ()
-            injector = configure_chaos(parse_json_body(body))
-            return 200, injector.stats(), ()
         if path == "/diagnose":
             # Codec negotiation first: an unknown Content-Type/Accept is a 415
             # before any cache or admission work (negotiate_codecs raises).
@@ -722,9 +681,6 @@ class DiagnosisGateway:
         """
         started = time.perf_counter()
         try:
-            injector = get_injector()
-            if injector.enabled and injector.inject("codec.decode") == "corrupt":
-                body = corrupt_bytes(body)
             request = codec.decode_request(body)
             report = lease.service.diagnose(
                 request.model,

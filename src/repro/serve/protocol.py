@@ -18,7 +18,6 @@ Each part of the protocol comes from one source:
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import (
@@ -39,12 +38,10 @@ from ..wire import (
 )
 
 __all__ = [
-    "parse_json_body",
     "error_status",
     "error_response",
     "resolve_request_id",
     "resolve_deadline",
-    "is_loopback_peer",
     "wants_text_metrics",
     "negotiate_codecs",
     "codec_for_content_type",
@@ -81,19 +78,6 @@ def resolve_deadline(headers: Dict[str, str]) -> Optional[Deadline]:
     return Deadline.from_header_ms(headers.get(DEADLINE_HEADER.lower()))
 
 
-#: Loopback addresses allowed to reconfigure chaos at runtime.  The debug
-#: surface mutates process-global state; only the operator's own host may.
-_LOOPBACK_HOSTS = frozenset({"127.0.0.1", "::1", "localhost"})
-
-
-def is_loopback_peer(peername) -> bool:
-    """Whether a socket peername tuple (or host string) is the local host."""
-    if peername is None:
-        return False
-    host = peername[0] if isinstance(peername, (tuple, list)) and peername else peername
-    return isinstance(host, str) and host.partition("%")[0] in _LOOPBACK_HOSTS
-
-
 def wants_text_metrics(query: str, accept: Optional[str]) -> bool:
     """Content negotiation for ``GET /metrics``: Prometheus text vs JSON.
 
@@ -106,19 +90,6 @@ def wants_text_metrics(query: str, accept: Optional[str]) -> bool:
         if separator and name == "format" and value.lower() in ("text", "prometheus"):
             return True
     return accept is not None and "text/plain" in accept.lower()
-
-
-def parse_json_body(raw: bytes) -> Dict:
-    """Decode a request body into the JSON object every POST endpoint expects."""
-    if not raw:
-        raise ServeError("request body required")
-    try:
-        payload = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ServeError(f"invalid JSON body: {error}") from error
-    if not isinstance(payload, dict):
-        raise ServeError("JSON body must be an object")
-    return payload
 
 
 def error_status(error: BaseException) -> int:

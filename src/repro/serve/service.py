@@ -43,7 +43,7 @@ from ..exceptions import NoFaultyCasesError, ServeError
 from ..monitor import DriftThresholds, MonitorSink, PatternUpdater
 from ..nn.dtype import resolve_dtype
 from ..obs import span as obs_span
-from ..resilience import check_deadline, get_injector, remaining_budget
+from ..resilience import check_deadline, remaining_budget
 from .batching import BatchingEngine
 from .jobs import Job, JobStore, WorkerPool
 from .metrics import MetricsRegistry
@@ -347,9 +347,6 @@ class DiagnosisService:
     ) -> DefectReport:
         if self._closed:
             raise ServeError("service is closed")
-        injector = get_injector()
-        if injector.enabled:
-            injector.inject("replica.dispatch")
         # A request whose deadline already lapsed must cost nothing past this
         # point — and a live deadline caps how long we wait on the engine.
         check_deadline("replica dispatch")

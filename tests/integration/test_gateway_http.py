@@ -221,6 +221,13 @@ class TestGatewayErrorPaths:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(gateway.url + "/health", {"x": 1})
         assert excinfo.value.code == 404
+        # The debug surface has no fault-injection control.
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _get(gateway.url + "/debug/chaos")
+        assert excinfo.value.code == 404
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(gateway.url + "/debug/chaos", {"enabled": False})
+        assert excinfo.value.code == 404
 
     def test_oversized_body_is_413(self, pool, tiny_splits):
         _, test = tiny_splits

@@ -1,17 +1,20 @@
-"""Chaos-driven integration tests: the resilience layer under injected faults.
+"""Fault-driven integration tests: the resilience layer under real faults.
 
-Each scenario arms the process-global fault injector with a deterministic
-plan (seeded draws, bounded budgets), drives real HTTP traffic at a live
-front end, and asserts the *recovery*, not just the failure: quarantined
-replicas are probed back in, an open breaker half-opens and closes, and an
-expired deadline is refused before any diagnosis work happens (asserted via
-metrics deltas, not timing).
+Each scenario causes its fault by patching a seam the code already has — a
+replica's ``_diagnose_inner``, the client's ``_roundtrip`` — or by pacing a
+raw socket.  Most drive real HTTP traffic at a live front end and assert the
+*recovery*, not just the failure: quarantined replicas are probed back in,
+an open breaker half-opens and closes, and an expired deadline is refused
+before any diagnosis work happens (asserted via metrics deltas, not timing).
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import socket
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -20,11 +23,13 @@ import pytest
 
 from repro.api import DiagnoserConfig, DiagnosisRequest, RemoteDiagnoser
 from repro.exceptions import (
+    ArtifactNotFoundError,
     CircuitOpenError,
     DeadlineExceededError,
     RemoteTransportError,
+    ServeError,
 )
-from repro.resilience import DEADLINE_HEADER, HealthPolicy, configure_chaos, get_injector
+from repro.resilience import DEADLINE_HEADER, HealthPolicy
 from repro.serve import ArtifactRegistry, DiagnosisGateway, ReplicaPool
 
 
@@ -34,13 +39,6 @@ def registry_dir(tmp_path_factory, fitted_deepmorph):
     registry = ArtifactRegistry(root)
     registry.register("tiny", fitted_deepmorph, metadata={"suite": "resilience"})
     return root
-
-
-@pytest.fixture(autouse=True)
-def _disarm_chaos():
-    """Every test leaves the process-global injector clean."""
-    yield
-    configure_chaos(None)
 
 
 @pytest.fixture
@@ -77,6 +75,54 @@ def _get(url: str, timeout: float = 60):
         return error.code, json.loads(error.read())
 
 
+def _fail_first(monkeypatch, owner, name: str, times: int, make_error):
+    """Make ``owner.<name>`` raise ``make_error()`` on its first ``times`` calls.
+
+    Later calls go through to the original.  Returns the list of calls seen,
+    so a test can check that nothing reached the seam.
+    """
+    original = getattr(owner, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        if len(calls) <= times:
+            raise make_error()
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def _post_head_then_body(gateway, path: str, document, headers, pause: float):
+    """POST ``document`` over a raw socket, sending the body ``pause`` s after the head.
+
+    The gateway binds a request's deadline when it parses the head, so the
+    pause is spent from the client's budget before the body arrives.
+    Returns ``(status, decoded body)``.
+    """
+    body = json.dumps(document).encode("utf-8")
+    lines = [
+        f"POST {path} HTTP/1.1",
+        f"Host: {gateway.host}",
+        "Content-Type: application/json",
+        f"Content-Length: {len(body)}",
+        "Connection: close",
+    ]
+    lines.extend(f"{name}: {value}" for name, value in headers.items())
+    head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+    with socket.create_connection((gateway.host, gateway.port), timeout=60) as sock:
+        sock.sendall(head)
+        time.sleep(pause)
+        sock.sendall(body)
+        response = http.client.HTTPResponse(sock)
+        try:
+            response.begin()
+            return response.status, json.loads(response.read())
+        finally:
+            response.close()
+
+
 def _make_stack(registry_dir, num_replicas: int):
     """A pool with fast supervision knobs plus a gateway on an ephemeral port."""
     pool = ReplicaPool.from_registry(
@@ -98,21 +144,16 @@ def _make_stack(registry_dir, num_replicas: int):
 
 class TestQuarantineAndReadmission:
     def test_faulting_replica_is_ejected_probed_and_readmitted(
-        self, registry_dir, payload
+        self, registry_dir, payload, monkeypatch
     ):
         pool, gateway = _make_stack(registry_dir, num_replicas=1)
         try:
             # Two infrastructure faults (the policy's threshold) and not one
-            # more: the budget makes the scenario a script, not a dice roll.
-            configure_chaos({
-                "plans": [{
-                    "site": "replica.dispatch",
-                    "mode": "error",
-                    "error_type": "ServeError",
-                    "message": "chaos: replica wedged",
-                    "max_injections": 2,
-                }],
-            })
+            # more: the count makes the scenario a script, not a dice roll.
+            _fail_first(
+                monkeypatch, pool.replicas[0], "_diagnose_inner", 2,
+                lambda: ServeError("replica wedged"),
+            )
 
             # ServeError maps to 400 on the wire, but health classification
             # counts it against the replica (is_infrastructure_fault).
@@ -130,8 +171,8 @@ class TestQuarantineAndReadmission:
             status, body = _post(gateway.url + "/diagnose", payload)
             assert status == 503
 
-            # The chaos budget is spent, so the supervisor's probe succeeds
-            # and re-admits the replica; traffic then flows again.
+            # After the quarantine window the supervisor's probe re-admits
+            # the replica; the two faults are spent, so traffic flows again.
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
                 status, health = _get(gateway.url + "/healthz")
@@ -171,7 +212,7 @@ class TestQuarantineAndReadmission:
 
 class TestCircuitBreaker:
     def test_drops_trip_the_breaker_and_half_open_recovers(
-        self, registry_dir, tiny_splits
+        self, registry_dir, tiny_splits, monkeypatch
     ):
         pool, gateway = _make_stack(registry_dir, num_replicas=1)
         _, test = tiny_splits
@@ -193,27 +234,24 @@ class TestCircuitBreaker:
             # Four drops cover both attempts of two calls: each call retries
             # once (with full-jitter backoff), exhausts its budget, and counts
             # one breaker failure.
-            configure_chaos({
-                "plans": [{
-                    "site": "remote.send",
-                    "mode": "drop",
-                    "max_injections": 4,
-                }],
-            })
+            sends = _fail_first(
+                monkeypatch, client, "_roundtrip", 4,
+                lambda: ConnectionResetError("connection dropped before send"),
+            )
             for _ in range(2):
                 with pytest.raises(RemoteTransportError):
                     client.diagnose(request)
             assert client.breaker_snapshot()["/diagnose"]["state"] == "open"
 
-            # Open breaker fails locally: the injector sees no new attempt.
-            fired_before = get_injector().stats()["plans"][0]["fired"]
+            # Open breaker fails locally: no new attempt reaches the send.
+            sent_before = len(sends)
             with pytest.raises(CircuitOpenError) as excinfo:
                 client.diagnose(request)
             assert excinfo.value.retry_after is not None
-            assert get_injector().stats()["plans"][0]["fired"] == fired_before
+            assert len(sends) == sent_before
 
             # After the reset window the half-open probe rides a healthy wire
-            # (the drop budget is spent) and closes the breaker again.
+            # (the four drops are spent) and closes the breaker again.
             time.sleep(0.35)
             report = client.diagnose(request)
             assert report.num_cases > 0
@@ -225,7 +263,7 @@ class TestCircuitBreaker:
 
 
     def test_open_breaker_stops_diagnose_many_before_the_wire(
-        self, registry_dir, tiny_splits
+        self, registry_dir, tiny_splits, monkeypatch
     ):
         pool, gateway = _make_stack(registry_dir, num_replicas=1)
         _, test = tiny_splits
@@ -238,9 +276,10 @@ class TestCircuitBreaker:
             ),
         )
         try:
-            configure_chaos({
-                "plans": [{"site": "remote.send", "mode": "drop", "max_injections": 1}],
-            })
+            sends = _fail_first(
+                monkeypatch, client, "_roundtrip", 1,
+                lambda: ConnectionResetError("connection dropped before send"),
+            )
             with pytest.raises(RemoteTransportError):
                 client.diagnose(request)
             assert client.breaker_snapshot()["/diagnose"]["state"] == "open"
@@ -248,6 +287,7 @@ class TestCircuitBreaker:
             requests_before = gateway.metrics.as_dict()["gateway.requests_total"]["value"]
             with pytest.raises(CircuitOpenError):
                 client.diagnose_many([request, request])
+            assert len(sends) == 1
             assert (
                 gateway.metrics.as_dict()["gateway.requests_total"]["value"]
                 == requests_before
@@ -257,6 +297,87 @@ class TestCircuitBreaker:
             gateway.shutdown()
             pool.shutdown()
 
+    def test_server_faults_open_the_breaker_and_client_errors_do_not(
+        self, registry_dir, tiny_splits, monkeypatch
+    ):
+        pool, gateway = _make_stack(registry_dir, num_replicas=1)
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        client = RemoteDiagnoser(
+            gateway.url,
+            config=DiagnoserConfig(
+                max_retries=0, breaker_failure_threshold=2, breaker_reset_seconds=60.0
+            ),
+        )
+        try:
+            # Unknown-model 404s, more of them than the threshold, say
+            # nothing against the server.
+            for _ in range(3):
+                with pytest.raises(ArtifactNotFoundError):
+                    client.diagnose_arrays(inputs, labels, model="missing")
+            assert client.breaker_snapshot()["/diagnose"]["state"] == "closed"
+
+            # A replica that crashes answers 500: two of them open the breaker.
+            _fail_first(
+                monkeypatch, pool.replicas[0], "_diagnose_inner", 2,
+                lambda: RuntimeError("replica crashed"),
+            )
+            for _ in range(2):
+                with pytest.raises(ServeError, match="replica crashed"):
+                    client.diagnose_arrays(inputs, labels, model="tiny")
+            assert client.breaker_snapshot()["/diagnose"]["state"] == "open"
+        finally:
+            client.close()
+            gateway.shutdown()
+            pool.shutdown()
+
+
+class TestBoundedRetries:
+    """The client's retry loop over a send that always fails; no server needed."""
+
+    @pytest.mark.parametrize("max_retries", [0, 1, 2])
+    def test_transport_failures_are_retried_max_retries_times(
+        self, max_retries, monkeypatch
+    ):
+        client = RemoteDiagnoser(
+            "http://127.0.0.1:9",
+            config=DiagnoserConfig(max_retries=max_retries, retry_backoff_seconds=0.001),
+        )
+        sends = _fail_first(
+            monkeypatch, client, "_roundtrip", 100,
+            lambda: ConnectionResetError("connection dropped before send"),
+        )
+        with pytest.raises(RemoteTransportError, match=f"after {max_retries + 1} attempt"):
+            client.health()
+        assert len(sends) == max_retries + 1
+        # The whole call, retries included, is one breaker failure.
+        assert client.breaker_snapshot()["/health"]["consecutive_failures"] == 1
+        client.close()
+
+    def test_deadline_ends_the_retry_loop(self, monkeypatch):
+        client = RemoteDiagnoser(
+            "http://127.0.0.1:9",
+            config=DiagnoserConfig(
+                max_retries=50,
+                retry_backoff_seconds=10.0,
+                deadline_seconds=0.1,
+                breaker_failure_threshold=1,
+            ),
+            rng=random.Random(3),
+        )
+        _fail_first(
+            monkeypatch, client, "_roundtrip", 100,
+            lambda: ConnectionResetError("connection dropped before send"),
+        )
+        started = time.monotonic()
+        with pytest.raises(DeadlineExceededError):
+            client.health()
+        # The first backoff draw is 2.4 s; it stops at the 0.1 s budget, and
+        # a spent budget does not count against the server.
+        assert time.monotonic() - started < 1.0
+        assert client.breaker_snapshot()["/health"]["state"] == "closed"
+        client.close()
+
 
 class TestDeadlines:
     def test_expired_deadline_is_refused_before_any_diagnosis_work(
@@ -264,19 +385,12 @@ class TestDeadlines:
     ):
         pool, gateway = _make_stack(registry_dir, num_replicas=1)
         try:
-            # The injected read delay (150 ms) outlives the client's 20 ms
-            # budget, so by admission time the deadline has lapsed.
-            configure_chaos({
-                "plans": [{
-                    "site": "gateway.read_body",
-                    "mode": "delay",
-                    "delay_seconds": 0.15,
-                }],
-            })
             before = pool.metrics_snapshot()["aggregate_counters"]
 
-            status, body = _post(
-                gateway.url + "/diagnose", payload, headers={DEADLINE_HEADER: "20"}
+            # The body arrives 150 ms after the head, which outlives the
+            # client's 20 ms budget, so by admission time it has lapsed.
+            status, body = _post_head_then_body(
+                gateway, "/diagnose", payload, {DEADLINE_HEADER: "20"}, pause=0.15
             )
             assert status == 504
             assert body["error_type"] == "DeadlineExceededError"
@@ -297,7 +411,7 @@ class TestDeadlines:
             pool.shutdown()
 
     def test_remote_client_deadline_maps_to_typed_exception(
-        self, registry_dir, tiny_splits
+        self, registry_dir, tiny_splits, monkeypatch
     ):
         pool, gateway = _make_stack(registry_dir, num_replicas=1)
         _, test = tiny_splits
@@ -308,15 +422,23 @@ class TestDeadlines:
             config=DiagnoserConfig(deadline_seconds=0.02, breaker_failure_threshold=1),
         )
         try:
-            configure_chaos({
-                "plans": [{
-                    "site": "gateway.read_body",
-                    "mode": "delay",
-                    "delay_seconds": 0.15,
-                }],
-            })
+            # A 50 ms stall before the send spends the 20 ms budget, so the
+            # request goes out with X-Deadline-Ms: 0.
+            statuses = []
+            roundtrip = client._roundtrip
+
+            def slow_roundtrip(*args, **kwargs):
+                time.sleep(0.05)
+                status, headers, body = roundtrip(*args, **kwargs)
+                statuses.append(status)
+                return status, headers, body
+
+            monkeypatch.setattr(client, "_roundtrip", slow_roundtrip)
             with pytest.raises(DeadlineExceededError):
                 client.diagnose(request)
+            # The typed error came from the gateway's 504, not from the
+            # client's own pre-send check.
+            assert statuses == [504]
             # The gateway's 504 reports the caller's spent budget, not a
             # server fault: one of them must not open the breaker.
             assert client.breaker_snapshot()["/diagnose"]["state"] == "closed"
@@ -337,68 +459,40 @@ class TestDeadlines:
             pool.shutdown()
 
 
-class TestChaosControlEndpoint:
-    def test_runtime_arm_observe_and_disarm_over_loopback(
-        self, registry_dir, payload
-    ):
-        pool, gateway = _make_stack(registry_dir, num_replicas=1)
-        try:
-            spec = {
-                "seed": 3,
-                "plans": [{
-                    "site": "replica.dispatch",
-                    "mode": "error",
-                    "max_injections": 1,
-                }],
-            }
-            status, stats = _post(gateway.url + "/debug/chaos", spec)
-            assert status == 200
-            assert stats["enabled"] is True and stats["seed"] == 3
-            assert stats["plans"][0]["site"] == "replica.dispatch"
-
-            status, body = _post(gateway.url + "/diagnose", payload)
-            assert status == 400
-
-            status, stats = _get(gateway.url + "/debug/chaos")
-            assert stats["plans"][0]["fired"] == 1
-
-            status, stats = _post(gateway.url + "/debug/chaos", {"enabled": False})
-            assert status == 200 and stats["enabled"] is False
-            status, body = _post(gateway.url + "/diagnose", payload)
-            assert status == 200
-        finally:
-            gateway.shutdown()
-            pool.shutdown()
-
-    def test_bad_spec_is_rejected_not_armed(self, registry_dir):
-        pool, gateway = _make_stack(registry_dir, num_replicas=1)
-        try:
-            status, body = _post(
-                gateway.url + "/debug/chaos",
-                {"plans": [{"site": "no.such.site", "mode": "delay"}]},
-            )
-            assert status == 400
-            assert not get_injector().enabled
-        finally:
-            gateway.shutdown()
-            pool.shutdown()
-
-
 class TestPoolShutdownDrain:
     def test_shutdown_waits_for_inflight_work_then_refuses_new(
         self, registry_dir, payload
     ):
         pool, gateway = _make_stack(registry_dir, num_replicas=1)
-        try:
-            status, _body = _post(gateway.url + "/diagnose", payload)
-            assert status == 200
-        finally:
-            gateway.shutdown()
-            remaining = pool.shutdown()
-            assert remaining == 0  # nothing was in flight: a clean drain
+        with pool:
+            try:
+                status, _body = _post(gateway.url + "/diagnose", payload)
+                assert status == 200
+            finally:
+                gateway.shutdown()
+            # One request is still in flight when the drain starts, and it
+            # finishes 0.2 s later.
+            lease = pool.acquire()
+            timer = threading.Timer(0.2, lease.release)
+            started = time.monotonic()
+            timer.start()
+            try:
+                remaining = pool.shutdown(timeout=2.0)
+                waited = time.monotonic() - started
+            finally:
+                timer.join(timeout=5.0)
+        assert not timer.is_alive()
+        assert remaining == 0  # the drain waited the request out
+        assert waited >= 0.2
         # After shutdown the pool refuses instead of queuing into closed engines.
-        from repro.exceptions import ServeError
-
         with pytest.raises(ServeError, match="closed"):
             with pool.acquire():
                 pass  # pragma: no cover - acquire must refuse
+
+    def test_shutdown_reports_work_still_inflight_at_its_timeout(self, registry_dir):
+        pool = ReplicaPool.from_registry(registry_dir, num_replicas=1, num_workers=1)
+        lease = pool.acquire()
+        try:
+            assert pool.shutdown(timeout=0.05) == 1
+        finally:
+            lease.release()

@@ -8,13 +8,24 @@ behaviour lives in ``tests/integration/test_gateway_http.py``.
 
 from __future__ import annotations
 
+import time
+from concurrent.futures import TimeoutError as FuturesTimeoutError
+
 import pytest
 
 import repro.serve
-from repro.exceptions import ServeError, ServiceSaturatedError
+from repro.exceptions import (
+    ArtifactNotFoundError,
+    ConfigurationError,
+    DeadlineExceededError,
+    NoFaultyCasesError,
+    ServeError,
+    ServiceSaturatedError,
+)
+from repro.resilience import HealthPolicy
 from repro.serve import JobStore, MetricsRegistry, ReplicaPool, parse_request_head
 from repro.serve import protocol
-from repro.serve.protocol import is_loopback_peer, parse_json_body, resolve_deadline
+from repro.serve.protocol import resolve_deadline
 
 
 # ----------------------------------------------------------- HTTP head parsing
@@ -95,20 +106,7 @@ class TestProtocolHelpers:
         assert resolve_deadline({}) is None
         assert resolve_deadline({"x-deadline-ms": "soon"}) is None
         assert resolve_deadline({"x-deadline-ms": ""}) is None
-
-    def test_parse_json_body_requires_a_json_object(self):
-        assert parse_json_body(b'{"seed": 1}') == {"seed": 1}
-        for raw in (b"", b"{not json", b"\xff\xfe", b"[1, 2]"):
-            with pytest.raises(ServeError):
-                parse_json_body(raw)
-
-    def test_is_loopback_peer(self):
-        assert is_loopback_peer(("127.0.0.1", 50000))
-        assert is_loopback_peer(("::1", 50000, 0, 0))
-        assert is_loopback_peer(("::1%lo", 50000, 0, 1))
-        assert is_loopback_peer("localhost")
-        assert not is_loopback_peer(("10.0.0.7", 50000))
-        assert not is_loopback_peer(None)
+        assert resolve_deadline({"x-deadline-ms": "nan"}) is None
 
     def test_exported_names_resolve(self):
         for module in (repro.serve, protocol):
@@ -279,3 +277,91 @@ class TestReplicaPoolLifecycle:
         assert set(snapshot) == {"pool", "replicas", "aggregate_counters"}
         assert len(snapshot["replicas"]) == 2
         assert snapshot["aggregate_counters"]["replica.assigned_total"] == 2
+
+
+class TestReplicaPoolHealth:
+    """The outcome a lease is released with decides the replica's health."""
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            TimeoutError("engine wait"),
+            # The same class as TimeoutError from Python 3.11, a distinct one before.
+            FuturesTimeoutError(),
+            ServeError("engine stopped"),
+            RuntimeError("worker crashed"),
+            ConnectionResetError("peer reset"),
+        ],
+        ids=[
+            "TimeoutError",
+            "futures.TimeoutError",
+            "ServeError",
+            "RuntimeError",
+            "ConnectionResetError",
+        ],
+    )
+    def test_infrastructure_faults_eject_the_replica(self, error):
+        pool = make_pool(
+            num_replicas=1,
+            health_policy=HealthPolicy(failure_threshold=2, quarantine_seconds=60.0),
+            probe=lambda service: None,
+        )
+        try:
+            for _ in range(2):
+                pool.acquire().release(error=error)
+            assert pool.health_snapshot()["status"] == "unavailable"
+            assert pool.metrics.counter("pool.ejections_total").value == 1
+        finally:
+            pool.close()
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            ArtifactNotFoundError("unknown model"),
+            ConfigurationError("bad option"),
+            NoFaultyCasesError("clean batch"),
+            DeadlineExceededError("budget spent"),
+            ServiceSaturatedError("busy", retry_after=1.0),
+            ValueError("bad shape"),
+        ],
+        ids=lambda error: type(error).__name__,
+    )
+    def test_client_errors_never_eject_the_replica(self, error):
+        # One client's bad requests must not take a replica out of service,
+        # even where the error class is a ServeError.
+        pool = make_pool(num_replicas=1, health_policy=HealthPolicy(failure_threshold=2))
+        try:
+            for _ in range(5):
+                pool.acquire().release(error=error)
+            assert pool.health_snapshot()["status"] == "ok"
+            assert pool.metrics.counter("pool.ejections_total").value == 0
+        finally:
+            pool.close()
+
+    def test_failing_probe_keeps_the_replica_quarantined_until_one_passes(self):
+        probes = []
+
+        def probe(service):
+            probes.append(service.index)
+            if len(probes) <= 2:
+                raise ServeError("still wedged")
+
+        pool = make_pool(
+            num_replicas=1,
+            probe=probe,
+            health_policy=HealthPolicy(
+                probe_interval_seconds=0.01, quarantine_seconds=0.02, quarantine_backoff=1.0
+            ),
+        )
+        try:
+            pool.eject_replica(0)
+            deadline = time.monotonic() + 5.0
+            while pool.health_snapshot()["status"] != "ok" and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pool.health_snapshot()["status"] == "ok"
+            assert probes == [0, 0, 0]  # two failed probes, then the re-admitting one
+            counters = pool.metrics.as_dict()
+            assert counters["pool.ejections_total"]["value"] == 1
+            assert counters["pool.readmissions_total"]["value"] == 1
+        finally:
+            pool.close()

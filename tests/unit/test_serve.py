@@ -8,7 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.exceptions import ArtifactNotFoundError, ServeError
+from repro.exceptions import ArtifactNotFoundError, DeadlineExceededError, ServeError
+from repro.resilience import Deadline, bind_deadline, unbind_deadline
 from repro.serve import (
     ArtifactRegistry,
     BatchingEngine,
@@ -16,6 +17,7 @@ from repro.serve import (
     JobStatus,
     JobStore,
     LRUCache,
+    MetricsRegistry,
     WorkerPool,
 )
 
@@ -318,6 +320,20 @@ class TestBatchingEngine:
         with pytest.raises(RuntimeError, match="model exploded"):
             request.future.result(timeout=1)
 
+    def test_request_expired_in_the_queue_is_refused_without_extraction(self):
+        calls = []
+        metrics = MetricsRegistry()
+        engine = BatchingEngine(_stub_extract_factory(calls), metrics=metrics)
+        expired = ExtractionRequest("m@v1", np.ones((2, 2)), deadline=Deadline.after(-1.0))
+        live = ExtractionRequest("m@v1", np.full((3, 2), 5.0), deadline=Deadline.after(60.0))
+        engine.process_batch([expired, live])
+        with pytest.raises(DeadlineExceededError, match="queued"):
+            expired.future.result(timeout=1)
+        assert live.future.result(timeout=1)[0].shape[0] == 3
+        assert calls == [("m@v1", [3])]  # the co-batched live request alone
+        assert engine.stats()["requests_expired"] == 1
+        assert metrics.as_dict()["engine.deadline_expired_total"]["value"] == 1
+
     def test_stop_fails_queued_requests(self):
         engine = BatchingEngine(_stub_extract_factory([]))
         engine.start()
@@ -484,6 +500,41 @@ class TestServiceExtraction:
         with DiagnosisService(registry, num_workers=1) as fresh:
             expected = fresh.diagnose("m", inputs, labels)
         assert report.as_dict() == expected.as_dict()
+
+
+class TestServiceDeadline:
+    def test_deadline_caps_the_extraction_wait(
+        self, tmp_path, fitted_deepmorph, tiny_splits, monkeypatch
+    ):
+        from repro.serve import DiagnosisService
+
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        registry = ArtifactRegistry(tmp_path / "registry")
+        registry.register("m", fitted_deepmorph)
+        waits = []
+
+        def stalled_extract(model_key, rows, timeout=None):
+            waits.append(timeout)
+            time.sleep(min(timeout, 0.5))
+            raise TimeoutError("extraction did not finish")
+
+        with DiagnosisService(registry, num_workers=1) as service:
+            monkeypatch.setattr(service.engine, "extract", stalled_extract)
+            # Without a deadline the wait is the request's own timeout, and
+            # running out of it is the engine's fault.
+            with pytest.raises(TimeoutError):
+                service.diagnose("m", inputs, labels, timeout=0.01)
+            assert waits == [0.01]
+            # A caller's 50 ms budget caps a 30 s wait, and running out of it
+            # is the caller's deadline: the typed 504 error.
+            token = bind_deadline(Deadline.after(0.05))
+            try:
+                with pytest.raises(DeadlineExceededError, match="extraction wait"):
+                    service.diagnose("m", inputs, labels, timeout=30.0)
+            finally:
+                unbind_deadline(token)
+        assert 0.0 < waits[1] <= 0.05
 
 
 class TestServiceInferenceDtype:
