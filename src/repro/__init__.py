@@ -12,7 +12,7 @@ The package is organized as:
 * :mod:`repro.core` — DeepMorph itself: softmax instrumentation, data-flow
   footprints, class execution patterns, and defect reasoning.
 * :mod:`repro.analysis` — divergences and trajectory statistics.
-* :mod:`repro.serialize` — persistence of models, footprints, reports, and
+* :mod:`repro.serialize` — persistence of models, defect reports, and
   fitted DeepMorph instances.
 * :mod:`repro.serve` — the production serving layer: a named/versioned
   artifact registry, request batching that coalesces concurrent diagnoses
@@ -46,7 +46,6 @@ from .defects import (
     InsufficientTrainingData,
     StructureDefect,
     UnreliableTrainingData,
-    build_defect,
 )
 from .exceptions import (
     ArtifactNotFoundError,
@@ -65,7 +64,7 @@ from .exceptions import (
     ServiceSaturatedError,
     ShapeError,
 )
-from .rng import ensure_rng, seed_everything
+from .rng import ensure_rng
 
 __version__ = "1.0.0"
 
@@ -99,7 +98,6 @@ __all__ = [
     "InsufficientTrainingData",
     "UnreliableTrainingData",
     "StructureDefect",
-    "build_defect",
     # exceptions
     "ReproError",
     "ShapeError",
@@ -118,5 +116,4 @@ __all__ = [
     "RemoteTransportError",
     # rng
     "ensure_rng",
-    "seed_everything",
 ]

@@ -1,16 +1,11 @@
-"""Analysis utilities: divergences, trajectory statistics, calibration."""
+"""Analysis utilities: divergences and trajectory statistics."""
 
-from .calibration import ReliabilityBin, brier_score, expected_calibration_error, reliability_diagram
 from .divergence import (
-    cosine_similarity,
     entropy,
-    js_distance,
     js_divergence,
-    js_similarity,
     kl_divergence,
     normalize_distribution,
     normalized_entropy,
-    total_variation,
 )
 from .trajectory import (
     batch_commitment_depth,
@@ -26,10 +21,6 @@ from .trajectory import (
 __all__ = [
     "kl_divergence",
     "js_divergence",
-    "js_distance",
-    "js_similarity",
-    "total_variation",
-    "cosine_similarity",
     "entropy",
     "normalized_entropy",
     "normalize_distribution",
@@ -41,8 +32,4 @@ __all__ = [
     "batch_commitment_depth",
     "batch_entropy_profile",
     "batch_layer_stability",
-    "ReliabilityBin",
-    "expected_calibration_error",
-    "reliability_diagram",
-    "brier_score",
 ]

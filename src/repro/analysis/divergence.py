@@ -1,9 +1,8 @@
-"""Distribution divergences and similarity measures.
+"""Distribution divergences and entropies.
 
 These are the numerical primitives DeepMorph uses to compare data-flow
 footprints against class execution patterns: probability-vector divergences
-(KL, Jensen-Shannon, total variation), entropies, and similarity scores
-derived from them.
+(KL and Jensen-Shannon) and entropies.
 """
 
 from __future__ import annotations
@@ -15,10 +14,6 @@ from ..exceptions import ShapeError
 __all__ = [
     "kl_divergence",
     "js_divergence",
-    "js_distance",
-    "js_similarity",
-    "total_variation",
-    "cosine_similarity",
     "entropy",
     "normalized_entropy",
     "normalize_distribution",
@@ -65,33 +60,6 @@ def js_divergence(p: np.ndarray, q: np.ndarray, axis: int = -1) -> np.ndarray:
     p, q = _check_pair(p, q, axis)
     m = 0.5 * (p + q)
     return 0.5 * kl_divergence(p, m, axis=axis) + 0.5 * kl_divergence(q, m, axis=axis)
-
-
-def js_distance(p: np.ndarray, q: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Jensen–Shannon distance: the square root of the JS divergence (a metric)."""
-    return np.sqrt(np.maximum(js_divergence(p, q, axis=axis), 0.0))
-
-
-def js_similarity(p: np.ndarray, q: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Similarity in ``[0, 1]``: 1 minus the JS divergence normalized by its maximum."""
-    return 1.0 - js_divergence(p, q, axis=axis) / np.log(2.0)
-
-
-def total_variation(p: np.ndarray, q: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Total-variation distance ``0.5 * sum |p - q|`` in ``[0, 1]``."""
-    p, q = _check_pair(p, q, axis)
-    return 0.5 * np.abs(p - q).sum(axis=axis)
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Cosine similarity between (batches of) vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"vectors must have the same shape, got {a.shape} vs {b.shape}")
-    num = (a * b).sum(axis=axis)
-    denom = np.linalg.norm(a, axis=axis) * np.linalg.norm(b, axis=axis)
-    return np.where(denom > 0, num / np.maximum(denom, _EPS), 0.0)
 
 
 def entropy(p: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -111,9 +111,14 @@ def validate_arrays(
     Labels must be class ids (:func:`repro.core.footprint.validate_labels`):
     integers, or integral finite floats such as ``3.0``.  With
     ``num_classes`` they must also lie in ``[0, num_classes)``.  Every
-    rejection is a :class:`~repro.exceptions.ConfigurationError` (HTTP 400).
+    rejection is a :class:`~repro.exceptions.ConfigurationError` (HTTP 400),
+    non-numeric or ragged inputs included: a client's bad body must never
+    surface as a 500, which the replica pool counts against the replica.
     """
-    inputs_arr = policy_float(np.asarray(inputs))
+    try:
+        inputs_arr = policy_float(np.asarray(inputs))
+    except (TypeError, ValueError, OverflowError) as error:
+        raise ConfigurationError(f"inputs must be a numeric array: {error}") from error
     if inputs_arr.ndim < 2:
         raise ConfigurationError(
             f"inputs must be a batch of examples (ndim >= 2), got shape {inputs_arr.shape}"

@@ -1,15 +1,6 @@
-"""Datasets, loaders, transforms, and synthetic corpus generators."""
+"""Datasets, loaders, and synthetic corpus generators."""
 
-from .dataset import (
-    ArrayDataset,
-    Dataset,
-    Subset,
-    class_counts,
-    class_indices,
-    concat_datasets,
-    stratified_split,
-    train_test_split,
-)
+from .dataset import ArrayDataset, Dataset, class_counts, class_indices
 from .loader import DataLoader, batch_iterator
 from .synthetic import (
     SyntheticCIFAR,
@@ -18,24 +9,10 @@ from .synthetic import (
     SyntheticMNIST,
     make_prototypes,
 )
-from .transforms import (
-    Compose,
-    Cutout,
-    GaussianNoise,
-    Normalize,
-    PerImageStandardize,
-    RandomHorizontalFlip,
-    RandomTranslation,
-    Transform,
-)
 
 __all__ = [
     "Dataset",
     "ArrayDataset",
-    "Subset",
-    "concat_datasets",
-    "train_test_split",
-    "stratified_split",
     "class_counts",
     "class_indices",
     "DataLoader",
@@ -45,12 +22,4 @@ __all__ = [
     "SyntheticMNIST",
     "SyntheticCIFAR",
     "make_prototypes",
-    "Transform",
-    "Compose",
-    "Normalize",
-    "PerImageStandardize",
-    "GaussianNoise",
-    "RandomHorizontalFlip",
-    "RandomTranslation",
-    "Cutout",
 ]

@@ -2,28 +2,22 @@
 
 A :class:`Dataset` is an indexable collection of ``(input, label)`` pairs
 with a known class count.  :class:`ArrayDataset` (numpy-array backed) is the
-concrete type used throughout the library; views (:class:`Subset`) and
-combinators (:func:`concat_datasets`, :func:`train_test_split`,
-:func:`stratified_split`) build the training/production splits the DeepMorph
-experiments need without copying image data.
+concrete type used throughout the library; its :meth:`~ArrayDataset.select`
+and :meth:`~ArrayDataset.with_labels` build the subsampled and relabelled
+training sets that defect injection needs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import DatasetError, ShapeError
-from ..rng import RngLike, ensure_rng
 
 __all__ = [
     "Dataset",
     "ArrayDataset",
-    "Subset",
-    "concat_datasets",
-    "train_test_split",
-    "stratified_split",
     "class_counts",
     "class_indices",
 ]
@@ -163,57 +157,6 @@ class ArrayDataset(Dataset):
         )
 
 
-class Subset(Dataset):
-    """A zero-copy view of a subset of another dataset."""
-
-    def __init__(self, base: Dataset, indices: Sequence[int], name: Optional[str] = None):
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size and (indices.min() < 0 or indices.max() >= len(base)):
-            raise DatasetError(
-                f"subset indices out of range for dataset of size {len(base)}"
-            )
-        self.base = base
-        self.indices = indices
-        self.name = name or f"subset({getattr(base, 'name', 'dataset')})"
-
-    @property
-    def num_classes(self) -> int:
-        return self.base.num_classes
-
-    @property
-    def input_shape(self) -> Tuple[int, ...]:
-        return self.base.input_shape
-
-    def __len__(self) -> int:
-        return int(self.indices.shape[0])
-
-    def __getitem__(self, index: int) -> Tuple[np.ndarray, int]:
-        return self.base[int(self.indices[index])]
-
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        inputs, labels = self.base.arrays()
-        return inputs[self.indices], labels[self.indices]
-
-
-def concat_datasets(datasets: Sequence[ArrayDataset], name: str = "concat") -> ArrayDataset:
-    """Concatenate array datasets with identical shape and class count."""
-    if not datasets:
-        raise DatasetError("cannot concatenate an empty list of datasets")
-    first = datasets[0]
-    for ds in datasets[1:]:
-        if ds.input_shape != first.input_shape:
-            raise DatasetError(
-                f"input shapes differ: {ds.input_shape} vs {first.input_shape}"
-            )
-        if ds.num_classes != first.num_classes:
-            raise DatasetError(
-                f"class counts differ: {ds.num_classes} vs {first.num_classes}"
-            )
-    inputs = np.concatenate([ds.inputs for ds in datasets], axis=0)
-    labels = np.concatenate([ds.labels for ds in datasets], axis=0)
-    return ArrayDataset(inputs, labels, first.num_classes, class_names=first.class_names, name=name)
-
-
 def class_indices(labels: np.ndarray, num_classes: int) -> Dict[int, np.ndarray]:
     """Map each class id to the indices of its examples."""
     labels = np.asarray(labels)
@@ -227,64 +170,3 @@ def class_counts(dataset: Dataset) -> np.ndarray:
     for c in range(dataset.num_classes):
         counts[c] = int(np.sum(labels == c))
     return counts
-
-
-def train_test_split(
-    dataset: ArrayDataset,
-    test_fraction: float = 0.2,
-    rng: RngLike = None,
-    shuffle: bool = True,
-) -> Tuple[ArrayDataset, ArrayDataset]:
-    """Random train/test split.
-
-    Raises :class:`~repro.exceptions.DatasetError` if either side would be empty.
-    """
-    if not 0.0 < test_fraction < 1.0:
-        raise DatasetError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    n = len(dataset)
-    n_test = int(round(n * test_fraction))
-    if n_test == 0 or n_test == n:
-        raise DatasetError(
-            f"split of {n} examples with test_fraction={test_fraction} produces an empty side"
-        )
-    indices = np.arange(n)
-    if shuffle:
-        ensure_rng(rng).shuffle(indices)
-    test_idx, train_idx = indices[:n_test], indices[n_test:]
-    return (
-        dataset.select(train_idx, name=f"{dataset.name}[train]"),
-        dataset.select(test_idx, name=f"{dataset.name}[test]"),
-    )
-
-
-def stratified_split(
-    dataset: ArrayDataset,
-    test_fraction: float = 0.2,
-    rng: RngLike = None,
-) -> Tuple[ArrayDataset, ArrayDataset]:
-    """Train/test split that preserves the per-class proportions."""
-    if not 0.0 < test_fraction < 1.0:
-        raise DatasetError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    generator = ensure_rng(rng)
-    _, labels = dataset.arrays()
-    train_parts: List[np.ndarray] = []
-    test_parts: List[np.ndarray] = []
-    for c, idx in class_indices(labels, dataset.num_classes).items():
-        if idx.size == 0:
-            continue
-        shuffled = idx.copy()
-        generator.shuffle(shuffled)
-        n_test = int(round(idx.size * test_fraction))
-        n_test = min(max(n_test, 1), idx.size - 1) if idx.size > 1 else 0
-        test_parts.append(shuffled[:n_test])
-        train_parts.append(shuffled[n_test:])
-    train_idx = np.concatenate(train_parts) if train_parts else np.array([], dtype=np.int64)
-    test_idx = np.concatenate(test_parts) if test_parts else np.array([], dtype=np.int64)
-    if train_idx.size == 0 or test_idx.size == 0:
-        raise DatasetError("stratified split produced an empty side")
-    generator.shuffle(train_idx)
-    generator.shuffle(test_idx)
-    return (
-        dataset.select(train_idx, name=f"{dataset.name}[train]"),
-        dataset.select(test_idx, name=f"{dataset.name}[test]"),
-    )

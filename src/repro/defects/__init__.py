@@ -7,13 +7,11 @@
 * :class:`StructureDefect` (SD) — remove convolutional capacity from the
   architecture.
 
-:func:`build_defect` constructs any of them from a :class:`DefectType` and
-keyword arguments, which is what the experiment harness and CLI use.
+:class:`DefectType` names them.  The experiment harness
+(:mod:`repro.experiments.runner`, behind ``repro-inject`` and
+``repro-table1``) builds each type's injector from its settings.
 """
 
-from typing import Union
-
-from ..exceptions import DefectInjectionError
 from .itd import InsufficientTrainingData
 from .spec import DataInjectionReport, DefectType, StructureInjectionReport
 from .structure import StructureDefect
@@ -26,20 +24,4 @@ __all__ = [
     "InsufficientTrainingData",
     "UnreliableTrainingData",
     "StructureDefect",
-    "build_defect",
 ]
-
-Defect = Union[InsufficientTrainingData, UnreliableTrainingData, StructureDefect]
-
-
-def build_defect(defect_type: "DefectType | str", **kwargs) -> Defect:
-    """Construct the injector for ``defect_type`` with its keyword arguments."""
-    if isinstance(defect_type, str):
-        defect_type = DefectType.from_string(defect_type)
-    if defect_type == DefectType.ITD:
-        return InsufficientTrainingData(**kwargs)
-    if defect_type == DefectType.UTD:
-        return UnreliableTrainingData(**kwargs)
-    if defect_type == DefectType.SD:
-        return StructureDefect(**kwargs)
-    raise DefectInjectionError(f"cannot build an injector for defect type {defect_type!r}")

@@ -32,6 +32,7 @@ __all__ = [
     "ArtifactNotFoundError",
     "PayloadTooLargeError",
     "ServiceSaturatedError",
+    "ServiceUnavailableError",
     "RemoteTransportError",
     "CodecError",
     "UnsupportedMediaTypeError",
@@ -120,6 +121,14 @@ class ServiceSaturatedError(ServeError):
     def __init__(self, message: str, retry_after: float = 1.0):
         super().__init__(message)
         self.retry_after = float(retry_after)
+
+
+class ServiceUnavailableError(ServeError):
+    """The serving replica is shut down: a closed service or pool, a stopped engine.
+
+    The replica's fault, not the request's: HTTP front ends answer ``503``,
+    and the replica pool counts it against the replica's health.
+    """
 
 
 class RemoteTransportError(ServeError):

@@ -2,10 +2,10 @@
 
 from .alexnet import AlexNet
 from .base import ClassifierModel
-from .densenet import DENSENET40_UNITS, DenseNet
+from .densenet import DenseNet
 from .lenet import LeNet
 from .registry import MODEL_REGISTRY, available_models, build_from_config, build_model
-from .resnet import RESNET34_BLOCK_COUNTS, ResNet
+from .resnet import ResNet
 
 __all__ = [
     "ClassifierModel",
@@ -13,8 +13,6 @@ __all__ = [
     "AlexNet",
     "ResNet",
     "DenseNet",
-    "RESNET34_BLOCK_COUNTS",
-    "DENSENET40_UNITS",
     "MODEL_REGISTRY",
     "build_model",
     "build_from_config",

@@ -24,10 +24,7 @@ from ..nn.layers import (
 )
 from .base import ClassifierModel
 
-__all__ = ["DenseNet", "DENSENET40_UNITS"]
-
-#: Units per dense block of the original DenseNet-40 (growth rate 12).
-DENSENET40_UNITS: Tuple[int, ...] = (12, 12, 12)
+__all__ = ["DenseNet"]
 
 
 class DenseNet(ClassifierModel):

@@ -25,10 +25,7 @@ from ..nn.layers import (
 )
 from .base import ClassifierModel
 
-__all__ = ["ResNet", "RESNET34_BLOCK_COUNTS"]
-
-#: Block-group sizes of the original ResNet-34 (used when running at full scale).
-RESNET34_BLOCK_COUNTS: Tuple[int, ...] = (3, 4, 6, 3)
+__all__ = ["ResNet"]
 
 
 class ResNet(ClassifierModel):

@@ -1,23 +1,15 @@
-"""Numpy deep-learning substrate: layers, losses, metrics, initializers.
+"""Numpy deep-learning substrate: layers, losses, accuracy, initializers.
 
 This package re-implements, from scratch and on top of numpy, the subset of a
 deep-learning framework that the DeepMorph reproduction needs: layer-wise
 forward/backward computation, parameter management, classification losses and
-metrics.  It deliberately exposes every intermediate activation — the raw
+accuracy.  It deliberately exposes every intermediate activation — the raw
 material of data-flow footprints.
 """
 
 from . import functional
-from .dtype import (
-    DEFAULT_DTYPE,
-    as_compute,
-    autocast,
-    compute_dtype,
-    resolve_dtype,
-    set_compute_dtype,
-)
+from .dtype import DEFAULT_DTYPE, as_compute, autocast, compute_dtype, resolve_dtype
 from .initializers import (
-    Constant,
     GlorotNormal,
     GlorotUniform,
     HeNormal,
@@ -31,7 +23,6 @@ from .initializers import (
 )
 from .layers import (
     AvgPool2D,
-    BatchNorm1D,
     BatchNorm2D,
     Conv2D,
     Dense,
@@ -39,25 +30,14 @@ from .layers import (
     Dropout,
     Flatten,
     GlobalAvgPool2D,
-    LeakyReLU,
     MaxPool2D,
     ReLU,
     ResidualBlock,
     Sequential,
-    Sigmoid,
-    Softmax,
-    Tanh,
     TransitionLayer,
 )
 from .losses import Loss, MeanSquaredError, NegativeLogLikelihood, SoftmaxCrossEntropy, get_loss
-from .metrics import (
-    accuracy,
-    confusion_matrix,
-    error_cases,
-    per_class_accuracy,
-    precision_recall_f1,
-    top_k_accuracy,
-)
+from .metrics import accuracy
 from .module import Layer, Parameter
 
 __all__ = [
@@ -70,23 +50,17 @@ __all__ = [
     "as_compute",
     "compute_dtype",
     "resolve_dtype",
-    "set_compute_dtype",
     # layers
     "Dense",
     "Conv2D",
     "MaxPool2D",
     "AvgPool2D",
     "GlobalAvgPool2D",
-    "BatchNorm1D",
     "BatchNorm2D",
     "Dropout",
     "Flatten",
     "Sequential",
     "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
-    "Softmax",
     "ResidualBlock",
     "DenseBlock",
     "TransitionLayer",
@@ -94,7 +68,6 @@ __all__ = [
     "Initializer",
     "Zeros",
     "Ones",
-    "Constant",
     "RandomNormal",
     "RandomUniform",
     "GlorotUniform",
@@ -110,9 +83,4 @@ __all__ = [
     "get_loss",
     # metrics
     "accuracy",
-    "top_k_accuracy",
-    "per_class_accuracy",
-    "confusion_matrix",
-    "precision_recall_f1",
-    "error_cases",
 ]

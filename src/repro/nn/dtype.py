@@ -46,7 +46,6 @@ __all__ = [
     "SUPPORTED_DTYPES",
     "resolve_dtype",
     "compute_dtype",
-    "set_compute_dtype",
     "autocast",
     "as_compute",
     "match_dtype",
@@ -84,13 +83,6 @@ def resolve_dtype(dtype: DTypeLike) -> np.dtype:
 def compute_dtype() -> np.dtype:
     """The dtype forward passes run in on the calling thread."""
     return getattr(_state, "dtype", DEFAULT_DTYPE)
-
-
-def set_compute_dtype(dtype: DTypeLike) -> np.dtype:
-    """Set the calling thread's compute dtype (``None`` restores the default)."""
-    resolved = resolve_dtype(dtype)
-    _state.dtype = resolved
-    return resolved
 
 
 @contextmanager

@@ -51,12 +51,6 @@ from ..exceptions import ShapeError
 __all__ = [
     "relu",
     "relu_grad",
-    "leaky_relu",
-    "leaky_relu_grad",
-    "sigmoid",
-    "sigmoid_grad",
-    "tanh",
-    "tanh_grad",
     "softmax",
     "log_softmax",
     "one_hot",
@@ -85,43 +79,6 @@ def relu(x: np.ndarray) -> np.ndarray:
 def relu_grad(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Gradient of :func:`relu` with respect to its input."""
     return grad_out * (x > 0.0)
-
-
-def leaky_relu(x: np.ndarray, negative_slope: float = 0.01) -> np.ndarray:
-    """Leaky ReLU: identity for positive values, ``negative_slope * x`` otherwise."""
-    return np.where(x > 0.0, x, negative_slope * x)
-
-
-def leaky_relu_grad(x: np.ndarray, grad_out: np.ndarray, negative_slope: float = 0.01) -> np.ndarray:
-    """Gradient of :func:`leaky_relu` with respect to its input."""
-    return grad_out * np.where(x > 0.0, 1.0, negative_slope)
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid (dtype-preserving for floats)."""
-    x = np.asarray(x)
-    dtype = x.dtype if x.dtype in (np.float32, np.float64) else np.float64
-    out = np.empty(x.shape, dtype=dtype)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos], dtype=dtype))
-    ex = np.exp(x[~pos], dtype=dtype)
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def sigmoid_grad(y: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Gradient of sigmoid given its *output* ``y = sigmoid(x)``."""
-    return grad_out * y * (1.0 - y)
-
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    """Hyperbolic tangent."""
-    return np.tanh(x)
-
-
-def tanh_grad(y: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Gradient of tanh given its *output* ``y = tanh(x)``."""
-    return grad_out * (1.0 - y * y)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -19,7 +19,6 @@ __all__ = [
     "Initializer",
     "Zeros",
     "Ones",
-    "Constant",
     "RandomNormal",
     "RandomUniform",
     "GlorotUniform",
@@ -62,16 +61,6 @@ class Ones(Initializer):
 
     def __call__(self, shape: Sequence[int], rng: RngLike = None) -> np.ndarray:
         return np.ones(shape, dtype=np.float64)
-
-
-class Constant(Initializer):
-    """Fill with a fixed value."""
-
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    def __call__(self, shape: Sequence[int], rng: RngLike = None) -> np.ndarray:
-        return np.full(shape, self.value, dtype=np.float64)
 
 
 class RandomNormal(Initializer):

@@ -1,4 +1,4 @@
-"""Parameter-free activation layers."""
+"""The ReLU activation layer."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 from .. import functional as F
 from ..module import Layer
 
-__all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh", "Softmax"]
+__all__ = ["ReLU"]
 
 
 class ReLU(Layer):
@@ -27,84 +27,3 @@ class ReLU(Layer):
         if self._input is None:
             raise RuntimeError("backward called before forward on ReLU")
         return F.relu_grad(self._input, grad_out)
-
-
-class LeakyReLU(Layer):
-    """Leaky rectified linear unit activation."""
-
-    def __init__(self, negative_slope: float = 0.01, name: Optional[str] = None):
-        super().__init__(name=name)
-        self.negative_slope = float(negative_slope)
-        self._input: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._input = self.cache_for_backward(x)
-        return F.leaky_relu(x, self.negative_slope)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._input is None:
-            raise RuntimeError("backward called before forward on LeakyReLU")
-        return F.leaky_relu_grad(self._input, grad_out, self.negative_slope)
-
-
-class Sigmoid(Layer):
-    """Logistic sigmoid activation."""
-
-    def __init__(self, name: Optional[str] = None):
-        super().__init__(name=name)
-        self._output: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = F.sigmoid(x)
-        self._output = self.cache_for_backward(out)
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward on Sigmoid")
-        return F.sigmoid_grad(self._output, grad_out)
-
-
-class Tanh(Layer):
-    """Hyperbolic tangent activation."""
-
-    def __init__(self, name: Optional[str] = None):
-        super().__init__(name=name)
-        self._output: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = F.tanh(x)
-        self._output = self.cache_for_backward(out)
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward on Tanh")
-        return F.tanh_grad(self._output, grad_out)
-
-
-class Softmax(Layer):
-    """Softmax over the last axis.
-
-    Typically the final layer of a classifier.  The backward pass implements
-    the full softmax Jacobian product, so the layer composes correctly with
-    any loss; models trained with
-    :class:`~repro.nn.losses.SoftmaxCrossEntropy` usually omit it and let the
-    loss fuse softmax with the cross-entropy gradient for numerical stability.
-    """
-
-    def __init__(self, name: Optional[str] = None):
-        super().__init__(name=name)
-        self._output: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = F.softmax(x, axis=-1)
-        self._output = self.cache_for_backward(out)
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward on Softmax")
-        y = self._output
-        dot = np.sum(grad_out * y, axis=-1, keepdims=True)
-        return y * (grad_out - dot)

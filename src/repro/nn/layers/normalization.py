@@ -1,4 +1,4 @@
-"""Batch-normalization layers for dense and convolutional activations."""
+"""Batch normalization for convolutional activations."""
 
 from __future__ import annotations
 
@@ -10,15 +10,19 @@ from ...exceptions import ConfigurationError, ShapeError
 from ..dtype import as_compute, match_dtype
 from ..module import Layer, Parameter
 
-__all__ = ["BatchNorm1D", "BatchNorm2D"]
+__all__ = ["BatchNorm2D"]
+
+#: The axes each channel's statistics reduce over in NCHW input.
+_AXES = (0, 2, 3)
 
 
-class _BatchNormBase(Layer):
-    """Shared machinery for 1-D and 2-D batch normalization.
+def _per_channel(stat: np.ndarray) -> np.ndarray:
+    """Reshape a per-channel statistic so it broadcasts against NCHW input."""
+    return stat.reshape(1, -1, 1, 1)
 
-    Subclasses define which axes are reduced over; the base class owns the
-    scale/shift parameters, running statistics, and the backward pass.
-    """
+
+class BatchNorm2D(Layer):
+    """Batch normalization over ``(batch, channels, height, width)`` activations."""
 
     buffer_names = ("running_mean", "running_var")
 
@@ -55,44 +59,31 @@ class _BatchNormBase(Layer):
 
         self._cache: Optional[tuple] = None
 
-    # Subclass hooks ---------------------------------------------------------
-
-    def _check_input(self, x: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def _reshape_stats(self, stat: np.ndarray) -> np.ndarray:
-        """Reshape a per-feature statistic so it broadcasts against the input."""
-        raise NotImplementedError
-
-    def _reduce_axes(self) -> tuple:
-        raise NotImplementedError
-
-    # Forward / backward -------------------------------------------------------
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = as_compute(x)
-        self._check_input(x)
-        axes = self._reduce_axes()
+        if x.ndim != 4:
+            raise ShapeError(f"BatchNorm2D expects NCHW input, got shape {x.shape}")
+        if x.shape[1] != self.num_features:
+            raise ShapeError(
+                f"BatchNorm2D built for {self.num_features} channels, got {x.shape[1]}"
+            )
 
         if self.training:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            mean = x.mean(axis=_AXES)
+            var = x.var(axis=_AXES)
             self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
             self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
         else:
             mean = match_dtype(self.running_mean, x)
             var = match_dtype(self.running_var, x)
 
-        mean_b = self._reshape_stats(mean)
-        var_b = self._reshape_stats(var)
-        inv_std = 1.0 / np.sqrt(var_b + self.eps)
+        inv_std = 1.0 / np.sqrt(_per_channel(var) + self.eps)
         if inv_std.dtype != x.dtype:
             inv_std = inv_std.astype(x.dtype)
-        x_hat = (x - mean_b) * inv_std
+        x_hat = (x - _per_channel(mean)) * inv_std
 
-        out = (
-            self._reshape_stats(match_dtype(self.gamma.data, x)) * x_hat
-            + self._reshape_stats(match_dtype(self.beta.data, x))
+        out = _per_channel(match_dtype(self.gamma.data, x)) * x_hat + _per_channel(
+            match_dtype(self.beta.data, x)
         )
         if self.training:
             self._cache = (x_hat, inv_std)
@@ -105,64 +96,26 @@ class _BatchNormBase(Layer):
             )
         x_hat, inv_std = self._cache
         grad_out = np.asarray(grad_out, dtype=np.float64)
-        axes = self._reduce_axes()
 
-        # Number of elements that contributed to each feature's statistics.
+        # Number of elements that contributed to each channel's statistics.
         m = grad_out.size / self.num_features
 
-        grad_gamma = (grad_out * x_hat).sum(axis=axes)
-        grad_beta = grad_out.sum(axis=axes)
+        grad_gamma = (grad_out * x_hat).sum(axis=_AXES)
+        grad_beta = grad_out.sum(axis=_AXES)
         self.gamma.accumulate_grad(grad_gamma)
         self.beta.accumulate_grad(grad_beta)
 
-        gamma_b = self._reshape_stats(self.gamma.data)
-        grad_xhat = grad_out * gamma_b
+        grad_xhat = grad_out * _per_channel(self.gamma.data)
         grad_input = (
             inv_std
             / m
             * (
                 m * grad_xhat
-                - self._reshape_stats(grad_xhat.sum(axis=axes))
-                - x_hat * self._reshape_stats((grad_xhat * x_hat).sum(axis=axes))
+                - _per_channel(grad_xhat.sum(axis=_AXES))
+                - x_hat * _per_channel((grad_xhat * x_hat).sum(axis=_AXES))
             )
         )
         return grad_input
 
     def output_shape(self, input_shape):
         return tuple(input_shape)
-
-
-class BatchNorm1D(_BatchNormBase):
-    """Batch normalization over ``(batch, features)`` activations."""
-
-    def _check_input(self, x: np.ndarray) -> None:
-        if x.ndim != 2:
-            raise ShapeError(f"BatchNorm1D expects 2-D input, got shape {x.shape}")
-        if x.shape[1] != self.num_features:
-            raise ShapeError(
-                f"BatchNorm1D built for {self.num_features} features, got {x.shape[1]}"
-            )
-
-    def _reshape_stats(self, stat: np.ndarray) -> np.ndarray:
-        return stat.reshape(1, -1)
-
-    def _reduce_axes(self) -> tuple:
-        return (0,)
-
-
-class BatchNorm2D(_BatchNormBase):
-    """Batch normalization over ``(batch, channels, height, width)`` activations."""
-
-    def _check_input(self, x: np.ndarray) -> None:
-        if x.ndim != 4:
-            raise ShapeError(f"BatchNorm2D expects NCHW input, got shape {x.shape}")
-        if x.shape[1] != self.num_features:
-            raise ShapeError(
-                f"BatchNorm2D built for {self.num_features} channels, got {x.shape[1]}"
-            )
-
-    def _reshape_stats(self, stat: np.ndarray) -> np.ndarray:
-        return stat.reshape(1, -1, 1, 1)
-
-    def _reduce_axes(self) -> tuple:
-        return (0, 2, 3)

@@ -1,21 +1,12 @@
-"""Classification metrics used by the trainer and the experiment harness."""
+"""Classification accuracy, the metric the trainer and the experiment harness report."""
 
 from __future__ import annotations
-
-from typing import Dict
 
 import numpy as np
 
 from ..exceptions import ShapeError
 
-__all__ = [
-    "accuracy",
-    "top_k_accuracy",
-    "per_class_accuracy",
-    "confusion_matrix",
-    "precision_recall_f1",
-    "error_cases",
-]
+__all__ = ["accuracy"]
 
 
 def _validate(predictions: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -46,60 +37,3 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
     if labels.size == 0:
         return 0.0
     return float(np.mean(_to_class_ids(predictions) == labels))
-
-
-def top_k_accuracy(scores: np.ndarray, labels: np.ndarray, k: int = 5) -> float:
-    """Fraction of examples whose label is among the top-``k`` scored classes."""
-    scores, labels = _validate(scores, labels)
-    if scores.ndim != 2:
-        raise ShapeError(f"top-k accuracy needs 2-D scores, got shape {scores.shape}")
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    if labels.size == 0:
-        return 0.0
-    k = min(k, scores.shape[1])
-    top_k = np.argsort(scores, axis=1)[:, -k:]
-    return float(np.mean([labels[i] in top_k[i] for i in range(labels.shape[0])]))
-
-
-def confusion_matrix(predictions: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Confusion matrix ``C`` with ``C[true, predicted]`` counts."""
-    predictions, labels = _validate(predictions, labels)
-    preds = _to_class_ids(predictions).astype(int)
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for true, pred in zip(labels.astype(int), preds):
-        matrix[true, pred] += 1
-    return matrix
-
-
-def per_class_accuracy(predictions: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Accuracy restricted to each true class (NaN-free: empty classes report 0)."""
-    matrix = confusion_matrix(predictions, labels, num_classes)
-    totals = matrix.sum(axis=1)
-    correct = np.diag(matrix)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        acc = np.where(totals > 0, correct / np.maximum(totals, 1), 0.0)
-    return acc.astype(np.float64)
-
-
-def precision_recall_f1(
-    predictions: np.ndarray, labels: np.ndarray, num_classes: int
-) -> Dict[str, np.ndarray]:
-    """Per-class precision, recall, and F1 computed from the confusion matrix."""
-    matrix = confusion_matrix(predictions, labels, num_classes)
-    true_pos = np.diag(matrix).astype(np.float64)
-    pred_totals = matrix.sum(axis=0).astype(np.float64)
-    true_totals = matrix.sum(axis=1).astype(np.float64)
-
-    precision = np.where(pred_totals > 0, true_pos / np.maximum(pred_totals, 1), 0.0)
-    recall = np.where(true_totals > 0, true_pos / np.maximum(true_totals, 1), 0.0)
-    denom = precision + recall
-    f1 = np.where(denom > 0, 2 * precision * recall / np.maximum(denom, 1e-12), 0.0)
-    return {"precision": precision, "recall": recall, "f1": f1}
-
-
-def error_cases(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Indices of misclassified examples — the "faulty cases" DeepMorph diagnoses."""
-    scores, labels = _validate(scores, labels)
-    preds = _to_class_ids(scores)
-    return np.nonzero(preds != labels)[0]

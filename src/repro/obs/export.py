@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import threading
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Tuple
 
 __all__ = ["InMemorySpanExporter", "JsonlSpanExporter", "MetricsSpanExporter"]
 

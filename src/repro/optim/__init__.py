@@ -1,31 +1,6 @@
-"""Optimizers and learning-rate schedules for the numpy substrate."""
+"""The Adam optimizer and the learning-rate schedule interface for the numpy substrate."""
 
-from .optimizers import SGD, Adam, AdamW, Optimizer, RMSProp, clip_gradients, get_optimizer
-from .schedules import (
-    ConstantSchedule,
-    CosineAnnealing,
-    ExponentialDecay,
-    PiecewiseSchedule,
-    Schedule,
-    StepDecay,
-    WarmupSchedule,
-    get_schedule,
-)
+from .optimizers import Adam, Optimizer, clip_gradients
+from .schedules import Schedule
 
-__all__ = [
-    "Optimizer",
-    "SGD",
-    "Adam",
-    "AdamW",
-    "RMSProp",
-    "get_optimizer",
-    "clip_gradients",
-    "Schedule",
-    "ConstantSchedule",
-    "StepDecay",
-    "ExponentialDecay",
-    "CosineAnnealing",
-    "WarmupSchedule",
-    "PiecewiseSchedule",
-    "get_schedule",
-]
+__all__ = ["Optimizer", "Adam", "clip_gradients", "Schedule"]

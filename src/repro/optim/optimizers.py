@@ -1,4 +1,4 @@
-"""Gradient-descent optimizers.
+"""Gradient-descent optimizers: the :class:`Optimizer` base class and Adam.
 
 An optimizer holds a list of :class:`~repro.nn.module.Parameter` objects and
 updates their ``data`` in place from their accumulated ``grad``.  Parameters
@@ -8,14 +8,14 @@ probes are trained against a frozen backbone.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Type
+from typing import Dict, Iterable, List
 
 import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..nn.module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "AdamW", "RMSProp", "get_optimizer", "clip_gradients"]
+__all__ = ["Optimizer", "Adam", "clip_gradients"]
 
 
 def clip_gradients(parameters: Iterable[Parameter], max_norm: float) -> float:
@@ -69,46 +69,6 @@ class Optimizer:
         return {"lr": self.lr, "iterations": self.iterations}
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional (Nesterov) momentum and weight decay."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        nesterov: bool = False,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(parameters, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigurationError(f"momentum must lie in [0, 1), got {momentum}")
-        if weight_decay < 0:
-            raise ConfigurationError(f"weight_decay must be non-negative, got {weight_decay}")
-        if nesterov and momentum == 0.0:
-            raise ConfigurationError("nesterov momentum requires momentum > 0")
-        self.momentum = float(momentum)
-        self.nesterov = bool(nesterov)
-        self.weight_decay = float(weight_decay)
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def _update(self, param: Parameter) -> None:
-        grad = param.grad
-        if self.weight_decay > 0:
-            grad = grad + self.weight_decay * param.data
-        if self.momentum > 0:
-            vel = self._velocity.get(id(param))
-            if vel is None:
-                vel = np.zeros_like(param.data)
-            vel = self.momentum * vel + grad
-            self._velocity[id(param)] = vel
-            if self.nesterov:
-                grad = grad + self.momentum * vel
-            else:
-                grad = vel
-        param.data -= self.lr * grad
-
-
 class Adam(Optimizer):
     """Adam optimizer (Kingma & Ba) with bias correction."""
 
@@ -155,66 +115,3 @@ class Adam(Optimizer):
         m_hat = m / (1 - self.beta1 ** t)
         v_hat = v / (1 - self.beta2 ** t)
         param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay (Loshchilov & Hutter)."""
-
-    def _update(self, param: Parameter) -> None:
-        if self.weight_decay > 0:
-            param.data -= self.lr * self.weight_decay * param.data
-        decay, self.weight_decay = self.weight_decay, 0.0
-        try:
-            super()._update(param)
-        finally:
-            self.weight_decay = decay
-
-
-class RMSProp(Optimizer):
-    """RMSProp optimizer."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 0.001,
-        rho: float = 0.9,
-        eps: float = 1e-8,
-    ):
-        super().__init__(parameters, lr)
-        if not 0.0 <= rho < 1.0:
-            raise ConfigurationError(f"rho must lie in [0, 1), got {rho}")
-        if eps <= 0:
-            raise ConfigurationError(f"eps must be positive, got {eps}")
-        self.rho = float(rho)
-        self.eps = float(eps)
-        self._cache: Dict[int, np.ndarray] = {}
-
-    def _update(self, param: Parameter) -> None:
-        key = id(param)
-        cache = self._cache.get(key)
-        if cache is None:
-            cache = np.zeros_like(param.data)
-        cache = self.rho * cache + (1 - self.rho) * (param.grad ** 2)
-        self._cache[key] = cache
-        param.data -= self.lr * param.grad / (np.sqrt(cache) + self.eps)
-
-
-_REGISTRY: Dict[str, Type[Optimizer]] = {
-    "sgd": SGD,
-    "adam": Adam,
-    "adamw": AdamW,
-    "rmsprop": RMSProp,
-}
-
-
-def get_optimizer(
-    name: str, parameters: Iterable[Parameter], lr: Optional[float] = None, **kwargs
-) -> Optimizer:
-    """Build an optimizer from its registry name."""
-    key = name.lower()
-    if key not in _REGISTRY:
-        raise ConfigurationError(f"unknown optimizer {name!r}; available: {sorted(_REGISTRY)}")
-    cls = _REGISTRY[key]
-    if lr is None:
-        return cls(parameters, **kwargs)
-    return cls(parameters, lr=lr, **kwargs)

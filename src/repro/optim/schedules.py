@@ -1,4 +1,4 @@
-"""Learning-rate schedules.
+"""The learning-rate schedule interface.
 
 A schedule maps an epoch index to a learning-rate value; the trainer applies
 it by assigning to ``optimizer.lr`` at the start of each epoch.
@@ -6,21 +6,9 @@ it by assigning to ``optimizer.lr`` at the start of each epoch.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Sequence, Type
-
 from ..exceptions import ConfigurationError
 
-__all__ = [
-    "Schedule",
-    "ConstantSchedule",
-    "StepDecay",
-    "ExponentialDecay",
-    "CosineAnnealing",
-    "WarmupSchedule",
-    "PiecewiseSchedule",
-    "get_schedule",
-]
+__all__ = ["Schedule"]
 
 
 class Schedule:
@@ -39,116 +27,3 @@ class Schedule:
         if epoch < 0:
             raise ValueError(f"epoch must be non-negative, got {epoch}")
         return self.lr_at(epoch)
-
-
-class ConstantSchedule(Schedule):
-    """The base learning rate, forever."""
-
-    def lr_at(self, epoch: int) -> float:
-        return self.base_lr
-
-
-class StepDecay(Schedule):
-    """Multiply the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, base_lr: float, step_size: int = 10, gamma: float = 0.1):
-        super().__init__(base_lr)
-        if step_size <= 0:
-            raise ConfigurationError(f"step_size must be positive, got {step_size}")
-        if not 0.0 < gamma <= 1.0:
-            raise ConfigurationError(f"gamma must lie in (0, 1], got {gamma}")
-        self.step_size = int(step_size)
-        self.gamma = float(gamma)
-
-    def lr_at(self, epoch: int) -> float:
-        return self.base_lr * (self.gamma ** (epoch // self.step_size))
-
-
-class ExponentialDecay(Schedule):
-    """Multiply the learning rate by ``gamma`` every epoch."""
-
-    def __init__(self, base_lr: float, gamma: float = 0.95):
-        super().__init__(base_lr)
-        if not 0.0 < gamma <= 1.0:
-            raise ConfigurationError(f"gamma must lie in (0, 1], got {gamma}")
-        self.gamma = float(gamma)
-
-    def lr_at(self, epoch: int) -> float:
-        return self.base_lr * (self.gamma ** epoch)
-
-
-class CosineAnnealing(Schedule):
-    """Cosine annealing from ``base_lr`` down to ``min_lr`` over ``total_epochs``."""
-
-    def __init__(self, base_lr: float, total_epochs: int, min_lr: float = 0.0):
-        super().__init__(base_lr)
-        if total_epochs <= 0:
-            raise ConfigurationError(f"total_epochs must be positive, got {total_epochs}")
-        if min_lr < 0 or min_lr > base_lr:
-            raise ConfigurationError(f"min_lr must lie in [0, base_lr], got {min_lr}")
-        self.total_epochs = int(total_epochs)
-        self.min_lr = float(min_lr)
-
-    def lr_at(self, epoch: int) -> float:
-        progress = min(epoch, self.total_epochs) / self.total_epochs
-        cosine = 0.5 * (1.0 + math.cos(math.pi * progress))
-        return self.min_lr + (self.base_lr - self.min_lr) * cosine
-
-
-class WarmupSchedule(Schedule):
-    """Linear warm-up for ``warmup_epochs`` epochs, then delegate to another schedule."""
-
-    def __init__(self, inner: Schedule, warmup_epochs: int = 3):
-        super().__init__(inner.base_lr)
-        if warmup_epochs < 0:
-            raise ConfigurationError(f"warmup_epochs must be non-negative, got {warmup_epochs}")
-        self.inner = inner
-        self.warmup_epochs = int(warmup_epochs)
-
-    def lr_at(self, epoch: int) -> float:
-        if self.warmup_epochs > 0 and epoch < self.warmup_epochs:
-            return self.base_lr * (epoch + 1) / self.warmup_epochs
-        return self.inner.lr_at(epoch)
-
-
-class PiecewiseSchedule(Schedule):
-    """Explicit per-boundary learning rates.
-
-    ``boundaries=[5, 10]`` and ``values=[0.1, 0.01, 0.001]`` uses 0.1 for
-    epochs 0-4, 0.01 for epochs 5-9, and 0.001 afterwards.
-    """
-
-    def __init__(self, boundaries: Sequence[int], values: Sequence[float]):
-        if len(values) != len(boundaries) + 1:
-            raise ConfigurationError(
-                f"need len(values) == len(boundaries) + 1, got {len(values)} and {len(boundaries)}"
-            )
-        if list(boundaries) != sorted(boundaries):
-            raise ConfigurationError(f"boundaries must be sorted, got {list(boundaries)}")
-        if any(v <= 0 for v in values):
-            raise ConfigurationError("all learning-rate values must be positive")
-        super().__init__(values[0])
-        self.boundaries = [int(b) for b in boundaries]
-        self.values = [float(v) for v in values]
-
-    def lr_at(self, epoch: int) -> float:
-        for boundary, value in zip(self.boundaries, self.values):
-            if epoch < boundary:
-                return value
-        return self.values[-1]
-
-
-_REGISTRY: Dict[str, Type[Schedule]] = {
-    "constant": ConstantSchedule,
-    "step": StepDecay,
-    "exponential": ExponentialDecay,
-    "cosine": CosineAnnealing,
-}
-
-
-def get_schedule(name: str, base_lr: float, **kwargs) -> Schedule:
-    """Build a schedule from its registry name."""
-    key = name.lower()
-    if key not in _REGISTRY:
-        raise ConfigurationError(f"unknown schedule {name!r}; available: {sorted(_REGISTRY)}")
-    return _REGISTRY[key](base_lr, **kwargs)

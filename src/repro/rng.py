@@ -50,16 +50,6 @@ def spawn(rng: RngLike, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(int(s)) for s in seeds]
 
 
-def seed_everything(seed: int) -> np.random.Generator:
-    """Create the canonical generator for an experiment run.
-
-    A thin alias of ``np.random.default_rng(seed)`` that exists so experiment
-    code reads as intent ("seed everything for this run") rather than
-    mechanism.
-    """
-    return np.random.default_rng(int(seed))
-
-
 def derive_seed(base_seed: int, *components: object) -> int:
     """Derive a deterministic sub-seed from a base seed and arbitrary labels.
 

@@ -1,22 +1,6 @@
-"""Persistence of models, footprints, defect reports, and fitted DeepMorph instances."""
+"""Persistence of models, defect reports, and fitted DeepMorph instances."""
 
 from .deepmorph import load_deepmorph, save_deepmorph
-from .persistence import (
-    load_footprints,
-    load_model,
-    load_report,
-    save_footprints,
-    save_model,
-    save_report,
-)
+from .persistence import load_model, save_model, save_report
 
-__all__ = [
-    "save_model",
-    "load_model",
-    "save_footprints",
-    "load_footprints",
-    "save_report",
-    "load_report",
-    "save_deepmorph",
-    "load_deepmorph",
-]
+__all__ = ["save_model", "load_model", "save_report", "save_deepmorph", "load_deepmorph"]

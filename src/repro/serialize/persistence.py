@@ -1,4 +1,4 @@
-"""Persistence of models, footprints, pattern libraries, and reports.
+"""Persistence of models and defect reports.
 
 Artifacts are stored as plain ``.npz`` + JSON-compatible metadata so they can
 be inspected without the library.  Model serialization saves the architecture
@@ -12,25 +12,16 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, Union
 
 import numpy as np
 
 from ..core.classifier import DefectReport
-from ..core.footprint import Footprint
-from ..defects.spec import DefectType
 from ..exceptions import SerializationError
 from ..models.base import ClassifierModel
 from ..models.registry import build_from_config
 
-__all__ = [
-    "save_model",
-    "load_model",
-    "save_footprints",
-    "load_footprints",
-    "save_report",
-    "load_report",
-]
+__all__ = ["save_model", "load_model", "save_report"]
 
 PathLike = Union[str, Path]
 
@@ -123,63 +114,6 @@ def load_model(path: PathLike) -> ClassifierModel:
     return model
 
 
-def save_footprints(footprints: List[Footprint], path: PathLike) -> Path:
-    """Save a list of footprints to ``path`` (``.npz``)."""
-    if not footprints:
-        raise SerializationError("cannot save an empty list of footprints")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    shapes = {fp.trajectory.shape for fp in footprints}
-    if len(shapes) != 1:
-        raise SerializationError(f"footprints have inconsistent trajectory shapes: {shapes}")
-    trajectories = np.stack([fp.trajectory for fp in footprints])
-    final_probs = np.stack([fp.final_probs for fp in footprints])
-    predicted = np.array([fp.predicted for fp in footprints], dtype=np.int64)
-    true_labels = np.array(
-        [fp.true_label if fp.true_label is not None else -1 for fp in footprints],
-        dtype=np.int64,
-    )
-    layer_names = json.dumps(list(footprints[0].layer_names or []))
-    np.savez_compressed(
-        path,
-        trajectories=trajectories,
-        final_probs=final_probs,
-        predicted=predicted,
-        true_labels=true_labels,
-        layer_names=np.array(layer_names),
-    )
-    return path
-
-
-def load_footprints(path: PathLike) -> List[Footprint]:
-    """Load footprints saved with :func:`save_footprints`."""
-    path = Path(path)
-    if not path.exists():
-        raise SerializationError(f"footprint file {path} does not exist")
-    with np.load(path, allow_pickle=False) as payload:
-        required = {"trajectories", "final_probs", "predicted", "true_labels"}
-        missing = required - set(payload.files)
-        if missing:
-            raise SerializationError(f"{path} is missing arrays: {sorted(missing)}")
-        trajectories = payload["trajectories"]
-        final_probs = payload["final_probs"]
-        predicted = payload["predicted"]
-        true_labels = payload["true_labels"]
-        layer_names = tuple(json.loads(str(payload["layer_names"]))) if "layer_names" in payload else None
-
-    footprints: List[Footprint] = []
-    for i in range(trajectories.shape[0]):
-        label = int(true_labels[i])
-        footprints.append(Footprint(
-            trajectory=trajectories[i],
-            final_probs=final_probs[i],
-            predicted=int(predicted[i]),
-            true_label=label if label >= 0 else None,
-            layer_names=layer_names,
-        ))
-    return footprints
-
-
 def save_report(report: DefectReport, path: PathLike) -> Path:
     """Save a defect report (ratios, counts, metadata) as JSON."""
     path = Path(path)
@@ -187,21 +121,3 @@ def save_report(report: DefectReport, path: PathLike) -> Path:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(report.as_dict(), handle, indent=2, sort_keys=True)
     return path
-
-
-def load_report(path: PathLike) -> Dict:
-    """Load a report saved with :func:`save_report` (returns the plain dict form)."""
-    path = Path(path)
-    if not path.exists():
-        raise SerializationError(f"report file {path} does not exist")
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    required = {"ratios", "counts", "num_cases"}
-    missing = required - set(payload)
-    if missing:
-        raise SerializationError(f"{path} is not a serialized defect report (missing {sorted(missing)})")
-    valid = {d.value for d in DefectType}
-    unknown = set(payload["ratios"]) - valid
-    if unknown:
-        raise SerializationError(f"report contains unknown defect types: {sorted(unknown)}")
-    return payload

@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..exceptions import DeadlineExceededError, ServeError
+from ..exceptions import DeadlineExceededError, ServeError, ServiceUnavailableError
 from ..nn.dtype import policy_float
 from ..obs import SpanContext, current_span, get_tracer
 from ..resilience import Deadline, current_deadline
@@ -192,7 +192,7 @@ class BatchingEngine:
             except queue.Empty:
                 break
             if leftover is not _SHUTDOWN and not leftover.future.done():
-                leftover.future.set_exception(ServeError("batching engine stopped"))
+                leftover.future.set_exception(ServiceUnavailableError("batching engine stopped"))
 
     # -- submission ---------------------------------------------------------------
 
@@ -204,7 +204,7 @@ class BatchingEngine:
         to a direct-call library API.
         """
         if self._stop.is_set():
-            raise ServeError("batching engine is stopped")
+            raise ServiceUnavailableError("batching engine is stopped")
         request = ExtractionRequest(
             model_key=str(model_key),
             inputs=policy_float(inputs),

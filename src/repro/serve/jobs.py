@@ -21,7 +21,7 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from ..exceptions import ServeError
+from ..exceptions import ServeError, ServiceUnavailableError
 
 __all__ = ["JobStatus", "Job", "JobStore", "WorkerPool"]
 
@@ -213,7 +213,7 @@ class WorkerPool:
     ) -> Job:
         """Queue ``fn`` for execution and return its (pending) job record."""
         if self._stop.is_set():
-            raise ServeError("worker pool is shut down")
+            raise ServiceUnavailableError("worker pool is shut down")
         job = self.store.create(kind=kind, details=details)
         self._queue.put((job.job_id, fn))
         if self._metrics is not None:

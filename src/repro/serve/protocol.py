@@ -28,6 +28,7 @@ from ..exceptions import (
     ReproError,
     ServeError,
     ServiceSaturatedError,
+    ServiceUnavailableError,
     UnsupportedMediaTypeError,
 )
 from ..resilience import DEADLINE_HEADER, Deadline
@@ -94,7 +95,7 @@ def wants_text_metrics(query: str, accept: Optional[str]) -> bool:
 
 def error_status(error: BaseException) -> int:
     """The HTTP status for ``error`` (the single mapping)."""
-    if isinstance(error, ServiceSaturatedError):
+    if isinstance(error, (ServiceSaturatedError, ServiceUnavailableError)):
         return 503
     if isinstance(error, ArtifactNotFoundError):
         return 404

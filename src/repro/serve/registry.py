@@ -37,7 +37,9 @@ __all__ = ["ArtifactRecord", "ArtifactRegistry"]
 
 PathLike = Union[str, Path]
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+#: A name is one directory, so it stays within the 255-byte file-name limit
+#: of common filesystems: a longer one is the client's error, not an OSError.
+_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,254}$")
 _VERSION_RE = re.compile(r"^v(\d+)$")
 
 _ARTIFACT_FILE = "artifact.npz"
@@ -77,7 +79,7 @@ class ArtifactRecord:
 def _validate_name(name: str) -> str:
     if not _NAME_RE.match(name or ""):
         raise ServeError(
-            f"invalid artifact name {name!r}; use letters, digits, '.', '_' or '-'"
+            f"invalid artifact name {name!r}; use up to 255 letters, digits, '.', '_' or '-'"
         )
     return name
 

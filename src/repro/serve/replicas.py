@@ -30,48 +30,38 @@ from __future__ import annotations
 
 import time
 import threading
-from concurrent.futures import TimeoutError as _FuturesTimeoutError
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.classifier import DefectReport
 from ..exceptions import (
-    ArtifactNotFoundError,
-    ConfigurationError,
     DeadlineExceededError,
     ServeError,
     ServiceSaturatedError,
+    ServiceUnavailableError,
 )
 from ..obs import span as obs_span
 from ..resilience import HealthPolicy, HealthState, ReplicaHealth
 from .metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry, merge_counters
+from .protocol import error_status
 from .service import DiagnosisService
 
 __all__ = ["ReplicaLease", "ReplicaPool", "is_infrastructure_fault"]
 
-#: Failures that say something about the *request*, not the replica: routing
-#: more traffic away from a replica because a client sent an unknown model or
-#: an expired deadline would let one bad client eject the whole pool.
-_CLIENT_FAULTS = (
-    ArtifactNotFoundError,
-    ConfigurationError,  # includes NoFaultyCasesError and validation errors
-    DeadlineExceededError,
-    ServiceSaturatedError,
-    ValueError,  # schema/shape/dataset errors all mix in ValueError
-)
+#: 5xx failures that still say nothing against the replica: shedding is the
+#: pool's own admission control, and an expired deadline is the client's budget.
+_CLIENT_FAULTS = (DeadlineExceededError, ServiceSaturatedError)
 
 
 def is_infrastructure_fault(error: BaseException) -> bool:
     """Whether ``error`` counts against the serving replica's health.
 
-    Timeouts and generic service-layer failures (a stopped engine, a crashed
-    worker) are the replica's problem; typed request errors are the client's.
+    The status the front end answers with decides (:func:`error_status`, the
+    one mapping): a 4xx is the client's fault, so one bad client cannot eject
+    the pool; a 5xx (a timeout, a stopped engine, a crash) is the replica's.
     """
     if isinstance(error, _CLIENT_FAULTS):
         return False
-    return isinstance(
-        error,
-        (TimeoutError, _FuturesTimeoutError, ServeError, RuntimeError, OSError),
-    )
+    return error_status(error) >= 500
 
 
 class _Replica:
@@ -282,7 +272,7 @@ class ReplicaPool:
         """
         with obs_span("replicas.route") as route_span, self._lock:
             if self._closed:
-                raise ServeError("replica pool is closed")
+                raise ServiceUnavailableError("replica pool is closed")
             total = sum(replica.inflight for replica in self._replicas)
             if total >= self.max_inflight:
                 self._m_shed.inc()
@@ -372,7 +362,7 @@ class ReplicaPool:
         """
         with self._lock:
             if self._closed:
-                raise ServeError("replica pool is closed")
+                raise ServiceUnavailableError("replica pool is closed")
             count = len(self._replicas)
             # Prefer healthy replicas; an all-quarantined pool still accepts
             # jobs (they are deferred work — the replica may recover first).

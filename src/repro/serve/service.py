@@ -39,7 +39,7 @@ from ..core.classifier import DefectReport
 from ..core.diagnosis import DeepMorph
 from ..core.footprint import FootprintExtractor, validate_labels
 from ..core.specifics import compute_specifics_batch
-from ..exceptions import NoFaultyCasesError, ServeError
+from ..exceptions import NoFaultyCasesError, ServeError, ServiceUnavailableError
 from ..monitor import DriftThresholds, MonitorSink, PatternUpdater
 from ..nn.dtype import resolve_dtype
 from ..obs import span as obs_span
@@ -346,7 +346,7 @@ class DiagnosisService:
         timeout: Optional[float] = None,
     ) -> DefectReport:
         if self._closed:
-            raise ServeError("service is closed")
+            raise ServiceUnavailableError("service is closed")
         # A request whose deadline already lapsed must cost nothing past this
         # point — and a live deadline caps how long we wait on the engine.
         check_deadline("replica dispatch")
@@ -413,7 +413,7 @@ class DiagnosisService:
     ) -> Job:
         """Queue an asynchronous diagnosis; poll the returned job for its report."""
         if self._closed:
-            raise ServeError("service is closed")
+            raise ServiceUnavailableError("service is closed")
         inputs, labels = self._validate_request(inputs, labels)
         key = self.resolve_key(name, version)
 

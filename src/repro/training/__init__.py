@@ -1,17 +1,7 @@
-"""Training loop, callbacks, and history."""
+"""Training loop, the callback interface, and history."""
 
-from .callbacks import Callback, EarlyStopping, EpochLogger, LambdaCallback, TargetAccuracyStopping
+from .callbacks import Callback
 from .history import EpochRecord, History
 from .trainer import Trainer, evaluate
 
-__all__ = [
-    "Trainer",
-    "evaluate",
-    "History",
-    "EpochRecord",
-    "Callback",
-    "EarlyStopping",
-    "TargetAccuracyStopping",
-    "EpochLogger",
-    "LambdaCallback",
-]
+__all__ = ["Trainer", "evaluate", "History", "EpochRecord", "Callback"]

@@ -1,4 +1,4 @@
-"""Training callbacks.
+"""The training-callback interface.
 
 Callbacks observe the training loop: they receive the record of every finished
 epoch and may request early termination.  They never mutate the model — that
@@ -7,12 +7,9 @@ keeps the trainer's control flow easy to reason about.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-from ..exceptions import ConfigurationError
 from .history import EpochRecord
 
-__all__ = ["Callback", "EarlyStopping", "EpochLogger", "LambdaCallback", "TargetAccuracyStopping"]
+__all__ = ["Callback"]
 
 
 class Callback:
@@ -30,141 +27,3 @@ class Callback:
     def should_stop(self) -> bool:
         """Whether training should terminate before the next epoch."""
         return False
-
-
-class EarlyStopping(Callback):
-    """Stop training when a monitored metric stops improving.
-
-    Parameters
-    ----------
-    monitor:
-        Metric name from :class:`~repro.training.history.EpochRecord`
-        (``"val_loss"``, ``"train_loss"``, ``"val_accuracy"``, ...).
-    patience:
-        Number of consecutive non-improving epochs tolerated before stopping.
-    mode:
-        ``"min"`` for losses, ``"max"`` for accuracies.
-    min_delta:
-        Smallest change that counts as an improvement.
-    """
-
-    def __init__(
-        self,
-        monitor: str = "val_loss",
-        patience: int = 3,
-        mode: str = "min",
-        min_delta: float = 0.0,
-    ):
-        if patience < 0:
-            raise ConfigurationError(f"patience must be non-negative, got {patience}")
-        if mode not in ("min", "max"):
-            raise ConfigurationError(f"mode must be 'min' or 'max', got {mode!r}")
-        if min_delta < 0:
-            raise ConfigurationError(f"min_delta must be non-negative, got {min_delta}")
-        self.monitor = monitor
-        self.patience = int(patience)
-        self.mode = mode
-        self.min_delta = float(min_delta)
-        self._best: Optional[float] = None
-        self._bad_epochs = 0
-        self._stop = False
-
-    def on_train_begin(self) -> None:
-        self._best = None
-        self._bad_epochs = 0
-        self._stop = False
-
-    def on_epoch_end(self, record: EpochRecord) -> None:
-        value = record.as_dict().get(self.monitor)
-        if value is None:
-            return
-        if self._best is None:
-            self._best = value
-            return
-        improved = (
-            value < self._best - self.min_delta
-            if self.mode == "min"
-            else value > self._best + self.min_delta
-        )
-        if improved:
-            self._best = value
-            self._bad_epochs = 0
-        else:
-            self._bad_epochs += 1
-            if self._bad_epochs > self.patience:
-                self._stop = True
-
-    def should_stop(self) -> bool:
-        return self._stop
-
-
-class TargetAccuracyStopping(Callback):
-    """Stop once training accuracy reaches a target (keeps CPU experiments short)."""
-
-    def __init__(self, target: float = 0.99, monitor: str = "train_accuracy"):
-        if not 0.0 < target <= 1.0:
-            raise ConfigurationError(f"target must lie in (0, 1], got {target}")
-        self.target = float(target)
-        self.monitor = monitor
-        self._stop = False
-
-    def on_train_begin(self) -> None:
-        self._stop = False
-
-    def on_epoch_end(self, record: EpochRecord) -> None:
-        value = record.as_dict().get(self.monitor)
-        if value is not None and value >= self.target:
-            self._stop = True
-
-    def should_stop(self) -> bool:
-        return self._stop
-
-
-class EpochLogger(Callback):
-    """Print a one-line summary of every epoch through a supplied print function."""
-
-    def __init__(self, print_fn: Callable[[str], None] = print, every: int = 1):
-        if every <= 0:
-            raise ConfigurationError(f"every must be positive, got {every}")
-        self.print_fn = print_fn
-        self.every = int(every)
-
-    def on_epoch_end(self, record: EpochRecord) -> None:
-        if record.epoch % self.every != 0:
-            return
-        parts = [
-            f"epoch {record.epoch:3d}",
-            f"loss {record.train_loss:.4f}",
-            f"acc {record.train_accuracy:.3f}",
-        ]
-        if record.val_loss is not None:
-            parts.append(f"val_loss {record.val_loss:.4f}")
-        if record.val_accuracy is not None:
-            parts.append(f"val_acc {record.val_accuracy:.3f}")
-        self.print_fn("  ".join(parts))
-
-
-class LambdaCallback(Callback):
-    """Adapter that turns plain functions into a callback."""
-
-    def __init__(
-        self,
-        on_epoch_end: Optional[Callable[[EpochRecord], None]] = None,
-        on_train_begin: Optional[Callable[[], None]] = None,
-        on_train_end: Optional[Callable[[], None]] = None,
-    ):
-        self._on_epoch_end = on_epoch_end
-        self._on_train_begin = on_train_begin
-        self._on_train_end = on_train_end
-
-    def on_train_begin(self) -> None:
-        if self._on_train_begin is not None:
-            self._on_train_begin()
-
-    def on_epoch_end(self, record: EpochRecord) -> None:
-        if self._on_epoch_end is not None:
-            self._on_epoch_end(record)
-
-    def on_train_end(self) -> None:
-        if self._on_train_end is not None:
-            self._on_train_end()

@@ -17,7 +17,6 @@ from .codec import (
     ReportLike,
     codec_for_accept,
     codec_for_content_type,
-    codecs,
     default_codec,
     get_codec,
     negotiate,
@@ -30,7 +29,6 @@ __all__ = [
     "ReportLike",
     "MAGIC",
     "FRAME_VERSION",
-    "codecs",
     "get_codec",
     "codec_for_content_type",
     "codec_for_accept",

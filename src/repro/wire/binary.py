@@ -141,7 +141,7 @@ def _decode_frame(
         )
     try:
         header = json.loads(data[_PRELUDE.size:body_offset].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
         raise CodecError(f"undecodable frame header: {error}") from error
     if not isinstance(header, dict):
         raise CodecError("frame header must be a JSON object")

@@ -40,7 +40,6 @@ __all__ = [
     "Codec",
     "JsonCodec",
     "ReportLike",
-    "codecs",
     "get_codec",
     "codec_for_content_type",
     "codec_for_accept",
@@ -127,7 +126,9 @@ def _parse_json_object(data: bytes, kind: str) -> JsonDict:
         raise CodecError(f"{kind} body required")
     try:
         payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
+        # RecursionError: nesting deeper than the parser's stack, from a few
+        # kilobytes of brackets.  Still the client's bad body, so a 400.
         raise CodecError(f"invalid JSON {kind}: {error}") from error
     if not isinstance(payload, dict):
         raise CodecError(f"JSON {kind} must be an object")
@@ -190,11 +191,6 @@ def _registry() -> Dict[str, Codec]:
             _BY_NAME[codec.name] = codec
             _BY_CONTENT_TYPE[codec.content_type] = codec
     return _BY_NAME
-
-
-def codecs() -> Dict[str, Codec]:
-    """Registered codecs by name (a copy; the registry itself is immutable)."""
-    return dict(_registry())
 
 
 def default_codec() -> Codec:

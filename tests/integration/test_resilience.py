@@ -28,6 +28,7 @@ from repro.exceptions import (
     DeadlineExceededError,
     RemoteTransportError,
     ServeError,
+    ServiceUnavailableError,
 )
 from repro.resilience import DEADLINE_HEADER, HealthPolicy
 from repro.serve import ArtifactRegistry, DiagnosisGateway, ReplicaPool
@@ -152,15 +153,15 @@ class TestQuarantineAndReadmission:
             # more: the count makes the scenario a script, not a dice roll.
             _fail_first(
                 monkeypatch, pool.replicas[0], "_diagnose_inner", 2,
-                lambda: ServeError("replica wedged"),
+                lambda: ServiceUnavailableError("replica wedged"),
             )
 
-            # ServeError maps to 400 on the wire, but health classification
-            # counts it against the replica (is_infrastructure_fault).
+            # The replica's fault is a 503 on the wire, and health
+            # classification counts it against the replica.
             for _ in range(2):
                 status, body = _post(gateway.url + "/diagnose", payload)
-                assert status == 400
-                assert body["error_type"] == "ServeError"
+                assert status == 503
+                assert body["error_type"] == "ServiceUnavailableError"
 
             # The only replica is now quarantined: the pool is unavailable
             # and new work is shed, not queued behind a dead shard.
@@ -209,8 +210,70 @@ class TestQuarantineAndReadmission:
             gateway.shutdown()
             pool.shutdown()
 
+    @pytest.mark.parametrize(
+        "bad_fields",
+        [
+            {"inputs": [[{}]], "labels": [0]},
+            {"inputs": [[10**400]], "labels": [0]},
+            {"model": "bad name!"},
+            {"model": "a" * 5000},
+        ],
+        ids=[
+            "non-numeric-input",
+            "input-beyond-float",
+            "invalid-model-name",
+            "overlong-model-name",
+        ],
+    )
+    def test_bad_requests_are_400s_that_never_eject_the_replica(
+        self, registry_dir, payload, bad_fields
+    ):
+        pool, gateway = _make_stack(registry_dir, num_replicas=1)
+        try:
+            # The policy's threshold of bad requests: had any one counted
+            # against the only replica, the pool would now be unavailable.
+            for _ in range(pool.health_policy.failure_threshold):
+                status, body = _post(gateway.url + "/diagnose", {**payload, **bad_fields})
+                assert status == 400, body
+            status, health = _get(gateway.url + "/healthz")
+            assert status == 200 and health["status"] == "ok"
+            assert pool.metrics.counter("pool.ejections_total").value == 0
+
+            status, body = _post(gateway.url + "/diagnose", payload)
+            assert status == 200 and body["num_cases"] > 0
+        finally:
+            gateway.shutdown()
+            pool.shutdown()
+
 
 class TestCircuitBreaker:
+    def test_stopped_engine_is_a_503_that_opens_the_breaker(
+        self, registry_dir, payload, tiny_splits
+    ):
+        pool, gateway = _make_stack(registry_dir, num_replicas=1)
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        request = DiagnosisRequest(model="tiny", inputs=inputs, labels=labels)
+        client = RemoteDiagnoser(
+            gateway.url,
+            config=DiagnoserConfig(max_retries=0, breaker_failure_threshold=1),
+        )
+        try:
+            pool.replicas[0].engine.stop()
+            status, body = _post(gateway.url + "/diagnose", payload)
+            assert status == 503
+            assert body["error_type"] == "ServiceUnavailableError"
+
+            # A stopped replica is the server's failure, so the client's
+            # breaker counts its first answer instead of taking it as a 400.
+            with pytest.raises(ServiceUnavailableError):
+                client.diagnose(request)
+            assert client.breaker_snapshot()["/diagnose"]["state"] == "open"
+        finally:
+            client.close()
+            gateway.shutdown()
+            pool.shutdown()
+
     def test_drops_trip_the_breaker_and_half_open_recovers(
         self, registry_dir, tiny_splits, monkeypatch
     ):

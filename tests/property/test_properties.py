@@ -7,11 +7,9 @@ from hypothesis.extra import numpy as hnp
 
 from repro.analysis import (
     js_divergence,
-    js_similarity,
     kl_divergence,
     normalize_distribution,
     normalized_entropy,
-    total_variation,
 )
 from repro.core.classifier import error_concentration
 from repro.data import ArrayDataset
@@ -75,20 +73,12 @@ class TestDivergenceProperties:
         d_qp = float(js_divergence(q, p))
         assert d_pq == pytest.approx(d_qp, abs=1e-9)
         assert -1e-12 <= d_pq <= np.log(2) + 1e-9
-        assert 0.0 - 1e-9 <= float(js_similarity(p, q)) <= 1.0 + 1e-9
 
     @given(distribution_pairs())
     @settings(max_examples=60, deadline=None)
     def test_kl_divergence_nonnegative(self, pair):
         p, q = pair
         assert float(kl_divergence(p, q)) >= -1e-9
-
-    @given(distribution_pairs())
-    @settings(max_examples=60, deadline=None)
-    def test_total_variation_bounds(self, pair):
-        p, q = pair
-        tv = float(total_variation(p, q))
-        assert -1e-12 <= tv <= 1.0 + 1e-12
 
     @given(hnp.arrays(np.float64, (6,), elements=st.floats(0.0, 100.0)))
     @settings(max_examples=60, deadline=None)

@@ -26,6 +26,7 @@ from repro.exceptions import (
     SchemaVersionError,
     ServeError,
     ServiceSaturatedError,
+    ServiceUnavailableError,
     exception_from_wire,
 )
 from repro.serve.protocol import error_response, error_status
@@ -116,6 +117,10 @@ class TestDiagnosisRequestSchema:
             validate_arrays(np.zeros((0, 2)), [])  # empty batch
         with pytest.raises(ConfigurationError):
             validate_arrays([[1.0], [2.0]], [0])  # length mismatch
+        # Non-numeric, beyond-float and ragged inputs: a client's 400, not a 500.
+        for inputs in ([[{}]], {}, [[10**400]], [["x"]], [[1.0, 2.0], [3.0]]):
+            with pytest.raises(ConfigurationError, match="inputs must be a numeric array"):
+                validate_arrays(inputs, [0])
 
 
 class TestDiagnosisReportSchema:
@@ -243,6 +248,7 @@ class TestWireErrorMapping:
         (ServeError("bad"), 400),
         (ValueError("odd"), 400),
         (RuntimeError("boom"), 500),
+        (ServiceUnavailableError("engine stopped"), 503),
     ])
     def test_error_status_table(self, error, status):
         assert error_status(error) == status
@@ -255,6 +261,7 @@ class TestWireErrorMapping:
             NoFaultyCasesError("clean"),
             SchemaVersionError("v999"),
             ServeError("bad"),
+            ServiceUnavailableError("engine stopped"),
         ]:
             status, payload, headers = error_response(original)
             retry_after = dict(headers).get("Retry-After")

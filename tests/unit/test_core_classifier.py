@@ -192,12 +192,32 @@ class TestDeepMorphFacade:
     def test_find_faulty_cases_is_independent_of_batch_size(
         self, fitted_deepmorph, tiny_splits
     ):
-        from repro.data import Subset
+        from repro.data import Dataset
+
+        class RowDataset(Dataset):
+            """Not array-backed: batches are assembled through ``__getitem__``."""
+
+            def __init__(self, base):
+                self.base = base
+
+            @property
+            def num_classes(self):
+                return self.base.num_classes
+
+            @property
+            def input_shape(self):
+                return self.base.input_shape
+
+            def __len__(self):
+                return len(self.base)
+
+            def __getitem__(self, index):
+                return self.base[index]
 
         _, test = tiny_splits
         expected = find_faulty_cases(fitted_deepmorph.model, test)
         assert expected[0].shape[0] >= 1
-        lazy = Subset(test, np.arange(len(test)))  # streamed through __getitem__
+        lazy = RowDataset(test)
         for dataset in (test, lazy):
             for batch_size in (1, 7):
                 found = find_faulty_cases(

@@ -1,4 +1,4 @@
-"""Tests for dataset abstractions, loaders, transforms, and synthetic generators."""
+"""Tests for dataset abstractions, loaders, and synthetic generators."""
 
 import numpy as np
 import pytest
@@ -6,25 +6,12 @@ import pytest
 from repro.data import (
     ArrayDataset,
     DataLoader,
-    Subset,
     SyntheticCIFAR,
     SyntheticConfig,
     SyntheticMNIST,
     batch_iterator,
     class_counts,
     class_indices,
-    concat_datasets,
-    stratified_split,
-    train_test_split,
-)
-from repro.data.transforms import (
-    Compose,
-    Cutout,
-    GaussianNoise,
-    Normalize,
-    PerImageStandardize,
-    RandomHorizontalFlip,
-    RandomTranslation,
 )
 from repro.exceptions import ConfigurationError, DatasetError, ShapeError
 
@@ -65,55 +52,6 @@ class TestArrayDataset:
         assert sum(len(v) for v in idx.values()) == 30
 
 
-class TestSubsetAndConcat:
-    def test_subset_view(self, small_dataset):
-        view = Subset(small_dataset, [0, 5, 10])
-        assert len(view) == 3
-        inputs, labels = view.arrays()
-        assert inputs.shape[0] == 3 and labels.shape[0] == 3
-
-    def test_subset_rejects_bad_indices(self, small_dataset):
-        with pytest.raises(DatasetError):
-            Subset(small_dataset, [100])
-
-    def test_concat(self, small_dataset):
-        combined = concat_datasets([small_dataset, small_dataset])
-        assert len(combined) == 60
-
-    def test_concat_rejects_mismatched_shapes(self, small_dataset):
-        other = ArrayDataset(np.zeros((5, 2, 3, 3)), np.zeros(5, dtype=int), 3)
-        with pytest.raises(DatasetError):
-            concat_datasets([small_dataset, other])
-
-    def test_concat_rejects_empty_list(self):
-        with pytest.raises(DatasetError):
-            concat_datasets([])
-
-
-class TestSplits:
-    def test_train_test_split_sizes(self, small_dataset):
-        train, test = train_test_split(small_dataset, test_fraction=0.2, rng=0)
-        assert len(train) + len(test) == len(small_dataset)
-        assert len(test) == 6
-
-    def test_train_test_split_rejects_extreme_fraction(self, small_dataset):
-        with pytest.raises(DatasetError):
-            train_test_split(small_dataset, test_fraction=0.0)
-
-    def test_stratified_split_preserves_class_balance(self, small_dataset):
-        train, test = stratified_split(small_dataset, test_fraction=0.3, rng=0)
-        train_counts = class_counts(train)
-        test_counts = class_counts(test)
-        assert np.all(train_counts == 7)
-        assert np.all(test_counts == 3)
-
-    def test_splits_are_disjoint_and_reproducible(self, small_dataset):
-        a1, b1 = train_test_split(small_dataset, 0.25, rng=7)
-        a2, b2 = train_test_split(small_dataset, 0.25, rng=7)
-        np.testing.assert_array_equal(a1.labels, a2.labels)
-        np.testing.assert_array_equal(b1.labels, b2.labels)
-
-
 class TestDataLoader:
     def test_batches_cover_dataset(self, small_dataset):
         loader = DataLoader(small_dataset, batch_size=7, shuffle=True, rng=0)
@@ -142,47 +80,6 @@ class TestDataLoader:
         # Mismatched arrays used to truncate silently via fancy indexing.
         with pytest.raises(ShapeError, match="disagree on length"):
             list(batch_iterator(np.zeros((10, 2)), np.zeros(7), 4))
-
-
-class TestTransforms:
-    def test_normalize(self):
-        images = np.ones((2, 1, 3, 3)) * 4.0
-        out = Normalize(mean=[4.0], std=[2.0])(images)
-        np.testing.assert_allclose(out, 0.0)
-
-    def test_normalize_rejects_channel_mismatch(self):
-        with pytest.raises(ShapeError):
-            Normalize(mean=[0.0], std=[1.0])(np.ones((2, 3, 3, 3)))
-
-    def test_per_image_standardize(self):
-        images = np.random.default_rng(0).random((3, 1, 5, 5)) * 9
-        out = PerImageStandardize()(images)
-        np.testing.assert_allclose(out.mean(axis=(1, 2, 3)), 0.0, atol=1e-8)
-
-    def test_gaussian_noise_changes_values(self):
-        images = np.zeros((2, 1, 4, 4))
-        out = GaussianNoise(std=0.5, rng=0)(images)
-        assert np.any(out != 0)
-
-    def test_flip_probability_one_reverses_width(self):
-        images = np.arange(8, dtype=float).reshape(1, 1, 2, 4)
-        out = RandomHorizontalFlip(p=1.0, rng=0)(images)
-        np.testing.assert_allclose(out[0, 0, 0], images[0, 0, 0, ::-1])
-
-    def test_translation_preserves_shape(self):
-        images = np.random.default_rng(0).random((4, 1, 6, 6))
-        out = RandomTranslation(max_shift=2, rng=0)(images)
-        assert out.shape == images.shape
-
-    def test_cutout_zeroes_a_patch(self):
-        images = np.ones((1, 1, 8, 8))
-        out = Cutout(size=3, rng=0)(images)
-        assert np.sum(out == 0) > 0
-
-    def test_compose_applies_in_order(self):
-        images = np.ones((1, 1, 2, 2))
-        pipeline = Compose([Normalize([1.0], [1.0]), GaussianNoise(0.0)])
-        np.testing.assert_allclose(pipeline(images), 0.0)
 
 
 class TestSyntheticGenerators:

@@ -9,7 +9,6 @@ from repro.defects import (
     InsufficientTrainingData,
     StructureDefect,
     UnreliableTrainingData,
-    build_defect,
 )
 from repro.exceptions import DefectInjectionError
 from repro.models import AlexNet, DenseNet, LeNet, ResNet
@@ -160,14 +159,3 @@ class TestStructureDefect:
                 "num_classes": 10,
                 "hyperparameters": {},
             })
-
-
-class TestBuildDefect:
-    def test_builds_each_type(self):
-        assert isinstance(build_defect("itd"), InsufficientTrainingData)
-        assert isinstance(build_defect(DefectType.UTD, fraction=0.2), UnreliableTrainingData)
-        assert isinstance(build_defect("sd"), StructureDefect)
-
-    def test_rejects_none(self):
-        with pytest.raises(DefectInjectionError):
-            build_defect(DefectType.NONE)

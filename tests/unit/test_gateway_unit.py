@@ -21,6 +21,7 @@ from repro.exceptions import (
     NoFaultyCasesError,
     ServeError,
     ServiceSaturatedError,
+    ServiceUnavailableError,
 )
 from repro.resilience import HealthPolicy
 from repro.serve import JobStore, MetricsRegistry, ReplicaPool, parse_request_head
@@ -288,14 +289,14 @@ class TestReplicaPoolHealth:
             TimeoutError("engine wait"),
             # The same class as TimeoutError from Python 3.11, a distinct one before.
             FuturesTimeoutError(),
-            ServeError("engine stopped"),
+            ServiceUnavailableError("batching engine is stopped"),
             RuntimeError("worker crashed"),
             ConnectionResetError("peer reset"),
         ],
         ids=[
             "TimeoutError",
             "futures.TimeoutError",
-            "ServeError",
+            "ServiceUnavailableError",
             "RuntimeError",
             "ConnectionResetError",
         ],
@@ -323,6 +324,7 @@ class TestReplicaPoolHealth:
             DeadlineExceededError("budget spent"),
             ServiceSaturatedError("busy", retry_after=1.0),
             ValueError("bad shape"),
+            ServeError("invalid artifact name 'bad name!'"),
         ],
         ids=lambda error: type(error).__name__,
     )

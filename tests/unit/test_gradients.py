@@ -10,21 +10,16 @@ import pytest
 
 from repro.nn.layers import (
     AvgPool2D,
-    BatchNorm1D,
     BatchNorm2D,
     Conv2D,
     Dense,
     DenseBlock,
     Flatten,
     GlobalAvgPool2D,
-    LeakyReLU,
     MaxPool2D,
     ReLU,
     ResidualBlock,
     Sequential,
-    Sigmoid,
-    Softmax,
-    Tanh,
     TransitionLayer,
 )
 
@@ -89,7 +84,7 @@ def rng():
 
 
 class TestActivationGradients:
-    @pytest.mark.parametrize("layer_cls", [ReLU, LeakyReLU, Sigmoid, Tanh, Softmax])
+    @pytest.mark.parametrize("layer_cls", [ReLU])
     def test_activation_input_gradient(self, layer_cls, rng):
         # Offset away from zero so ReLU's kink does not break finite differences.
         x = rng.normal(size=(4, 6)) + 0.1 * np.sign(rng.normal(size=(4, 6)))
@@ -158,16 +153,11 @@ class TestPoolingGradients:
 
 
 class TestNormalizationGradients:
-    def test_batchnorm1d_gradients(self, rng):
-        layer = BatchNorm1D(6)
-        x = rng.normal(size=(8, 6))
-        check_input_gradient(layer, x)
-        check_param_gradients(layer, x)
-
     def test_batchnorm2d_gradients(self, rng):
         layer = BatchNorm2D(3)
         x = rng.normal(size=(4, 3, 4, 4))
         check_input_gradient(layer, x)
+        check_param_gradients(layer, x)
 
 
 class TestShapeLayersGradients:

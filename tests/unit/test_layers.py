@@ -6,7 +6,6 @@ import pytest
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn.layers import (
     AvgPool2D,
-    BatchNorm1D,
     BatchNorm2D,
     Conv2D,
     Dense,
@@ -100,18 +99,18 @@ class TestPoolingLayers:
 
 class TestBatchNorm:
     def test_training_mode_normalizes_batch(self):
-        layer = BatchNorm1D(4)
-        x = np.random.default_rng(0).normal(5.0, 3.0, size=(64, 4))
+        layer = BatchNorm2D(4)
+        x = np.random.default_rng(0).normal(5.0, 3.0, size=(64, 4, 2, 2))
         out = layer.forward(x)
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-8)
-        np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-2)
+        np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), 0.0, atol=1e-8)
+        np.testing.assert_allclose(out.std(axis=(0, 2, 3)), 1.0, atol=1e-2)
 
     def test_eval_mode_uses_running_statistics(self):
-        layer = BatchNorm1D(2, momentum=0.0)
-        x = np.random.default_rng(0).normal(2.0, 1.0, size=(32, 2))
+        layer = BatchNorm2D(2, momentum=0.0)
+        x = np.random.default_rng(0).normal(2.0, 1.0, size=(32, 2, 3, 3))
         layer.forward(x)
         layer.eval()
-        single = layer.forward(np.full((1, 2), 2.0))
+        single = layer.forward(np.full((1, 2, 3, 3), 2.0))
         assert np.all(np.isfinite(single))
 
     def test_batchnorm2d_channel_mismatch(self):
@@ -120,7 +119,7 @@ class TestBatchNorm:
 
     def test_invalid_momentum(self):
         with pytest.raises(ConfigurationError):
-            BatchNorm1D(3, momentum=1.5)
+            BatchNorm2D(3, momentum=1.5)
 
 
 class TestDropout:

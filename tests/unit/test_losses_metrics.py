@@ -1,4 +1,4 @@
-"""Tests for loss functions and classification metrics."""
+"""Tests for loss functions and classification accuracy."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,7 @@ import pytest
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn import functional as F
 from repro.nn.losses import MeanSquaredError, NegativeLogLikelihood, SoftmaxCrossEntropy, get_loss
-from repro.nn.metrics import (
-    accuracy,
-    confusion_matrix,
-    error_cases,
-    per_class_accuracy,
-    precision_recall_f1,
-    top_k_accuracy,
-)
+from repro.nn.metrics import accuracy
 
 
 class TestSoftmaxCrossEntropy:
@@ -106,39 +99,6 @@ class TestMetrics:
 
     def test_accuracy_empty_is_zero(self):
         assert accuracy(np.zeros((0, 3)), np.zeros(0, dtype=int)) == 0.0
-
-    def test_top_k_accuracy(self):
-        scores = np.array([[0.5, 0.3, 0.2], [0.1, 0.2, 0.7]])
-        labels = np.array([1, 0])
-        assert top_k_accuracy(scores, labels, k=1) == pytest.approx(0.0)
-        assert top_k_accuracy(scores, labels, k=2) == pytest.approx(0.5)
-        assert top_k_accuracy(scores, labels, k=3) == pytest.approx(1.0)
-
-    def test_confusion_matrix_counts(self):
-        preds = np.array([0, 0, 1, 2])
-        labels = np.array([0, 1, 1, 2])
-        matrix = confusion_matrix(preds, labels, 3)
-        assert matrix[0, 0] == 1 and matrix[1, 0] == 1 and matrix[1, 1] == 1 and matrix[2, 2] == 1
-        assert matrix.sum() == 4
-
-    def test_per_class_accuracy_handles_empty_classes(self):
-        preds = np.array([0, 0])
-        labels = np.array([0, 0])
-        acc = per_class_accuracy(preds, labels, 3)
-        np.testing.assert_allclose(acc, [1.0, 0.0, 0.0])
-
-    def test_precision_recall_f1(self):
-        preds = np.array([0, 0, 1, 1])
-        labels = np.array([0, 1, 1, 1])
-        stats = precision_recall_f1(preds, labels, 2)
-        assert stats["precision"][0] == pytest.approx(0.5)
-        assert stats["recall"][1] == pytest.approx(2 / 3)
-        assert 0 <= stats["f1"].max() <= 1
-
-    def test_error_cases_indices(self):
-        scores = np.array([[0.9, 0.1], [0.1, 0.9], [0.9, 0.1]])
-        labels = np.array([0, 0, 1])
-        np.testing.assert_array_equal(error_cases(scores, labels), [1, 2])
 
     def test_metrics_reject_mismatched_sizes(self):
         with pytest.raises(ShapeError):

@@ -389,9 +389,11 @@ class TestArtifactRegistry:
 
     def test_invalid_names_rejected(self, tmp_path, fitted_deepmorph):
         registry = ArtifactRegistry(tmp_path / "registry")
-        for bad in ("", "../escape", "a/b", ".hidden"):
+        for bad in ("", "../escape", "a/b", ".hidden", "a" * 256):
             with pytest.raises(ServeError):
                 registry.register(bad, fitted_deepmorph)
+        with pytest.raises(ServeError, match="invalid artifact name"):
+            registry.resolve("a" * 5000)
 
     def test_delete_version_and_model(self, tmp_path, fitted_deepmorph):
         registry = ArtifactRegistry(tmp_path / "registry")

@@ -1,21 +1,12 @@
-"""Tests for the training loop, callbacks, and history."""
+"""Tests for the training loop, the callback and schedule hooks, and history."""
 
 import numpy as np
 import pytest
 
 from repro.data import ArrayDataset
 from repro.exceptions import ConfigurationError, DatasetError
-from repro.optim import Adam, SGD, StepDecay
-from repro.training import (
-    EarlyStopping,
-    EpochLogger,
-    EpochRecord,
-    History,
-    LambdaCallback,
-    TargetAccuracyStopping,
-    Trainer,
-    evaluate,
-)
+from repro.optim import Adam, Schedule
+from repro.training import Callback, EpochRecord, History, Trainer, evaluate
 from tests.conftest import make_tiny_model
 
 
@@ -50,10 +41,14 @@ class TestTrainer:
         assert history.final.val_accuracy is not None
 
     def test_schedule_changes_learning_rate(self):
+        class TenfoldDecay(Schedule):
+            def lr_at(self, epoch):
+                return self.base_lr * 0.1**epoch
+
         data = easy_dataset(n_per_class=5)
         model = make_tiny_model()
-        optimizer = SGD(model.parameters(), lr=1.0)
-        trainer = Trainer(model, optimizer, schedule=StepDecay(1.0, step_size=1, gamma=0.1), rng=0)
+        optimizer = Adam(model.parameters(), lr=1.0)
+        trainer = Trainer(model, optimizer, schedule=TenfoldDecay(1.0), rng=0)
         history = trainer.fit(data, epochs=3, batch_size=8)
         rates = history.metric("learning_rate")
         assert rates[0] == pytest.approx(1.0)
@@ -90,56 +85,26 @@ class TestTrainer:
 
 
 class TestCallbacks:
-    def test_early_stopping_stops_on_plateau(self):
-        cb = EarlyStopping(monitor="train_loss", patience=1, mode="min")
-        cb.on_train_begin()
-        for epoch, loss in enumerate([1.0, 0.9, 0.9, 0.9]):
-            cb.on_epoch_end(EpochRecord(epoch, loss, 0.5))
-        assert cb.should_stop()
-
-    def test_early_stopping_does_not_stop_while_improving(self):
-        cb = EarlyStopping(monitor="train_loss", patience=1, mode="min")
-        cb.on_train_begin()
-        for epoch, loss in enumerate([1.0, 0.8, 0.6, 0.4]):
-            cb.on_epoch_end(EpochRecord(epoch, loss, 0.5))
-        assert not cb.should_stop()
-
-    def test_target_accuracy_stopping(self):
-        cb = TargetAccuracyStopping(target=0.9)
-        cb.on_train_begin()
-        cb.on_epoch_end(EpochRecord(0, 1.0, 0.95))
-        assert cb.should_stop()
-
     def test_trainer_honours_stopping_callback(self):
+        class StopAtTrainAccuracy(Callback):
+            def __init__(self, target):
+                self.target = target
+                self.reached = False
+
+            def on_epoch_end(self, record):
+                self.reached = self.reached or record.train_accuracy >= self.target
+
+            def should_stop(self):
+                return self.reached
+
         data = easy_dataset()
         model = make_tiny_model()
         trainer = Trainer(
             model, Adam(model.parameters(), lr=0.02),
-            callbacks=[TargetAccuracyStopping(target=0.5)], rng=0,
+            callbacks=[StopAtTrainAccuracy(target=0.5)], rng=0,
         )
         history = trainer.fit(data, epochs=20, batch_size=16)
         assert len(history) < 20
-
-    def test_epoch_logger_formats_lines(self):
-        lines = []
-        logger = EpochLogger(print_fn=lines.append)
-        logger.on_epoch_end(EpochRecord(3, 0.5, 0.8, val_loss=0.6, val_accuracy=0.7))
-        assert len(lines) == 1
-        assert "epoch   3" in lines[0] and "val_acc" in lines[0]
-
-    def test_lambda_callback_invokes_functions(self):
-        seen = []
-        cb = LambdaCallback(on_epoch_end=lambda record: seen.append(record.epoch))
-        cb.on_train_begin()
-        cb.on_epoch_end(EpochRecord(0, 1.0, 0.1))
-        cb.on_train_end()
-        assert seen == [0]
-
-    def test_early_stopping_validation(self):
-        with pytest.raises(ConfigurationError):
-            EarlyStopping(mode="sideways")
-        with pytest.raises(ConfigurationError):
-            EarlyStopping(patience=-1)
 
 
 class TestHistory:

@@ -34,7 +34,6 @@ from repro.wire import (
     JsonCodec,
     codec_for_accept,
     codec_for_content_type,
-    codecs,
     default_codec,
     get_codec,
     negotiate,
@@ -71,10 +70,10 @@ def make_report() -> DiagnosisReport:
 
 class TestRegistry:
     def test_registered_codecs(self):
-        registry = codecs()
-        assert set(registry) == {"json", "binary"}
-        assert registry["json"].content_type == "application/json"
-        assert registry["binary"].content_type == "application/x-repro-binary"
+        assert get_codec("json").name == "json"
+        assert get_codec("binary").name == "binary"
+        assert get_codec("json").content_type == "application/json"
+        assert get_codec("binary").content_type == "application/x-repro-binary"
 
     def test_default_is_json(self):
         assert default_codec().name == "json"
@@ -162,6 +161,8 @@ class TestJsonCodec:
             JSON.decode_request(b"[1, 2]")
         with pytest.raises(CodecError, match="body required"):
             JSON.decode_request(b"")
+        with pytest.raises(CodecError, match="invalid JSON"):
+            JSON.decode_request(b'{"inputs": ' + b"[" * 100_000 + b"]" * 100_000 + b"}")
 
     def test_error_and_document_round_trip(self):
         payload = {"error": "boom", "error_type": "ServeError"}
@@ -306,6 +307,9 @@ class TestMalformedFrames:
         with pytest.raises(CodecError, match="undecodable frame header"):
             BINARY.decode_request(frame)
         frame = _frame(1, {}, [], header_override=b"\xff\xfe not utf8")
+        with pytest.raises(CodecError, match="undecodable frame header"):
+            BINARY.decode_request(frame)
+        frame = _frame(1, {}, [], header_override=b"[" * 100_000 + b"]" * 100_000)
         with pytest.raises(CodecError, match="undecodable frame header"):
             BINARY.decode_request(frame)
 
