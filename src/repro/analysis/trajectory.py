@@ -27,6 +27,8 @@ __all__ = [
     "JSOperand",
     "prepare_js_operand",
     "cross_js_layer_divergences",
+    "LayerMajorOperand",
+    "weighted_js_divergences",
     "pairwise_trajectory_divergences",
     "batch_divergence_layer",
     "batch_commitment_depth",
@@ -200,6 +202,74 @@ def cross_js_layer_divergences(a: JSOperand, b: JSOperand) -> np.ndarray:
         np.sum(terms, axis=0, out=divs)
         np.subtract(a.half_plogp[start:stop, None, :] + b_plogp, divs, out=divs)
     return np.maximum(out, 0.0, out=out)
+
+
+@dataclass(frozen=True)
+class LayerMajorOperand:
+    """A trajectory stack prepared for :func:`weighted_js_divergences`, rows last.
+
+    :class:`JSOperand` with the row axis moved innermost: ``half`` is
+    ``(C, L, N)`` and ``half_plogp`` is ``(L, N)``.  Broadcasting members
+    ``(C, L, M, 1)`` against queries ``(C, L, 1, N)`` then runs numpy's inner
+    loop over the ``N`` queries rather than over the few layers.
+    """
+
+    half: np.ndarray
+    half_plogp: np.ndarray
+
+    @classmethod
+    def from_stack(cls, stack: np.ndarray) -> "LayerMajorOperand":
+        """Prepare an ``(N, L, C)`` stack exactly as :func:`prepare_js_operand` does."""
+        operand = prepare_js_operand(stack)
+        return cls(
+            half=np.ascontiguousarray(operand.half.transpose(0, 2, 1)),
+            half_plogp=np.ascontiguousarray(operand.half_plogp.T),
+        )
+
+    def select(self, rows: np.ndarray) -> "LayerMajorOperand":
+        """The operand of a subset of rows."""
+        return LayerMajorOperand(self.half[:, :, rows], self.half_plogp[:, rows])
+
+
+def weighted_js_divergences(
+    members: LayerMajorOperand, queries: LayerMajorOperand, weights: np.ndarray
+) -> np.ndarray:
+    """Layer-weighted JS divergences of every (member, query) pair, shape ``(M, N)``.
+
+    The entropy form of :func:`cross_js_layer_divergences` in a
+    ``(C, L, members, queries)`` layout: per block of members the mixture
+    term is an add, a clamp, a log, a multiply and a sum over the leading
+    class axis, each per-layer divergence is clamped at 0, and ``weights``
+    (one per layer) apply in one multiply and one sum over the layer axis.
+    Every step is elementwise or sums over an outer axis, so a pair's value
+    does not depend on the other rows of either operand.  A block's
+    temporaries hold at most :data:`_CROSS_BLOCK_ELEMENTS` float64 elements,
+    or one member against all queries when that is more.
+    """
+    num_classes, num_layers, m = members.half.shape
+    n = queries.half.shape[2]
+    if queries.half.shape[:2] != (num_classes, num_layers):
+        raise ShapeError(
+            f"operands must agree on (classes, layers), got {members.half.shape[:2]} "
+            f"vs {queries.half.shape[:2]}"
+        )
+    out = np.empty((m, n), dtype=np.float64)
+    block = max(1, _CROSS_BLOCK_ELEMENTS // max(1, num_classes * num_layers * n))
+    query_half = queries.half[:, :, None, :]
+    query_plogp = queries.half_plogp[:, None, :]
+    layer_weights = np.asarray(weights, dtype=np.float64)[:, None, None]
+    for start in range(0, m, block):
+        stop = min(start + block, m)
+        mixture = members.half[:, :, start:stop, None] + query_half
+        terms = np.maximum(mixture, _EPS)
+        np.log(terms, out=terms)
+        terms *= mixture
+        divs = terms.sum(axis=0)
+        np.subtract(members.half_plogp[:, start:stop, None] + query_plogp, divs, out=divs)
+        np.maximum(divs, 0.0, out=divs)
+        divs *= layer_weights
+        np.sum(divs, axis=0, out=out[start:stop])
+    return out
 
 
 def pairwise_trajectory_divergences(

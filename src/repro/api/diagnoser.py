@@ -23,6 +23,9 @@ to ~1e-16.
 from __future__ import annotations
 
 import abc
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import TracebackType
 from typing import Iterator, List, Optional, Sequence, Tuple, Type, Union
@@ -32,7 +35,7 @@ import numpy as np
 from ..core.classifier import DefectReport
 from ..core.diagnosis import DeepMorph, _dataset_batches
 from ..core.footprint import FootprintExtractor
-from ..core.specifics import compute_specifics_batch
+from ..core.specifics import SpecificsBatch, compute_specifics_batch
 from ..data.dataset import Dataset
 from ..exceptions import (
     ArtifactNotFoundError,
@@ -43,6 +46,7 @@ from ..exceptions import (
 )
 from ..nn.dtype import resolve_dtype
 from ..obs import bind_request_id, current_request_id, get_tracer, new_request_id, unbind_request_id
+from ..obs import span as obs_span
 from ..serve.registry import ArtifactRegistry
 from ..serve.replicas import ReplicaPool
 from ..serve.service import DiagnosisService
@@ -254,6 +258,16 @@ class LocalDiagnoser(Diagnoser):
     the served request is extracted alone (co-batched, it moves by about
     3e-8 in float32).
 
+    A request of two or more extraction chunks
+    (``config.extraction_batch_size`` rows each) is cut into
+    ``min(usable cores, chunks)`` contiguous, chunk-aligned row shards.  The
+    shards' extraction and specifics run at once, the first on the calling
+    thread and the others on a call-scoped thread pool, and the context and
+    report are built once from the shards' specifics joined in row order.
+    Extraction runs every probe head per chunk, so the report does not
+    depend on the core count: it is bitwise the one-shard report.  A
+    one-chunk request runs inline.
+
     Parameters
     ----------
     morph:
@@ -322,15 +336,15 @@ class LocalDiagnoser(Diagnoser):
     def _diagnose(self, request: DiagnosisRequest) -> DiagnosisReport:
         self._check_identity(request)
         inputs, labels = request.arrays(num_classes=self.morph.model.num_classes)
-        # Same coalesced-extraction entry point the batching engine uses, so
-        # the arrays (and everything derived from them) match the served path.
-        (trajectories, final_probs), = self._extractor.extract_coalesced([inputs])
-        faulty = self._extractor.from_arrays(trajectories, final_probs, labels).misclassified()
-        if not faulty:
+        shards = _row_shards(inputs.shape[0], self._extractor.batch_size, _usable_cores())
+        if len(shards) == 1:
+            specifics = self._faulty_specifics(inputs, labels)
+        else:
+            specifics = self._sharded_specifics(inputs, labels, shards)
+        if not len(specifics):
             raise NoFaultyCasesError(
                 "none of the supplied cases is misclassified by the model; nothing to diagnose"
             )
-        specifics = compute_specifics_batch(faulty, self.morph.patterns)
         context = self.morph.case_classifier.build_context(
             specifics,
             num_classes=self.morph.model.num_classes,
@@ -348,6 +362,74 @@ class LocalDiagnoser(Diagnoser):
             specifics, context=context, metadata=meta
         )
         return DiagnosisReport.from_defect_report(report)
+
+    def _faulty_specifics(self, inputs: np.ndarray, labels: np.ndarray) -> SpecificsBatch:
+        """Extract one shard's rows and derive the specifics of its misclassified cases."""
+        with obs_span("diagnoser.shard", {"num_cases": int(inputs.shape[0])}):
+            # Same coalesced-extraction entry point the batching engine uses, so
+            # the arrays (and everything derived from them) match the served path.
+            (trajectories, final_probs), = self._extractor.extract_coalesced([inputs])
+            faulty = self._extractor.from_arrays(trajectories, final_probs, labels)
+            return compute_specifics_batch(faulty.misclassified(), self.morph.patterns)
+
+    def _sharded_specifics(
+        self, inputs: np.ndarray, labels: np.ndarray, shards: List[slice]
+    ) -> SpecificsBatch:
+        """:meth:`_faulty_specifics` of all row shards at once, joined in row order.
+
+        The calling thread runs the first shard and a pool that lives for the
+        call runs the others, one thread each; a thread fewer also means one
+        allocator arena and BLAS buffer fewer at the memory peak.  A chunk's
+        distributions depend on its rows alone and a case's specifics on its
+        footprint alone, so the join is bitwise the one-shard result.  What
+        the shards share is settled before the fan-out: the model's eval mode
+        (each extraction would otherwise toggle it) and the lazily built
+        pattern index.  A pool shard runs in its own copy of the caller's
+        context, so its spans join the request's trace.  Every shard finishes
+        before the first failure, in row order, is raised.
+        """
+        model = self._extractor.instrumented.model
+        was_training = model.training
+        model.eval()
+        self.morph.patterns._batch_index()
+        try:
+            with ThreadPoolExecutor(max_workers=len(shards) - 1) as pool:
+                futures = [
+                    pool.submit(
+                        contextvars.copy_context().run,
+                        self._faulty_specifics, inputs[rows], labels[rows],
+                    )
+                    for rows in shards[1:]
+                ]
+                first = self._faulty_specifics(inputs[shards[0]], labels[shards[0]])
+        finally:
+            model.train(was_training)
+        return SpecificsBatch.concatenate([first] + [future.result() for future in futures])
+
+
+def _usable_cores() -> int:
+    """The CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _row_shards(rows: int, chunk: int, cores: int) -> List[slice]:
+    """``min(cores, chunks)`` contiguous row ranges that start on chunk boundaries.
+
+    Shard sizes differ by at most one chunk; the later shards take the extra
+    chunks, because the last one ends with the (possibly short) last chunk.
+    """
+    chunks = -(-rows // chunk)
+    count = max(1, min(cores, chunks))
+    per_shard, extra = divmod(chunks, count)
+    shards, start = [], 0
+    for index in range(count):
+        stop = start + (per_shard + (index >= count - extra)) * chunk
+        shards.append(slice(start, min(stop, rows)))
+        start = stop
+    return shards
 
 
 class ServiceDiagnoser(Diagnoser):

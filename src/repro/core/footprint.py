@@ -37,7 +37,9 @@ def validate_labels(labels, num_classes: Optional[int] = None) -> np.ndarray:
     (``3.0`` is class 3).  Booleans, non-integral or non-finite floats,
     strings and any other non-numeric values raise
     :class:`~repro.exceptions.ConfigurationError`.  With ``num_classes``,
-    every label must also lie in ``[0, num_classes)``.
+    every label must also lie in ``[0, num_classes)``; without it, a float
+    label must fit in int64.  Ranges are checked before the cast, so the
+    error reports the labels as given.
     """
     array = np.asarray(labels)
     kind = array.dtype.kind
@@ -56,15 +58,18 @@ def validate_labels(labels, num_classes: Optional[int] = None) -> np.ndarray:
         raise ConfigurationError(
             f"labels must be integer class ids, got values of dtype {array.dtype}"
         )
-    array = array.astype(np.int64, copy=False)
-    if num_classes is not None and array.size and (
-        array.min() < 0 or array.max() >= num_classes
-    ):
+    if num_classes is not None:
+        low, high = 0, num_classes
+    elif kind == "f":
+        low, high = -(2**63), 2**63  # what int64 holds
+    else:
+        low = high = None
+    if low is not None and array.size and (array.min() < low or array.max() >= high):
         raise ConfigurationError(
-            f"labels must be class ids in [0, {num_classes}), got range "
+            f"labels must be class ids in [{low}, {high}), got range "
             f"[{array.min()}, {array.max()}]"
         )
-    return array
+    return array.astype(np.int64, copy=False)
 
 
 # FootprintBatch rows are views into a batch that FootprintExtractor.from_arrays
@@ -321,11 +326,10 @@ class FootprintExtractor:
         ``input_groups`` is a sequence of arrays, each ``(n_i, ...)`` with the
         same per-example shape.  The groups are concatenated, pushed through a
         single :meth:`SoftmaxInstrumentedModel.layer_distributions` call (so
-        per-call overhead — eval-mode toggling, per-layer probe dispatch — is
-        amortized across all groups), and the resulting arrays are split back
-        into one ``(trajectories, final_probs)`` pair per group.  This is the
-        vectorized substrate of the request batching engine in
-        :mod:`repro.serve`.
+        its fixed-size chunks run full across group boundaries), and the
+        resulting arrays are split back into one ``(trajectories,
+        final_probs)`` pair per group.  This is the vectorized substrate of
+        the request batching engine in :mod:`repro.serve`.
         """
         total = sum(int(group.shape[0]) for group in input_groups)
         with obs_span(

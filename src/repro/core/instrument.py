@@ -11,7 +11,8 @@ layers, forms a data-flow footprint.
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -309,6 +310,33 @@ class SoftmaxInstrumentedModel:
 
     # -- activation collection ---------------------------------------------------
 
+    @contextmanager
+    def _inference(self, dtype: np.dtype) -> Iterator[None]:
+        """Eval mode and the compute dtype for the enclosed forward passes."""
+        was_training = self.model.training
+        self.model.eval()
+        try:
+            with autocast(dtype):
+                yield
+        finally:
+            self.model.train(was_training)
+
+    def _pooled_chunks(
+        self, inputs: np.ndarray, batch_size: int
+    ) -> Iterator[Tuple[int, np.ndarray, Dict[str, np.ndarray]]]:
+        """``(start, logits, pooled activations)`` of each ``batch_size``-row chunk.
+
+        Run inside :meth:`_inference`.  An empty input still runs one (empty)
+        chunk, so every layer reports its ``(0, features)`` shape.
+        """
+        for start in range(0, max(inputs.shape[0], 1), batch_size):
+            logits, acts = self.model.forward_collect(inputs[start:start + batch_size])
+            pooled = {
+                name: pool_activation(acts[name], max_spatial=self.max_spatial)
+                for name in self.layer_names
+            }
+            yield start, logits, pooled
+
     def collect_activations(
         self, inputs: np.ndarray, batch_size: int = 128, dtype: DTypeLike = None
     ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
@@ -321,26 +349,15 @@ class SoftmaxInstrumentedModel:
         """
         compute = self.inference_dtype if dtype is None else resolve_dtype(dtype)
         inputs = np.asarray(inputs)
-        was_training = self.model.training
-        self.model.eval()
-        try:
-            pooled: Dict[str, List[np.ndarray]] = {name: [] for name in self.layer_names}
-            logits_parts: List[np.ndarray] = []
-            with autocast(compute):
-                # An empty input still runs one (empty) batch, so every layer
-                # reports its (0, features) shape.
-                for start in range(0, max(inputs.shape[0], 1), batch_size):
-                    batch = inputs[start:start + batch_size]
-                    logits, acts = self.model.forward_collect(batch)
-                    logits_parts.append(logits)
-                    for name in self.layer_names:
-                        pooled[name].append(
-                            pool_activation(acts[name], max_spatial=self.max_spatial)
-                        )
-            activations = {name: np.concatenate(parts, axis=0) for name, parts in pooled.items()}
-            return activations, np.concatenate(logits_parts, axis=0)
-        finally:
-            self.model.train(was_training)
+        pooled: Dict[str, List[np.ndarray]] = {name: [] for name in self.layer_names}
+        logits_parts: List[np.ndarray] = []
+        with self._inference(compute):
+            for _, logits, chunk in self._pooled_chunks(inputs, batch_size):
+                logits_parts.append(logits)
+                for name in self.layer_names:
+                    pooled[name].append(chunk[name])
+        activations = {name: np.concatenate(parts, axis=0) for name, parts in pooled.items()}
+        return activations, np.concatenate(logits_parts, axis=0)
 
     # -- probe training -------------------------------------------------------------
 
@@ -396,6 +413,13 @@ class SoftmaxInstrumentedModel:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Probe distributions for a batch of inputs.
 
+        The backbone runs in ``batch_size``-row chunks, and every probe head
+        runs inside that loop on its chunk's pooled activations, so each
+        matmul's row count is the chunk's.  A row's distributions therefore
+        depend only on the chunk it falls in: splitting a batch at chunk
+        boundaries, as :class:`~repro.api.LocalDiagnoser` does across cores,
+        changes no bit.
+
         Returns
         -------
         ``(trajectories, final_probs)`` where ``trajectories`` has shape
@@ -406,16 +430,20 @@ class SoftmaxInstrumentedModel:
         if not self._fitted:
             raise NotFittedError("instrumented model is not fitted; call fit() first")
         inputs = np.asarray(inputs)
-        activations, logits = self.collect_activations(inputs, batch_size=batch_size)
         n = inputs.shape[0]
         # Probe heads run in the same precision as the backbone extraction;
         # the returned trajectories are float64 at the API boundary either way.
         trajectories = np.zeros((n, self.num_layers, self.num_classes), dtype=np.float64)
-        with autocast(self.inference_dtype):
-            for layer_idx, name in enumerate(self.layer_names):
-                trajectories[:, layer_idx, :] = self.probes[name].predict_proba(
-                    activations[name]
-                )
+        logits_parts: List[np.ndarray] = []
+        with self._inference(self.inference_dtype):
+            for start, logits, pooled in self._pooled_chunks(inputs, batch_size):
+                rows = slice(start, start + logits.shape[0])
+                for layer_idx, name in enumerate(self.layer_names):
+                    trajectories[rows, layer_idx, :] = self.probes[name].predict_proba(
+                        pooled[name]
+                    )
+                logits_parts.append(logits)
+        logits = np.concatenate(logits_parts, axis=0)
         final_probs = F.softmax(np.asarray(logits, dtype=np.float64), axis=1)
         return trajectories, final_probs
 
@@ -426,10 +454,10 @@ class SoftmaxInstrumentedModel:
 
         The groups (each ``(n_i, ...)`` with identical per-example shape) are
         concatenated, run through a single :meth:`layer_distributions` call —
-        amortizing eval-mode toggling and per-layer probe dispatch across all
-        of them — and split back into one ``(trajectories, final_probs)`` pair
-        per group.  This is the batched extraction primitive the serving layer
-        (:mod:`repro.serve`) coalesces concurrent diagnosis requests onto.
+        filling its chunks across group boundaries — and split back into one
+        ``(trajectories, final_probs)`` pair per group.  This is the batched
+        extraction primitive the serving layer (:mod:`repro.serve`) coalesces
+        concurrent diagnosis requests onto.
         """
         if not self._fitted:
             raise NotFittedError("instrumented model is not fitted; call fit() first")

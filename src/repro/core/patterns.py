@@ -18,12 +18,14 @@ import numpy as np
 from ..analysis.divergence import normalized_entropy
 from ..analysis.trajectory import (
     JSOperand,
+    LayerMajorOperand,
     _unit_layer_weights,
     check_trajectory_stack,
     cross_js_layer_divergences,
     pairwise_trajectory_divergences,
     prepare_js_operand,
     trajectory_divergence_to_stack,
+    weighted_js_divergences,
 )
 from ..data.dataset import Dataset
 from ..exceptions import NotFittedError, ShapeError
@@ -128,6 +130,8 @@ class _PatternIndex:
     Class means and member stacks are normalized, laid out class-first and
     carry their entropy terms (:func:`prepare_js_operand`), so a query only
     prepares its own stack; the layer weights are normalized to sum to one.
+    The member stacks are laid out members before queries
+    (:class:`LayerMajorOperand`), for the nearest-member kernel only.
     """
 
     class_ids: np.ndarray  # (K,) ascending
@@ -137,7 +141,7 @@ class _PatternIndex:
     # is represented by its mean.
     # Only the nn_layers are kept: the nearest-member kernel skips layers
     # whose nn weight is exactly 0.
-    members: Dict[int, Tuple[JSOperand, float]]
+    members: Dict[int, Tuple[LayerMajorOperand, float]]
     similarity_weights: np.ndarray  # (L,) at the library's late_layer_emphasis
     divergence_weights: np.ndarray  # (L,) at the atypicality emphasis 0.5
     nn_layers: np.ndarray  # indices of the layers with a non-zero nn weight
@@ -664,13 +668,13 @@ class PatternLibrary:
         # the kernel skips every zero-weight layer.
         nn_weights = _unit_layer_weights(num_layers, self.nn_layer_emphasis)
         nn_layers = np.flatnonzero(nn_weights)
-        members: Dict[int, Tuple[JSOperand, float]] = {}
+        members: Dict[int, Tuple[LayerMajorOperand, float]] = {}
         for class_id, pattern in zip(ids, patterns):
             stack = pattern.member_trajectories
             if stack is None or stack.shape[0] == 0:
                 stack = pattern.mean_trajectory[None]
             members[class_id] = (
-                prepare_js_operand(stack[:, nn_layers]),
+                LayerMajorOperand.from_stack(stack[:, nn_layers]),
                 float(pattern.member_nn_scale),
             )
         index = _PatternIndex(
@@ -739,9 +743,10 @@ class PatternLibrary:
         targets per case, e.g. the predicted and the true class), and the
         result has its shape.  The stack is prepared once, on the layers with
         a non-zero nn weight, and each class's (case, target) pairs are
-        compared against that class's prepared member stack in one cross
-        kernel.  Classes without a pattern score 0; a class without stored
-        members is compared against its mean trajectory.
+        compared against that class's prepared member stack in one
+        :func:`weighted_js_divergences` kernel, queries innermost.  Classes
+        without a pattern score 0; a class without stored members is
+        compared against its mean trajectory.
         """
         index = self._batch_index()
         stack = self._check_query(stack, index)
@@ -751,7 +756,7 @@ class PatternLibrary:
                 f"class_ids must be (N,) or (N, T) with one row per case, got shape "
                 f"{class_ids.shape} for {stack.shape[0]} cases"
             )
-        query = prepare_js_operand(stack[:, index.nn_layers])
+        query = LayerMajorOperand.from_stack(stack[:, index.nn_layers])
         out = np.zeros(class_ids.shape, dtype=np.float64)
         for class_value in np.unique(class_ids):
             entry = index.members.get(int(class_value))
@@ -759,11 +764,12 @@ class PatternLibrary:
                 continue  # unknown class: typicality stays 0
             members, nn_scale = entry
             targets = np.nonzero(class_ids == class_value)
-            divergences = (
-                cross_js_layer_divergences(query.select(targets[0]), members) @ index.nn_weights
+            # (M, n): one column per (case, target) pair of this class.
+            divergences = weighted_js_divergences(
+                members, query.select(targets[0]), index.nn_weights
             )
-            kk = max(1, min(int(k), divergences.shape[1]))
-            nearest = np.partition(divergences, kk - 1, axis=1)[:, :kk].mean(axis=1)
+            kk = max(1, min(int(k), divergences.shape[0]))
+            nearest = np.partition(divergences, kk - 1, axis=0)[:kk].mean(axis=0)
             scale = max(nn_scale, scale_floor)
             out[targets] = scale / (scale + nearest)
         return out

@@ -201,6 +201,14 @@ class SpecificsBatch(SequenceABC):
             for name in SPECIFICS_FIELDS
         })
 
+    @classmethod
+    def concatenate(cls, parts: Sequence["SpecificsBatch"]) -> "SpecificsBatch":
+        """The batch of ``parts``' cases, in order (column by column)."""
+        return cls(**{
+            name: np.concatenate([getattr(part, name) for part in parts])
+            for name in SPECIFICS_FIELDS
+        })
+
     def __repr__(self) -> str:
         return f"SpecificsBatch(cases={len(self)})"
 

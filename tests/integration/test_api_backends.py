@@ -9,12 +9,15 @@ the pre-facade entry points (``DeepMorph.diagnose``,
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.api import diagnoser as diagnoser_module
+from repro.core import patterns as patterns_module
 from repro.api import (
     DiagnoserConfig,
     DiagnosisRequest,
@@ -184,6 +187,158 @@ class TestThreeWayParity:
         report = local_diagnoser.diagnose(request)
         rebuilt = DiagnosisRequest.from_dict(request.to_dict())
         assert local_diagnoser.diagnose(rebuilt).to_dict() == report.to_dict()
+
+
+class TestShardedLocalDiagnosis:
+    """A request of several extraction chunks runs as chunk-aligned row shards.
+
+    At ``extraction_batch_size=8`` the 40-row tiny split is 5 chunks, and the
+    shard count is ``min(usable cores, chunks)``; the tests set the core
+    count, so 4 shards run even on a 2-core machine.
+    """
+
+    CHUNK = 8
+
+    @pytest.fixture(scope="class")
+    def chunked_local(self, registry_dir):
+        config = DiagnoserConfig(extraction_batch_size=self.CHUNK)
+        return LocalDiagnoser.from_registry(registry_dir, "tiny", config=config)
+
+    @pytest.fixture(scope="class")
+    def chunked_service(self, registry_dir):
+        config = DiagnoserConfig(extraction_batch_size=self.CHUNK, num_workers=1)
+        diagnoser = ServiceDiagnoser.from_registry(registry_dir, config=config)
+        yield diagnoser
+        diagnoser.close()
+
+    @staticmethod
+    def report_on(monkeypatch, diagnoser, cores, inputs, labels) -> dict:
+        monkeypatch.setattr(diagnoser_module, "_usable_cores", lambda: cores)
+        return diagnoser.diagnose_arrays(inputs, labels).to_dict()
+
+    @staticmethod
+    def report_on_four_cores_switching_often(monkeypatch, diagnoser, inputs, labels) -> dict:
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            return TestShardedLocalDiagnosis.report_on(monkeypatch, diagnoser, 4, inputs, labels)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_the_core_count_never_changes_a_report(
+        self, monkeypatch, chunked_local, chunked_service, tiny_splits
+    ):
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        one = self.report_on(monkeypatch, chunked_local, 1, inputs, labels)
+        two = self.report_on(monkeypatch, chunked_local, 2, inputs, labels)
+        four = self.report_on_four_cores_switching_often(
+            monkeypatch, chunked_local, inputs, labels
+        )
+        served = chunked_service.diagnose_arrays(inputs, labels, model="tiny").to_dict()
+        assert one == two == four == served
+        assert one["num_cases"] >= 1
+
+    def test_a_large_request_at_the_default_chunk(
+        self, monkeypatch, local_diagnoser, tiny_splits
+    ):
+        """2560 rows, 20 chunks: whole-request probe heads would move the shards' bits."""
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        inputs = np.concatenate([inputs + 0.01 * shift for shift in range(64)])
+        labels = np.tile(labels, 64)
+        one = self.report_on(monkeypatch, local_diagnoser, 1, inputs, labels)
+        assert one == self.report_on(monkeypatch, local_diagnoser, 2, inputs, labels)
+        assert one == self.report_on(monkeypatch, local_diagnoser, 3, inputs, labels)
+
+    def test_shards_are_contiguous_and_chunk_aligned(
+        self, monkeypatch, chunked_local, tiny_splits
+    ):
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        seen = []
+        original = chunked_local._extractor.extract_coalesced
+
+        def spy(groups):
+            seen.append((threading.get_ident(), groups[0]))
+            return original(groups)
+
+        monkeypatch.setattr(chunked_local._extractor, "extract_coalesced", spy)
+        self.report_on(monkeypatch, chunked_local, 4, inputs, labels)
+        # Five chunks on four cores: the last shard takes the extra chunk.
+        assert len(seen) == 4
+        for start, stop in [(0, 8), (8, 16), (16, 24), (24, 40)]:
+            assert any(np.array_equal(rows, inputs[start:stop]) for _, rows in seen)
+        # The calling thread runs the first shard, pool threads the others.
+        on_caller = [rows for thread, rows in seen if thread == threading.get_ident()]
+        assert len(on_caller) == 1 and np.array_equal(on_caller[0], inputs[:8])
+
+    def test_a_model_left_in_training_mode(self, monkeypatch, chunked_local, tiny_splits):
+        """Shards toggling the mode themselves would race; repeat to give the race a chance."""
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        expected = self.report_on(monkeypatch, chunked_local, 1, inputs, labels)
+        model = chunked_local.morph.model
+        model.train()
+        try:
+            for _ in range(10):
+                report = self.report_on_four_cores_switching_often(
+                    monkeypatch, chunked_local, inputs, labels
+                )
+                assert model.training is True
+                assert report == expected
+        finally:
+            model.eval()
+
+    def test_the_pattern_index_is_built_once_before_the_fan_out(
+        self, monkeypatch, chunked_local, tiny_splits
+    ):
+        """The index is built lazily (check, then build); shards must not each build it."""
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        builds = []
+        original = patterns_module._PatternIndex
+
+        def counted(*args, **kwargs):
+            builds.append(threading.get_ident())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(patterns_module, "_PatternIndex", counted)
+        library = chunked_local.morph.patterns
+        for _ in range(5):
+            library._batch_cache = None
+            builds.clear()
+            self.report_on_four_cores_switching_often(monkeypatch, chunked_local, inputs, labels)
+            assert builds == [threading.get_ident()]
+
+    def test_no_faulty_case_in_any_shard(self, monkeypatch, chunked_local, tiny_splits):
+        _, test = tiny_splits
+        inputs, _ = test.arrays()
+        predictions = chunked_local.morph.model.predict(inputs)
+        with pytest.raises(NoFaultyCasesError):
+            self.report_on(monkeypatch, chunked_local, 4, inputs, predictions)
+
+    @pytest.mark.parametrize("failing", [slice(0, 8), slice(24, 40)], ids=["caller", "pool"])
+    def test_a_failing_shard_raises_once_all_shards_are_done(
+        self, monkeypatch, chunked_local, tiny_splits, failing
+    ):
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        finished = []
+        original = chunked_local._extractor.extract_coalesced
+
+        def fail_on_one_shard(groups):
+            if np.array_equal(groups[0], inputs[failing]):
+                raise RuntimeError("shard failed")
+            result = original(groups)
+            finished.append(len(groups[0]))
+            return result
+
+        monkeypatch.setattr(chunked_local._extractor, "extract_coalesced", fail_on_one_shard)
+        with pytest.raises(RuntimeError, match="shard failed"):
+            self.report_on(monkeypatch, chunked_local, 4, inputs, labels)
+        assert len(finished) == 3
+        assert chunked_local.morph.model.training is False
 
 
 class TestWireCodecParity:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.api import LocalDiagnoser
-from repro.core import SoftmaxInstrumentedModel
+from repro.core import SoftmaxInstrumentedModel, validate_labels
 from repro.exceptions import ConfigurationError
 from repro.serve import ArtifactRegistry, DiagnosisGateway, DiagnosisService, ReplicaPool
 
@@ -36,11 +36,13 @@ BAD_LABELS = {
     "objects": lambda y: np.array([None] + y[1:].tolist(), dtype=object),
     "too_large": lambda y: np.where(np.arange(y.size) == 0, TINY_CLASSES, y),
     "negative": lambda y: np.where(np.arange(y.size) == 0, -1, y),
+    "beyond_int64": lambda y: np.where(np.arange(y.size) == 0, 1e300, y.astype(np.float64)),
 }
 
 #: The bad labels that survive JSON (NaN, infinities and objects do not).
 JSON_BAD_LABELS = [
     "non_integral", "boolean", "boolean_in_a_list", "numeric_strings", "too_large", "negative",
+    "beyond_int64",
 ]
 
 
@@ -80,6 +82,13 @@ def fresh(inputs: np.ndarray, seed: int) -> np.ndarray:
 
 def bad_labels(name: str, labels: np.ndarray):
     return BAD_LABELS[name](labels)
+
+
+@pytest.mark.parametrize("num_classes", [TINY_CLASSES, None])
+def test_a_label_beyond_int64_reports_its_real_range(num_classes):
+    """The range is checked before the int64 cast, which would wrap the value."""
+    with pytest.raises(ConfigurationError, match=r"got range \[2\.0, 1e\+300\]"):
+        validate_labels([2.0, 1e300], num_classes)
 
 
 class TestLocalDiagnoser:
@@ -156,6 +165,14 @@ class TestGateway:
         assert payload["error_type"] == "ConfigurationError"
         assert "labels" in payload["error"]
         assert forward_passes == []
+
+    def test_a_label_beyond_int64_is_a_400_with_its_real_range(self, gateway, batch):
+        inputs, labels = batch
+        status, payload = self.post(
+            gateway, fresh(inputs, 5), [1e300] + labels[1:].astype(float).tolist()
+        )
+        assert status == 400
+        assert "1e+300]" in payload["error"]
 
     def test_integral_floats_are_class_ids(self, gateway, batch, forward_passes):
         inputs, labels = batch

@@ -18,6 +18,7 @@ import pytest
 
 from repro import obs
 from repro.api import DiagnoserConfig, LocalDiagnoser, RemoteDiagnoser, ServiceDiagnoser
+from repro.api import diagnoser as diagnoser_module
 from repro.serve import ArtifactRegistry, DiagnosisGateway, ReplicaPool
 
 
@@ -178,6 +179,31 @@ class TestLocalBackendTrace:
         root = _assert_connected(spans)
         assert root["name"] == "diagnoser.request"
         assert root["attributes"]["backend"] == "LocalDiagnoser"
+        assert report.request_id == root["attributes"]["request_id"]
+
+
+    def test_shards_trace_under_the_facade_root(
+        self, registry_dir, traced, tiny_payload, monkeypatch
+    ):
+        """Shards run on pool threads in copies of the caller's context."""
+        _, path = traced
+        inputs, labels = tiny_payload
+        monkeypatch.setattr(diagnoser_module, "_usable_cores", lambda: 2)
+        config = DiagnoserConfig(extraction_batch_size=8)
+        diagnoser = LocalDiagnoser.from_registry(registry_dir, "tiny", config=config)
+        report = diagnoser.diagnose_arrays(inputs, labels)
+
+        spans = _spans_from(path)
+        root = _assert_connected(spans)
+        assert root["name"] == "diagnoser.request"
+        shards = [s for s in spans if s["name"] == "diagnoser.shard"]
+        assert len(shards) == 2
+        assert all(shard["parent_id"] == root["span_id"] for shard in shards)
+        assert sorted(shard["attributes"]["num_cases"] for shard in shards) == [16, 24]
+        shard_ids = {shard["span_id"] for shard in shards}
+        extractions = [s for s in spans if s["name"] == "extract.coalesced"]
+        assert len(extractions) == 2
+        assert all(span["parent_id"] in shard_ids for span in extractions)
         assert report.request_id == root["attributes"]["request_id"]
 
 

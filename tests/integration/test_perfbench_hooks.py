@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import LocalDiagnoser
+from repro.api import DiagnoserConfig, LocalDiagnoser
+from repro.api import diagnoser as diagnoser_module
 from repro.serve import ArtifactRegistry, DiagnosisService
 
 SPANS_PATH = Path(__file__).resolve().parents[2] / "perfbench" / "spans.py"
@@ -99,3 +100,22 @@ def test_diagnosis_service_calls_every_hook(registry_dir, tiny_splits, recorder)
     with DiagnosisService(registry_dir, num_workers=1) as service:
         report = service.diagnose("tiny", inputs, labels)
     check_core_spans(spans, recorder, report.num_cases, len(inputs))
+
+
+def test_sharded_local_diagnoser_calls_every_hook(
+    registry_dir, tiny_splits, recorder, monkeypatch
+):
+    """Two shards: every hook fires on the pool threads, and the counts add up."""
+    spans, recorder = recorder
+    _, test = tiny_splits
+    inputs, labels = test.arrays()
+    monkeypatch.setattr(diagnoser_module, "_usable_cores", lambda: 2)
+    config = DiagnoserConfig(extraction_batch_size=8)
+    local = LocalDiagnoser.from_registry(registry_dir, "tiny", config=config)
+    report = local.diagnose_arrays(inputs, labels)
+    names = {record[spans.NAME] for record in recorder.spans}
+    assert CORE_SPANS <= names, f"hooks that never fired: {sorted(CORE_SPANS - names)}"
+    faulty = extras(spans, recorder, "specifics.batch")
+    assert len(faulty) == 2 and sum(faulty) == report.num_cases
+    assert sorted(extras(spans, recorder, "footprint.from_arrays")) == [16, 24]
+    assert sorted(extras(spans, recorder, "extract.coalesced")) == [16, 24]

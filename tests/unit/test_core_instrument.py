@@ -235,6 +235,29 @@ class TestGroupedExtraction:
             np.testing.assert_allclose(trajectories, direct_traj, atol=1e-6)
             np.testing.assert_allclose(final_probs, direct_final, atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_a_row_depends_only_on_its_chunk(self, fitted_deepmorph, tiny_splits, dtype):
+        """Probe heads run per chunk, so no matmul sees the batch's row count.
+
+        2560 rows: enough for the BLAS kernels to take another path over the
+        whole batch than over one 128-row chunk.
+        """
+        _, test = tiny_splits
+        inputs, _ = test.arrays()
+        batch = np.concatenate([inputs + 0.01 * shift for shift in range(64)])
+        instrumented = fitted_deepmorph.instrumented
+        previous = instrumented.inference_dtype
+        instrumented.inference_dtype = np.dtype(dtype)
+        try:
+            whole = instrumented.layer_distributions(batch, batch_size=128)
+            for start in range(0, batch.shape[0], 128):
+                rows = slice(start, start + 128)
+                alone = instrumented.layer_distributions(batch[rows], batch_size=128)
+                assert np.array_equal(whole[0][rows], alone[0])
+                assert np.array_equal(whole[1][rows], alone[1])
+        finally:
+            instrumented.inference_dtype = previous
+
     def test_grouped_handles_empty_group_and_empty_input(self, fitted_deepmorph, tiny_splits):
         _, test = tiny_splits
         inputs, _ = test.arrays()
