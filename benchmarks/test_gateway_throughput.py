@@ -45,8 +45,6 @@ NUM_REPLICAS = 2
 MIN_SPEEDUP = float(os.environ.get("BENCH_GATEWAY_MIN_SPEEDUP", "1.3"))
 RESULT_PATH = os.environ.get("BENCH_GATEWAY_JSON", "BENCH_gateway.json")
 
-SERVICE_KWARGS = dict(num_workers=1)
-
 
 @pytest.fixture(scope="module")
 def serving_scenario(tmp_path_factory):
@@ -73,7 +71,7 @@ def serving_scenario(tmp_path_factory):
     inputs, labels = test.arrays()
     inputs, labels = inputs[:NUM_CASES].tolist(), labels[:NUM_CASES].tolist()
     payload = json.dumps({"model": "bench", "inputs": inputs, "labels": labels}).encode("utf-8")
-    with DiagnosisService(registry_dir, **SERVICE_KWARGS) as service:
+    with DiagnosisService(registry_dir) as service:
         reference = JsonCodec().encode_report(service.diagnose("bench", inputs, labels).as_dict())
     return registry_dir, payload, reference
 
@@ -166,7 +164,6 @@ def test_response_cache_speeds_up_recurring_traffic(serving_scenario):
         registry_dir,
         num_replicas=NUM_REPLICAS,
         max_queue_per_replica=NUM_CLIENTS,  # admit the whole benchmark, shed nothing
-        **SERVICE_KWARGS,
     )
     gateway = DiagnosisGateway(pool, port=0).start()
     nocache = DiagnosisGateway(pool, port=0, response_cache_size=0).start()

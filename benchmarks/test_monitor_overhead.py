@@ -52,11 +52,6 @@ NUM_REPLICAS = 2
 MIN_RATIO = float(os.environ.get("BENCH_MONITOR_MIN_RATIO", "0.60"))
 RESULT_PATH = os.environ.get("BENCH_MONITOR_JSON", "BENCH_monitor.json")
 
-#: Shared by BOTH phases, each behind a gateway with its response cache off:
-#: every request must reach extraction, where the monitor tap lives, or the
-#: comparison measures nothing.
-SERVICE_KWARGS = dict(num_workers=1)
-
 
 @pytest.fixture(scope="module")
 def serving_scenario(tmp_path_factory):
@@ -146,7 +141,7 @@ def _hammer(host: str, port: int, payload: bytes):
 
 def _run_phase(registry_dir, payload, monitor: bool):
     """Gateway throughput for one configuration (response cache disabled)."""
-    kwargs = dict(SERVICE_KWARGS)
+    kwargs = {}
     if monitor:
         kwargs.update(monitor=True, monitor_window=2048)
     pool = ReplicaPool.from_registry(
@@ -155,6 +150,8 @@ def _run_phase(registry_dir, payload, monitor: bool):
         max_queue_per_replica=NUM_CLIENTS,
         **kwargs,
     )
+    # Cache off in both phases: every request must reach extraction, where
+    # the monitor tap lives, or the comparison measures nothing.
     gateway = DiagnosisGateway(pool, port=0, response_cache_size=0).start()
     try:
         for _ in range(NUM_REPLICAS + 1):

@@ -49,8 +49,6 @@ MIN_RATIO = float(os.environ.get("BENCH_OBS_MIN_RATIO", "0.60"))
 RESULT_PATH = os.environ.get("BENCH_OBS_JSON", "BENCH_obs.json")
 TRACE_SAMPLE_PATH = os.environ.get("BENCH_OBS_TRACE", "BENCH_obs_trace.jsonl")
 
-SERVICE_KWARGS = dict(num_workers=1)
-
 
 @pytest.fixture(scope="module")
 def serving_scenario(tmp_path_factory):
@@ -156,7 +154,6 @@ def test_tracing_overhead_is_bounded(serving_scenario):
         registry_dir,
         num_replicas=NUM_REPLICAS,
         max_queue_per_replica=NUM_CLIENTS,
-        **SERVICE_KWARGS,
     )
     gateway = DiagnosisGateway(pool, port=0).start()
     try:

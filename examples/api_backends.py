@@ -52,7 +52,7 @@ def main() -> int:
     morph = DeepMorph(rng=3).fit(model, corrupted)
 
     inputs, labels = production.arrays()
-    config = DiagnoserConfig(num_workers=1)
+    config = DiagnoserConfig()
 
     with tempfile.TemporaryDirectory() as root:
         registry = ArtifactRegistry(root)

@@ -51,8 +51,6 @@ class DiagnoserConfig:
     max_batch_cases:
         Soft cap on the cases the batching engine coalesces into one
         extraction.
-    num_workers:
-        Worker threads for asynchronous jobs.
     max_loaded_models:
         Resident fitted-model LRU capacity.
     request_timeout:
@@ -124,7 +122,6 @@ class DiagnoserConfig:
     # -- service ---------------------------------------------------------------
     extraction_batch_size: int = 128
     max_batch_cases: int = 512
-    num_workers: int = 2
     max_loaded_models: int = 8
     request_timeout: float = 120.0
     monitor: bool = False
@@ -150,7 +147,6 @@ class DiagnoserConfig:
             "probe_batch_size": self.probe_batch_size,
             "extraction_batch_size": self.extraction_batch_size,
             "max_batch_cases": self.max_batch_cases,
-            "num_workers": self.num_workers,
             "max_loaded_models": self.max_loaded_models,
             "connection_pool_size": self.connection_pool_size,
             "breaker_failure_threshold": self.breaker_failure_threshold,
@@ -227,7 +223,6 @@ class DiagnoserConfig:
         """Constructor kwargs for :class:`~repro.serve.DiagnosisService`."""
         return {
             "max_batch_cases": self.max_batch_cases,
-            "num_workers": self.num_workers,
             "max_loaded_models": self.max_loaded_models,
             "extraction_batch_size": self.extraction_batch_size,
             "request_timeout": self.request_timeout,

@@ -106,7 +106,9 @@ def validate_arrays(
     arrays pass through untouched (a float32 batch from a binary-codec client
     is served as float32, no silent up-then-down round-trip), anything else —
     including JSON nested lists, which numpy reads as float64 — is cast to the
-    active compute dtype (float64 unless overridden).
+    active compute dtype (float64 unless overridden).  Inputs must be finite
+    after that cast: one NaN or infinite value would turn every ratio of the
+    report into NaN, which is not JSON, so the error names the first such row.
 
     Labels must be class ids (:func:`repro.core.footprint.validate_labels`):
     integers, or integral finite floats such as ``3.0``.  With
@@ -125,6 +127,12 @@ def validate_arrays(
         )
     if inputs_arr.shape[0] == 0:
         raise ConfigurationError("cannot diagnose an empty batch of production cases")
+    finite = np.isfinite(inputs_arr)
+    if not finite.all():
+        finite_rows = finite.reshape(inputs_arr.shape[0], -1).all(axis=1)
+        raise ConfigurationError(
+            f"inputs must be finite: row {int(np.argmin(finite_rows))} holds NaN or infinity"
+        )
     labels_arr = validate_labels(labels, num_classes)
     if labels_arr.ndim != 1 or labels_arr.shape[0] != inputs_arr.shape[0]:
         raise ConfigurationError(

@@ -43,7 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--registry", required=True, help="artifact registry directory")
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument("--port", type=int, default=8421, help="bind port (0 = ephemeral)")
-    parser.add_argument("--workers", type=int, default=2, help="async job worker threads")
     parser.add_argument(
         "--max-batch-cases", type=int, default=512,
         help="cap on the queued cases coalesced into one extraction batch",
@@ -157,7 +156,6 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     # and an embedded LocalDiagnoser run with identical knobs.
     config = DiagnoserConfig(
         max_batch_cases=args.max_batch_cases,
-        num_workers=args.workers,
         inference_dtype=args.inference_dtype,
         wire_codec=args.wire_codec,
         monitor=args.monitor,

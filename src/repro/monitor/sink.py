@@ -111,7 +111,8 @@ class MonitorSink:
         pattern updates from labeled traffic.
     update_runner:
         Callable executing the (potentially slow) update application —
-        typically a worker-pool submit; defaults to inline execution.
+        typically a submit to the service's one update thread, so updates
+        run one at a time; defaults to inline execution.
     metrics:
         Duck-typed metrics registry; gauges/counters land on ``/metrics``.
     """

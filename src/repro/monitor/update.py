@@ -153,10 +153,11 @@ class PatternUpdater:
     def apply(self, metadata: Optional[Dict] = None) -> Optional[UpdateResult]:
         """Fold the buffered cases into the library and snapshot the artifact.
 
-        Returns ``None`` when the buffer is empty.  The registry write (when
-        configured) happens outside the buffer lock but inside the updater's
-        application path, so concurrent ``apply`` calls serialize on the
-        buffer swap and each snapshot sees a consistent library.
+        Returns ``None`` when the buffer is empty.  The lock guards only the
+        buffer swap; ``partial_fit_arrays`` and the registry write run outside
+        it.  So callers run one ``apply`` at a time per updater (the serving
+        layer runs every update on one thread), or a snapshot could capture a
+        half-updated library.
         """
         with self._lock:
             if not self._chunks:

@@ -7,8 +7,6 @@ turns it into a long-lived service for production traffic:
   name and version on top of :mod:`repro.serialize`.
 * :mod:`~repro.serve.batching` — coalesce concurrent diagnosis requests into
   single vectorized instrumented passes.
-* :mod:`~repro.serve.jobs` — worker pool and job store for asynchronous
-  diagnosis with polled status.
 * :mod:`~repro.serve.metrics` — counters/gauges/histograms shared by every
   layer and exposed at ``GET /metrics``.
 * :mod:`~repro.serve.service` — :class:`DiagnosisService`, the facade tying
@@ -19,6 +17,11 @@ turns it into a long-lived service for production traffic:
   front end over a replica pool (what ``repro-serve`` runs).
 * :mod:`~repro.serve.cache` — the gateway's response cache (whole-payload
   repeats are answered there, before any replica) over a thread-safe LRU.
+
+There is one way to ask for a diagnosis: :meth:`DiagnosisService.diagnose`,
+served over HTTP as ``POST /diagnose``.  It validates the batch, honours the
+caller's deadline and answers synchronously.  Stream a production set too
+large for one request in chunks with :meth:`repro.api.Diagnoser.diagnose_iter`.
 
 Quickstart::
 
@@ -45,7 +48,6 @@ An embedder with a single service wraps it in a one-replica pool:
 from .batching import BatchingEngine, ExtractionRequest
 from .cache import LRUCache
 from .gateway import DiagnosisGateway, parse_request_head, serve_gateway_forever
-from .jobs import Job, JobStatus, JobStore, WorkerPool
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, merge_counters
 from .registry import ArtifactRecord, ArtifactRegistry
 from .replicas import ReplicaLease, ReplicaPool
@@ -61,15 +63,11 @@ __all__ = [
     "ExtractionRequest",
     "Gauge",
     "Histogram",
-    "Job",
-    "JobStatus",
-    "JobStore",
     "LRUCache",
     "LoadedModel",
     "MetricsRegistry",
     "ReplicaLease",
     "ReplicaPool",
-    "WorkerPool",
     "merge_counters",
     "parse_request_head",
     "serve_gateway_forever",

@@ -34,7 +34,7 @@ Routes (:meth:`DiagnosisGateway._dispatch_get` and
 ``GET /models``
     Manifest records of every registered artifact version.
 ``GET /stats``
-    Gateway, pool, and per-replica engine/job counters.
+    Gateway, pool, and per-replica engine counters.
 ``GET /metrics``
     Counters/gauges/histograms as JSON, or Prometheus text
     (``?format=text`` or ``Accept: text/plain``).
@@ -42,11 +42,12 @@ Routes (:meth:`DiagnosisGateway._dispatch_get` and
     Drift/alert snapshot per replica (``?refresh=1`` re-evaluates first).
 ``POST /diagnose``
     Synchronous diagnosis of a ``v1`` request body; the report is encoded
-    per ``Accept``.
-``POST /jobs``, ``GET /jobs``, ``GET /jobs/<id>``
-    Asynchronous diagnosis: submit, list, poll.
+    per ``Accept``.  The one diagnosis route: it is validated, admitted and
+    bound by the request's deadline.
 ``GET /debug/traces``
     The tracing ring.
+
+Any other path is a ``404`` naming the unknown path.
 """
 
 from __future__ import annotations
@@ -93,10 +94,13 @@ DEFAULT_MAX_BODY_BYTES = 16 * 1024 * 1024
 MAX_HEADER_BYTES = 64 * 1024
 #: How long a stopping gateway waits for connection handlers to return.
 _SHUTDOWN_GRACE_SECONDS = 1.0
+#: Executor threads beyond one per replica.  The extra thread keeps the
+#: registry routes (``/health``, ``/models``, ``/stats``) answering while
+#: every replica is busy diagnosing.
+_EXTRA_EXECUTOR_THREADS = 1
 
 _REASONS = {
     200: "OK",
-    202: "Accepted",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
@@ -186,7 +190,6 @@ class DiagnosisGateway:
         host: str = "127.0.0.1",
         port: int = 8421,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-        executor_workers: Optional[int] = None,
         idle_timeout: float = 30.0,
         body_timeout: float = 30.0,
         write_timeout: float = 30.0,
@@ -207,10 +210,7 @@ class DiagnosisGateway:
         self.write_timeout = float(write_timeout)
         self.verbose = verbose
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        workers = executor_workers if executor_workers is not None else pool.num_replicas + 1
-        if workers < 1:
-            raise ServeError(f"executor_workers must be >= 1, got {workers}")
-        self._executor_workers = int(workers)
+        self._executor_threads = pool.num_replicas + _EXTRA_EXECUTOR_THREADS
         self._executor: Optional[ThreadPoolExecutor] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -325,7 +325,7 @@ class DiagnosisGateway:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
         self._executor = ThreadPoolExecutor(
-            max_workers=self._executor_workers, thread_name_prefix="repro-gateway-worker"
+            max_workers=self._executor_threads, thread_name_prefix="repro-gateway-worker"
         )
         self._server = await asyncio.start_server(
             self._handle_connection,
@@ -601,17 +601,6 @@ class DiagnosisGateway:
                 lambda: self.pool.monitor_snapshot(refresh=refresh)
             )
             return 200, snapshot, ()
-        if path == "/jobs":
-            return 200, {"jobs": self.pool.list_jobs()}, ()
-        if path.startswith("/jobs/"):
-            job_id = path[len("/jobs/"):]
-            try:
-                replica_index, job = self.pool.find_job(job_id)
-            except ServeError:
-                return 404, {"error": f"unknown job {job_id!r}"}, ()
-            record = job.as_dict()
-            record["replica"] = replica_index
-            return 200, record, ()
         return 404, {"error": f"unknown path {path!r}"}, ()
 
     async def _dispatch_post(
@@ -656,9 +645,6 @@ class DiagnosisGateway:
                 ("X-Response-Cache", cache_state),
                 ("Content-Type", response_codec.content_type),
             )
-        if path == "/jobs":
-            request_codec, _ = negotiate_codecs(headers, default=self.default_codec)
-            return await self._run_blocking(self._submit_job_blocking, body, request_codec)
         return 404, {"error": f"unknown path {path!r}"}, ()
 
     async def _run_blocking(self, fn, *args):
@@ -702,30 +688,13 @@ class DiagnosisGateway:
                 self._m_deadline_rejected.inc()
             return error_response(error)
 
-    def _submit_job_blocking(
-        self, body: bytes, codec: Codec
-    ) -> Tuple[int, Dict, Sequence[Tuple[str, str]]]:
-        try:
-            request = codec.decode_request(body)
-            replica_index, job = self.pool.submit_job(
-                request.model,
-                request.inputs,
-                request.labels,
-                version=request.version,
-                metadata=request.metadata,
-            )
-            payload = {"job_id": job.job_id, "status": job.status, "replica": replica_index}
-            return 202, payload, ()
-        except Exception as error:  # noqa: BLE001 - mapped to a status, keep serving
-            return error_response(error)
-
     # -- payload builders -------------------------------------------------------------
 
     def _stats_payload(self) -> Dict:
         return {
             "gateway": {
                 "url": self.url,
-                "executor_workers": self._executor_workers,
+                "executor_workers": self._executor_threads,
                 "max_body_bytes": self.max_body_bytes,
                 "requests_total": self._m_requests.value,
                 "shed_total": self._m_shed.value,

@@ -213,7 +213,7 @@ class MetricsRegistry:
 
     Components ask the registry for their instruments by name; asking twice
     returns the same instrument, so wiring one registry through the service,
-    engine, and job layers needs no coordination beyond the shared
+    engine, and monitor layers needs no coordination beyond the shared
     object.  Re-registering a name as a different kind is a configuration
     error (it would silently fork the metric).
     """

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 import threading
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..core.classifier import DefectReport
 from ..exceptions import (
@@ -135,7 +135,7 @@ class ReplicaPool:
         :meth:`from_registry` for the common same-registry case.
     num_replicas:
         Pool size.  Each replica owns a full service stack (engine thread,
-        resident models, worker pool), so memory scales with this.
+        resident models), so memory scales with this.
     max_queue_per_replica:
         In-flight requests one replica accepts before it stops being an
         admission candidate.
@@ -353,29 +353,6 @@ class ReplicaPool:
         lease.release(latency_seconds=time.perf_counter() - started)
         return report
 
-    def submit_job(self, name: str, inputs, labels, **kwargs):
-        """Route an asynchronous diagnosis to the least-loaded replica.
-
-        Jobs are bounded by each replica's job store rather than the
-        admission window (they do not hold a connection open), so routing
-        considers current in-flight load but never sheds.
-        """
-        with self._lock:
-            if self._closed:
-                raise ServiceUnavailableError("replica pool is closed")
-            count = len(self._replicas)
-            # Prefer healthy replicas; an all-quarantined pool still accepts
-            # jobs (they are deferred work — the replica may recover first).
-            ordered = [self._replicas[(self._next + offset) % count] for offset in range(count)]
-            candidates = [r for r in ordered if r.health.is_healthy] or ordered
-            best = candidates[0]
-            for replica in candidates[1:]:
-                if replica.inflight < best.inflight:
-                    best = replica
-            self._next = (best.index + 1) % count
-        job = best.service.submit_diagnosis(name, inputs, labels, **kwargs)
-        return best.index, job
-
     def monitor_snapshot(self, refresh: bool = False) -> Dict:
         """Aggregate ``GET /monitor`` payload across the replicas.
 
@@ -401,26 +378,6 @@ class ReplicaPool:
             "level_severity": severity[worst],
             "replicas": replicas,
         }
-
-    def find_job(self, job_id: str) -> Tuple[int, object]:
-        """Locate a job by id across every replica's store."""
-        for replica in self._replicas:
-            try:
-                return replica.index, replica.service.jobs.get(job_id)
-            except ServeError:
-                continue
-        raise ServeError(f"unknown job {job_id!r}")
-
-    def list_jobs(self, limit: int = 50) -> List[Dict]:
-        """Most recent jobs across all replicas, newest first."""
-        merged = []
-        for replica in self._replicas:
-            for job in replica.service.jobs.list(limit=limit):
-                record = job.as_dict()
-                record["replica"] = replica.index
-                merged.append(record)
-        merged.sort(key=lambda record: record["submitted_at"], reverse=True)
-        return merged[: max(0, int(limit))]
 
     # -- supervision -----------------------------------------------------------------
 

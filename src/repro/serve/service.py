@@ -9,8 +9,13 @@
   be recomputed per request),
 * a :class:`~repro.serve.batching.BatchingEngine` that coalesces concurrent
   requests into vectorized footprint extraction over one forward pass, and
-* a :class:`~repro.serve.jobs.WorkerPool` for asynchronous multi-model
-  diagnosis with polled job status.
+* with ``monitor_update_cases > 0``, one update thread that applies the
+  monitor's online pattern updates one at a time.
+
+:meth:`DiagnosisService.diagnose` is the one way to ask for a diagnosis: it
+validates the batch, honours the caller's deadline and answers synchronously.
+A production set too large for one request is streamed through it in chunks
+by :meth:`repro.api.Diagnoser.diagnose_iter`.
 
 A served diagnosis matches calling ``DeepMorph.diagnose_dataset`` on the same
 data: extraction is deterministic for a given batch composition, the
@@ -28,6 +33,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeoutError
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -45,7 +51,6 @@ from ..nn.dtype import resolve_dtype
 from ..obs import span as obs_span
 from ..resilience import check_deadline, remaining_budget
 from .batching import BatchingEngine
-from .jobs import Job, JobStore, WorkerPool
 from .metrics import MetricsRegistry
 from .registry import ArtifactRegistry
 
@@ -79,8 +84,6 @@ class DiagnosisService:
         Soft cap on the cases the batching engine coalesces into one
         extraction; it extracts whatever is queued, up to this cap, as soon
         as it is idle.
-    num_workers:
-        Worker threads for asynchronous jobs.
     max_loaded_models:
         How many fitted DeepMorph instances are kept in memory at once.
     extraction_batch_size:
@@ -97,7 +100,7 @@ class DiagnosisService:
     metrics:
         Optional shared :class:`~repro.serve.metrics.MetricsRegistry`; by
         default the service creates its own.  The registry is threaded through
-        the batching engine and worker pool, and exposed at
+        the batching engine and the monitor, and exposed at
         ``GET /metrics`` by the gateway, one snapshot per replica.
     monitor:
         When ``True``, a :class:`~repro.monitor.MonitorSink` watches the
@@ -113,15 +116,16 @@ class DiagnosisService:
     monitor_update_cases:
         When > 0, labeled traffic is buffered per model and every time the
         buffer reaches this many cases a ``PatternLibrary.partial_fit``
-        update is applied on a worker thread and snapshotted into the
-        registry as a new artifact version (0 disables updates).
+        update is applied on the service's update thread and snapshotted into
+        the registry as a new artifact version (0 disables updates).  Updates
+        run one at a time, and :meth:`close` waits for the one that is
+        running; an update that becomes ready after :meth:`close` is dropped.
     """
 
     def __init__(
         self,
         registry,
         max_batch_cases: int = 512,
-        num_workers: int = 2,
         max_loaded_models: int = 8,
         extraction_batch_size: int = 128,
         request_timeout: float = 120.0,
@@ -178,8 +182,11 @@ class DiagnosisService:
             metrics=self.metrics,
             monitor=self.monitor,
         ).start()
-        self.jobs = JobStore()
-        self.pool = WorkerPool(num_workers=num_workers, store=self.jobs, metrics=self.metrics)
+        # Starts its thread on the first update, so a service that never
+        # updates runs no extra thread.
+        self._update_pool = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-monitor-update"
+        )
         self._closed = False
 
     # -- model residency ----------------------------------------------------------
@@ -283,13 +290,17 @@ class DiagnosisService:
         )
 
     def _run_monitor_update(self, fn) -> None:
-        """Run a pattern update on the worker pool (visible under ``/jobs``)."""
+        """Queue a pattern update on the service's one update thread.
+
+        One at a time: ``PatternUpdater.apply`` locks only its buffer swap,
+        so two updates running at once would both mutate the same library.
+        The future is not read: the monitor's update catches and counts its
+        own failures (``monitor.errors``), so the future never holds one.
+        """
         try:
-            self.pool.submit(
-                lambda: fn() or {"kind": "monitor_update"}, kind="monitor_update"
-            )
-        except ServeError:
-            # Pool shut down mid-flight: drop the update, never the request.
+            self._update_pool.submit(fn)
+        except RuntimeError:
+            # The service is closed: drop the update, never the request.
             pass
 
     def monitor_payload(self, refresh: bool = False) -> Dict:
@@ -403,31 +414,6 @@ class DiagnosisService:
             meta.update(metadata or {})
             return entry.morph.case_classifier.aggregate(specifics, context=context, metadata=meta)
 
-    def submit_diagnosis(
-        self,
-        name: str,
-        inputs,
-        labels,
-        version: Optional[str] = None,
-        metadata: Optional[Dict] = None,
-    ) -> Job:
-        """Queue an asynchronous diagnosis; poll the returned job for its report."""
-        if self._closed:
-            raise ServiceUnavailableError("service is closed")
-        inputs, labels = self._validate_request(inputs, labels)
-        key = self.resolve_key(name, version)
-
-        def run() -> Dict:
-            return self.diagnose(
-                name, inputs, labels, version=key.partition("@")[2], metadata=metadata
-            ).as_dict()
-
-        return self.pool.submit(
-            run,
-            kind="diagnosis",
-            details={"model_key": key, "num_cases": int(inputs.shape[0])},
-        )
-
     # -- introspection ------------------------------------------------------------
 
     def models(self) -> List[Dict]:
@@ -437,10 +423,8 @@ class DiagnosisService:
     def stats(self) -> Dict:
         return {
             "engine": self.engine.stats(),
-            "jobs": self.jobs.counts(),
             "loaded_models": self.loaded_models(),
             "registered_models": self.registry.models(),
-            "workers": self.pool.num_workers,
             "inference_dtype": (
                 self.inference_dtype.name if self.inference_dtype is not None else "per-model"
             ),
@@ -454,7 +438,7 @@ class DiagnosisService:
             return
         self._closed = True
         self.engine.stop()
-        self.pool.shutdown()
+        self._update_pool.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "DiagnosisService":
         return self

@@ -99,7 +99,7 @@ class Codec(abc.ABC):
 
     @abc.abstractmethod
     def encode_document(self, document: JsonDict) -> bytes:
-        """A free-form JSON-able document (job tickets, stats) as wire bytes."""
+        """A free-form JSON-able document (stats, health) as wire bytes."""
 
     @abc.abstractmethod
     def decode_document(self, data: bytes) -> JsonDict:

@@ -51,7 +51,7 @@ def local_diagnoser(registry_dir):
 
 @pytest.fixture(scope="module")
 def service_diagnoser(registry_dir):
-    config = DiagnoserConfig(num_workers=1)
+    config = DiagnoserConfig()
     diagnoser = ServiceDiagnoser.from_registry(registry_dir, config=config)
     yield diagnoser
     diagnoser.close()
@@ -59,9 +59,7 @@ def service_diagnoser(registry_dir):
 
 @pytest.fixture(scope="module")
 def pool(registry_dir):
-    pool = ReplicaPool.from_registry(
-        registry_dir, num_replicas=1, num_workers=1
-    )
+    pool = ReplicaPool.from_registry(registry_dir, num_replicas=1)
     yield pool
     pool.close()
 
@@ -173,7 +171,7 @@ class TestThreeWayParity:
 
         # Shim 2: DiagnosisService.diagnose — the wire document IS the
         # library document.
-        service = DiagnosisService(registry_dir, num_workers=1)
+        service = DiagnosisService(registry_dir)
         try:
             wire = service.diagnose("tiny", inputs, labels).as_dict()
         finally:
@@ -206,7 +204,7 @@ class TestShardedLocalDiagnosis:
 
     @pytest.fixture(scope="class")
     def chunked_service(self, registry_dir):
-        config = DiagnoserConfig(extraction_batch_size=self.CHUNK, num_workers=1)
+        config = DiagnoserConfig(extraction_batch_size=self.CHUNK)
         diagnoser = ServiceDiagnoser.from_registry(registry_dir, config=config)
         yield diagnoser
         diagnoser.close()
@@ -725,7 +723,7 @@ class TestBackendBehavior:
     def test_context_managers_close_backends(self, registry_dir, tiny_splits):
         _, test = tiny_splits
         inputs, labels = test.arrays()
-        config = DiagnoserConfig(num_workers=1)
+        config = DiagnoserConfig()
         with ServiceDiagnoser.from_registry(registry_dir, config=config) as diagnoser:
             report = diagnoser.diagnose_arrays(inputs, labels, model="tiny")
             assert report.num_cases >= 1

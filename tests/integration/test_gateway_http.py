@@ -20,6 +20,7 @@ import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ServeError
@@ -46,7 +47,6 @@ def pool(registry_dir):
         registry_dir,
         num_replicas=2,
         max_queue_per_replica=8,
-        num_workers=1,
     )
     yield pool
     pool.close()
@@ -110,7 +110,7 @@ class TestGatewayDiagnosis:
 
         via_gateway = _post(gateway.url + "/diagnose", payload)
 
-        with DiagnosisService(registry_dir, num_workers=1) as service:
+        with DiagnosisService(registry_dir) as service:
             in_process = service.diagnose("tiny", inputs.tolist(), labels.tolist()).as_dict()
         # Bitwise-identical payloads: same artifact, same batch composition,
         # same extraction pipeline — the front end must not change the answer.
@@ -139,36 +139,11 @@ class TestGatewayDiagnosis:
         assert first["ratios"] == second["ratios"]
         assert first["metadata"]["version"] == "v1"
 
-    def test_async_job_roundtrip(self, gateway, fitted_deepmorph, tiny_splits):
-        _, test = tiny_splits
-        inputs, labels = test.arrays()
-        submitted = _post(gateway.url + "/jobs", {
-            "model": "tiny",
-            "inputs": inputs.tolist(),
-            "labels": labels.tolist(),
-        })
-        assert submitted["status"] == "pending"
-        assert submitted["replica"] in (0, 1)
-        job_id = submitted["job_id"]
-        deadline = time.monotonic() + 30
-        job = {}
-        while time.monotonic() < deadline:
-            job = _get(f"{gateway.url}/jobs/{job_id}")
-            if job["status"] in ("succeeded", "failed"):
-                break
-            time.sleep(0.02)
-        assert job["status"] == "succeeded", job.get("error")
-        direct = fitted_deepmorph.diagnose_dataset(test)
-        for defect, ratio in direct.ratios.items():
-            assert job["result"]["ratios"][defect.value] == pytest.approx(ratio, abs=1e-9)
-        listed = _get(gateway.url + "/jobs")["jobs"]
-        assert any(record["job_id"] == job_id for record in listed)
-
     def test_one_replica_pool_over_an_existing_service(self, registry_dir, tiny_splits):
         # The embedding recipe for a caller that already holds one service.
         _, test = tiny_splits
         inputs, labels = test.arrays()
-        service = DiagnosisService(registry_dir, num_workers=1)
+        service = DiagnosisService(registry_dir)
         pool = ReplicaPool(lambda _: service, num_replicas=1)
         gateway = DiagnosisGateway(pool, port=0, response_cache_size=0).start()
         try:
@@ -228,6 +203,16 @@ class TestGatewayErrorPaths:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(gateway.url + "/debug/chaos", {"enabled": False})
         assert excinfo.value.code == 404
+        # Diagnosis is synchronous only: the retired job routes are unknown.
+        for path in ("/jobs", "/jobs/abc123"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _get(gateway.url + path)
+            assert excinfo.value.code == 404
+            assert "unknown path" in json.loads(excinfo.value.read())["error"]
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(gateway.url + "/jobs", {"model": "tiny", "inputs": [[0.0]], "labels": [0]})
+        assert excinfo.value.code == 404
+        assert "unknown path" in json.loads(excinfo.value.read())["error"]
 
     def test_oversized_body_is_413(self, pool, tiny_splits):
         _, test = tiny_splits
@@ -257,12 +242,6 @@ class TestGatewayErrorPaths:
             urllib.request.urlopen(request, timeout=60)
         assert excinfo.value.code == 405
         assert "request_id" in json.loads(excinfo.value.read())
-
-    def test_unknown_job_is_404(self, gateway):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(gateway.url + "/jobs/no-such-job")
-        assert excinfo.value.code == 404
-        assert "unknown job" in json.loads(excinfo.value.read())["error"]
 
     def test_deadline_header_name_is_case_insensitive(self, gateway):
         # A spent budget is refused before admission, whatever the case of
@@ -409,10 +388,8 @@ class TestGatewayIntrospection:
     def test_stats_reports_configured_limits(self, pool):
         with pytest.raises(ServeError):
             DiagnosisGateway(pool, max_body_bytes=0)
-        with pytest.raises(ServeError):
-            DiagnosisGateway(pool, executor_workers=0)
         configured = DiagnosisGateway(
-            pool, port=0, max_body_bytes=123, executor_workers=2,
+            pool, port=0, max_body_bytes=123,
             response_cache_size=5, response_cache_ttl=1.5,
         ).start()
         try:
@@ -422,7 +399,8 @@ class TestGatewayIntrospection:
             configured.shutdown()
         assert stats["url"] == url
         assert stats["max_body_bytes"] == 123
-        assert stats["executor_workers"] == 2
+        # One executor thread per replica, plus one for the registry routes.
+        assert stats["executor_workers"] == pool.num_replicas + 1
         assert stats["response_cache"]["maxsize"] == 5
         assert stats["response_cache"]["ttl_seconds"] == 1.5
 
@@ -433,9 +411,7 @@ class TestGatewayIntrospection:
         _, test = tiny_splits
         inputs, labels = test.arrays()
         payload = {"model": "tiny", "inputs": inputs.tolist(), "labels": labels.tolist()}
-        single = ReplicaPool.from_registry(
-            registry_dir, num_replicas=1, num_workers=1
-        )
+        single = ReplicaPool.from_registry(registry_dir, num_replicas=1)
         gateway = DiagnosisGateway(single, port=0, response_cache_size=0).start()
         try:
             first = _post(gateway.url + "/diagnose", payload)
@@ -533,9 +509,7 @@ class TestGatewayResponseCache:
         _, test = tiny_splits
         inputs, labels = test.arrays()
         payload = {"model": "tiny", "inputs": inputs.tolist(), "labels": labels.tolist()}
-        single = ReplicaPool.from_registry(
-            registry_dir, num_replicas=1, num_workers=1
-        )
+        single = ReplicaPool.from_registry(registry_dir, num_replicas=1)
         gateway = DiagnosisGateway(single, port=0, response_cache_size=64).start()
         try:
             first = _post(gateway.url + "/diagnose", payload)
@@ -759,17 +733,27 @@ class TestGatewayWireNegotiation:
         document = json.loads(excinfo.value.read())
         assert document["error_type"] == "CodecError"
 
-    def test_binary_jobs_submission(self, gateway, payload):
+    def test_binary_frame_with_an_infinite_pixel_is_400(self, gateway, payload):
         from repro.api import DiagnosisRequest
         from repro.wire import BinaryCodec
 
-        frame = BinaryCodec().encode_request(DiagnosisRequest.from_dict(dict(payload)))
-        body, headers = self._exchange(
-            gateway.url + "/jobs", frame,
-            {"Content-Type": "application/x-repro-binary"},
-        )
-        ticket = json.loads(body)  # tickets are JSON documents
-        assert ticket["status"] == "pending"
+        # A float32 frame skips the dtype cast, not the finiteness check.
+        inputs = np.asarray(payload["inputs"], dtype=np.float32)
+        inputs[3].flat[0] = -np.inf
+        request = DiagnosisRequest(model="tiny", inputs=inputs, labels=payload["labels"])
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._exchange(
+                gateway.url + "/diagnose",
+                BinaryCodec().encode_request(request),
+                {
+                    "Content-Type": "application/x-repro-binary",
+                    "Accept": "application/x-repro-binary",
+                },
+            )
+        assert excinfo.value.code == 400
+        document = json.loads(excinfo.value.read())
+        assert document["error_type"] == "ConfigurationError"
+        assert "row 3 holds NaN or infinity" in document["error"]
 
     def test_other_codec_is_a_miss_with_an_equal_report_over_http(self, pool, payload):
         from repro.api import DiagnosisRequest

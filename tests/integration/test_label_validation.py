@@ -7,6 +7,9 @@ non-numeric labels, and labels out of range, are a
 from :class:`~repro.api.LocalDiagnoser`, :class:`~repro.serve.DiagnosisService`,
 the gateway and ``DeepMorph.diagnose`` alike.  A spy on the instrumented
 forward pass shows that a rejected request never reaches extraction.
+
+The same validation refuses a NaN or infinite input value, naming its row:
+it would turn every ratio of the report into NaN, which is not JSON.
 """
 
 from __future__ import annotations
@@ -84,6 +87,13 @@ def bad_labels(name: str, labels: np.ndarray):
     return BAD_LABELS[name](labels)
 
 
+def with_pixel(inputs: np.ndarray, value: float, row: int = 3) -> np.ndarray:
+    """A copy of ``inputs`` with the first pixel of ``row`` set to ``value``."""
+    inputs = inputs.copy()
+    inputs[row].flat[0] = value
+    return inputs
+
+
 @pytest.mark.parametrize("num_classes", [TINY_CLASSES, None])
 def test_a_label_beyond_int64_reports_its_real_range(num_classes):
     """The range is checked before the int64 cast, which would wrap the value."""
@@ -103,6 +113,12 @@ class TestLocalDiagnoser:
             local.diagnose_arrays(inputs, bad_labels(name, labels))
         assert forward_passes == []
 
+    def test_a_nan_input_is_rejected_naming_its_row(self, local, batch, forward_passes):
+        inputs, labels = batch
+        with pytest.raises(ConfigurationError, match="row 3 holds NaN or infinity"):
+            local.diagnose_arrays(with_pixel(inputs, np.nan), labels)
+        assert forward_passes == []
+
     def test_integral_floats_are_class_ids(self, local, batch, forward_passes):
         inputs, labels = batch
         as_floats = local.diagnose_arrays(inputs, labels.astype(np.float64))
@@ -113,7 +129,7 @@ class TestLocalDiagnoser:
 class TestDiagnosisService:
     @pytest.fixture(scope="class")
     def service(self, registry_dir):
-        with DiagnosisService(registry_dir, num_workers=1) as service:
+        with DiagnosisService(registry_dir) as service:
             yield service
 
     @pytest.mark.parametrize("name", sorted(BAD_LABELS))
@@ -121,6 +137,12 @@ class TestDiagnosisService:
         inputs, labels = batch
         with pytest.raises(ConfigurationError, match="labels"):
             service.diagnose("tiny", fresh(inputs, 1), bad_labels(name, labels))
+        assert forward_passes == []
+
+    def test_an_infinite_input_is_rejected_naming_its_row(self, service, batch, forward_passes):
+        inputs, labels = batch
+        with pytest.raises(ConfigurationError, match="row 3 holds NaN or infinity"):
+            service.diagnose("tiny", with_pixel(inputs, np.inf), labels)
         assert forward_passes == []
 
     def test_integral_floats_are_class_ids(self, service, batch, forward_passes):
@@ -134,9 +156,7 @@ class TestDiagnosisService:
 class TestGateway:
     @pytest.fixture(scope="class")
     def gateway(self, registry_dir):
-        pool = ReplicaPool.from_registry(
-            registry_dir, num_replicas=1, num_workers=1
-        )
+        pool = ReplicaPool.from_registry(registry_dir, num_replicas=1)
         gateway = DiagnosisGateway(pool, port=0, response_cache_size=0).start()
         yield gateway
         gateway.shutdown()

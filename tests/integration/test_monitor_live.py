@@ -7,14 +7,17 @@ pinning the pre-drift version in the request — replays the pre-drift
 diagnosis bit for bit, because registry artifacts are immutable and the
 update never touched ``v1``'s bytes.
 
-Also covered here: the gateway's ``GET /monitor`` route (including
-``?refresh=1`` and the disabled payload), monitor gauges on ``GET /metrics``,
-and the ``repro-monitor`` CLI replaying a JSONL trace offline.
+Also covered here: pattern updates run one at a time on the service's
+update thread, and ``close()`` waits for the running one; the gateway's
+``GET /monitor`` route (including ``?refresh=1`` and the disabled payload),
+monitor gauges on ``GET /metrics``, and the ``repro-monitor`` CLI replaying a
+JSONL trace offline.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import time
 import urllib.request
 
@@ -22,14 +25,13 @@ import numpy as np
 import pytest
 
 from repro.cli import monitor as monitor_cli
+from repro.core.patterns import PatternLibrary
 from repro.serve import (
     ArtifactRegistry,
     DiagnosisGateway,
     DiagnosisService,
     ReplicaPool,
 )
-
-MONITOR_KWARGS = dict(num_workers=1)
 
 
 def _post(url: str, payload: dict) -> dict:
@@ -70,7 +72,6 @@ class TestDriftAlertAndRollback:
             monitor_window=256,
             drift_threshold=2.0,
             monitor_update_cases=32,
-            **MONITOR_KWARGS,
         )
         try:
             # Pre-drift reference, pinned to the version we will roll back to.
@@ -95,7 +96,7 @@ class TestDriftAlertAndRollback:
 
             # The labeled traffic crossed the update threshold, so the
             # updater snapshots a partial_fit library as a NEW version
-            # (applied asynchronously on the jobs pool — poll for it).
+            # (applied on the service's update thread — poll for it).
             deadline = time.time() + 30.0
             while len(registry.versions("tiny")) < 2 and time.time() < deadline:
                 time.sleep(0.05)
@@ -113,6 +114,161 @@ class TestDriftAlertAndRollback:
             service.close()
 
 
+def _watch_partial_fit(monkeypatch, seconds: float) -> dict:
+    """Slow ``PatternLibrary.partial_fit_arrays`` by ``seconds`` and watch its calls.
+
+    The returned dict counts the calls ``started`` and ``finished``, the
+    calls ``running`` now and the ``most`` ever running at once; its
+    ``entered`` event is set when the first call starts.
+    """
+    original = PatternLibrary.partial_fit_arrays
+    lock = threading.Lock()
+    calls = {"started": 0, "finished": 0, "running": 0, "most": 0, "entered": threading.Event()}
+
+    def watched(self, *args, **kwargs):
+        with lock:
+            calls["started"] += 1
+            calls["running"] += 1
+            calls["most"] = max(calls["most"], calls["running"])
+        calls["entered"].set()
+        try:
+            time.sleep(seconds)
+            return original(self, *args, **kwargs)
+        finally:
+            with lock:
+                calls["running"] -= 1
+                calls["finished"] += 1
+
+    monkeypatch.setattr(PatternLibrary, "partial_fit_arrays", watched)
+    return calls
+
+
+class TestUpdateThread:
+    """Online pattern updates run on one thread per service, one at a time."""
+
+    @pytest.fixture
+    def registry(self, tmp_path, fitted_deepmorph):
+        registry = ArtifactRegistry(tmp_path / "registry")
+        registry.register("tiny", fitted_deepmorph)
+        return registry
+
+    @staticmethod
+    def _service(registry, num_cases: int) -> DiagnosisService:
+        # Every request of ``num_cases`` labeled cases makes an update ready.
+        return DiagnosisService(registry, monitor=True, monitor_update_cases=num_cases)
+
+    def test_updates_of_one_library_never_overlap(self, registry, tiny_splits, monkeypatch):
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        calls = _watch_partial_fit(monkeypatch, seconds=0.5)
+        service = self._service(registry, len(test))
+        try:
+            # Pinned to v1, so every request feeds the same updater and its
+            # library; the second update is ready while the first applies.
+            for _ in range(4):
+                service.diagnose("tiny", inputs, labels, version="v1")
+                time.sleep(0.05)
+            deadline = time.monotonic() + 30.0
+            while calls["finished"] < 2 and time.monotonic() < deadline:
+                time.sleep(0.02)
+        finally:
+            service.close()
+        assert calls["finished"] >= 2
+        assert calls["most"] == 1
+        # Each applied update registered exactly one snapshot.
+        assert len(registry.versions("tiny")) == 1 + calls["finished"]
+
+    def test_close_waits_for_the_running_update(self, registry, tiny_splits, monkeypatch):
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        calls = _watch_partial_fit(monkeypatch, seconds=0.3)
+        service = self._service(registry, len(test))
+        try:
+            service.diagnose("tiny", inputs, labels, version="v1")
+            assert calls["entered"].wait(10.0)
+        finally:
+            service.close()
+        assert calls["finished"] == 1 and calls["running"] == 0
+        versions = registry.versions("tiny")
+        assert versions == ["v1", "v2"]
+        time.sleep(0.2)
+        assert registry.versions("tiny") == versions
+
+    def test_an_update_ready_after_close_is_dropped(self, registry, tiny_splits, monkeypatch):
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        calls = _watch_partial_fit(monkeypatch, seconds=0.0)
+        service = self._service(registry, len(test))
+        observe_labeled = service.monitor.observe_labeled
+
+        def close_then_observe(*args, **kwargs):
+            # The request was extracted before close(); its labels make the
+            # update ready only after close() has returned.
+            service.close()
+            observe_labeled(*args, **kwargs)
+
+        monkeypatch.setattr(service.monitor, "observe_labeled", close_then_observe)
+        report = service.diagnose("tiny", inputs, labels, version="v1")
+        assert report.num_cases > 0
+        assert calls["started"] == 0
+        assert service.metrics.as_dict()["monitor.errors"]["value"] == 0
+        assert registry.versions("tiny") == ["v1"]
+
+    def test_a_failed_update_does_not_stop_the_next(self, registry, tiny_splits, monkeypatch):
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        original = PatternLibrary.partial_fit_arrays
+        attempts = []
+
+        def fail_first(self, *args, **kwargs):
+            attempts.append(1)
+            if len(attempts) == 1:
+                raise RuntimeError("partial_fit exploded")
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PatternLibrary, "partial_fit_arrays", fail_first)
+        service = self._service(registry, len(test))
+
+        def counter(name: str) -> float:
+            return service.metrics.as_dict()[name]["value"]
+
+        try:
+            service.diagnose("tiny", inputs, labels, version="v1")
+            deadline = time.monotonic() + 30.0
+            while counter("monitor.errors") < 1 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            service.diagnose("tiny", inputs, labels, version="v1")
+            while counter("monitor.updates_applied") < 1 and time.monotonic() < deadline:
+                time.sleep(0.02)
+        finally:
+            service.close()
+        assert (counter("monitor.errors"), counter("monitor.updates_applied")) == (1, 1)
+        assert registry.versions("tiny") == ["v1", "v2"]
+
+    def test_the_update_thread_starts_with_the_first_update(
+        self, registry, tiny_splits
+    ):
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        before = set(threading.enumerate())
+        service = self._service(registry, len(test))
+        try:
+            started = {thread.name for thread in set(threading.enumerate()) - before}
+            assert started == {"repro-serve-batcher"}
+            service.diagnose("tiny", inputs, labels, version="v1")
+            deadline = time.monotonic() + 30.0
+            while len(registry.versions("tiny")) < 2 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            updaters = [
+                thread for thread in threading.enumerate()
+                if thread.name.startswith("repro-monitor-update")
+            ]
+            assert len(updaters) == 1
+        finally:
+            service.close()
+        assert not updaters[0].is_alive()
+
+
 class TestDriftWindowFeed:
     def test_repeated_request_feeds_the_window_each_time(
         self, monitored_registry, tiny_splits
@@ -123,7 +279,6 @@ class TestDriftWindowFeed:
             ArtifactRegistry(monitored_registry),
             monitor=True,
             monitor_window=256,
-            **MONITOR_KWARGS,
         )
         try:
             for _ in range(2):
@@ -138,9 +293,7 @@ class TestDriftWindowFeed:
 
 class TestMonitorEndpoints:
     def test_gateway_monitor_disabled_payload(self, monitored_registry):
-        service = DiagnosisService(
-            ArtifactRegistry(monitored_registry), **MONITOR_KWARGS
-        )
+        service = DiagnosisService(ArtifactRegistry(monitored_registry))
         pool = ReplicaPool(lambda _: service, num_replicas=1)
         gateway = DiagnosisGateway(pool, port=0).start()
         try:
@@ -166,7 +319,6 @@ class TestMonitorEndpoints:
             max_queue_per_replica=8,
             monitor=True,
             monitor_window=128,
-            **MONITOR_KWARGS,
         )
         gateway = DiagnosisGateway(pool, port=0, response_cache_size=0).start()
         try:

@@ -19,6 +19,7 @@ import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.api import DiagnoserConfig, DiagnosisRequest, RemoteDiagnoser
@@ -124,13 +125,27 @@ def _post_head_then_body(gateway, path: str, document, headers, pause: float):
             response.close()
 
 
+def _one_pixel(value: float):
+    """Bad fields: the valid payload's inputs with one pixel of row 3 set to ``value``.
+
+    Only one pixel changes, so the shape checks pass and the finiteness
+    check is what answers.
+    """
+
+    def fields(payload):
+        inputs = np.asarray(payload["inputs"])
+        inputs[3].flat[0] = value
+        return {"inputs": inputs.tolist()}
+
+    return fields
+
+
 def _make_stack(registry_dir, num_replicas: int):
     """A pool with fast supervision knobs plus a gateway on an ephemeral port."""
     pool = ReplicaPool.from_registry(
         registry_dir,
         num_replicas=num_replicas,
         max_queue_per_replica=8,
-        num_workers=1,
         health_policy=HealthPolicy(
             failure_threshold=2,
             probe_interval_seconds=0.05,
@@ -217,17 +232,25 @@ class TestQuarantineAndReadmission:
             {"inputs": [[10**400]], "labels": [0]},
             {"model": "bad name!"},
             {"model": "a" * 5000},
+            _one_pixel(float("nan")),
+            _one_pixel(float("inf")),
+            _one_pixel(float("-inf")),
         ],
         ids=[
             "non-numeric-input",
             "input-beyond-float",
             "invalid-model-name",
             "overlong-model-name",
+            "nan-input",
+            "inf-input",
+            "-inf-input",
         ],
     )
     def test_bad_requests_are_400s_that_never_eject_the_replica(
         self, registry_dir, payload, bad_fields
     ):
+        if callable(bad_fields):
+            bad_fields = bad_fields(payload)
         pool, gateway = _make_stack(registry_dir, num_replicas=1)
         try:
             # The policy's threshold of bad requests: had any one counted
@@ -553,7 +576,7 @@ class TestPoolShutdownDrain:
                 pass  # pragma: no cover - acquire must refuse
 
     def test_shutdown_reports_work_still_inflight_at_its_timeout(self, registry_dir):
-        pool = ReplicaPool.from_registry(registry_dir, num_replicas=1, num_workers=1)
+        pool = ReplicaPool.from_registry(registry_dir, num_replicas=1)
         lease = pool.acquire()
         try:
             assert pool.shutdown(timeout=0.05) == 1

@@ -287,7 +287,7 @@ def test_served_paths_build_no_per_case_objects(
     config = DiagnoserConfig(inference_dtype=inference_dtype)
     local = LocalDiagnoser.from_registry(registry_dir, "tiny", config=config)
     with DiagnosisService(
-        registry_dir, num_workers=1, inference_dtype=inference_dtype
+        registry_dir, inference_dtype=inference_dtype
     ) as service:
         local_report = local.diagnose_arrays(inputs, labels)
         served = service.diagnose("tiny", inputs, labels)

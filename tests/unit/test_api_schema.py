@@ -122,6 +122,21 @@ class TestDiagnosisRequestSchema:
             with pytest.raises(ConfigurationError, match="inputs must be a numeric array"):
                 validate_arrays(inputs, [0])
 
+    def test_validate_arrays_names_the_first_non_finite_row(self):
+        inputs = np.zeros((6, 2, 2))
+        inputs[5, 1, 1] = np.nan
+        inputs[2, 0, 1] = -np.inf
+        with pytest.raises(ConfigurationError, match="row 2 holds NaN or infinity"):
+            validate_arrays(inputs, [0] * 6)
+        # A float32 batch skips the dtype cast, not the check.
+        batch = np.zeros((3, 4), dtype=np.float32)
+        batch[1, 3] = np.inf
+        with pytest.raises(ConfigurationError, match="row 1 holds NaN or infinity"):
+            validate_arrays(batch, [0] * 3)
+        # Finite values at the edges of float32 pass.
+        edge = np.full((1, 2), np.finfo(np.float32).max, dtype=np.float32)
+        assert validate_arrays(edge, [0])[0].dtype == np.float32
+
 
 class TestDiagnosisReportSchema:
     def make_report(self) -> DiagnosisReport:
@@ -236,7 +251,7 @@ class TestDiagnoserConfig:
         config = DiagnoserConfig().with_overrides(max_batch_cases=32)
         assert config.max_batch_cases == 32
         with pytest.raises(ConfigurationError):
-            config.with_overrides(num_workers=0)
+            config.with_overrides(max_batch_cases=0)
 
 
 class TestWireErrorMapping:

@@ -278,7 +278,7 @@ class TestCli:
         assert cli_serve.main([
             "--registry", str(tmp_path), "--port", "0",
             "--replicas", "2", "--max-inflight", "3",
-            "--max-batch-cases", "32", "--workers", "1",
+            "--max-batch-cases", "32",
             "--inference-dtype", "float64", "--monitor",
         ]) == 0
         pool = handed["pool"]
@@ -286,7 +286,6 @@ class TestCli:
         assert len(pool.replicas) == 2
         for service in pool.replicas:
             assert service.engine.max_batch_cases == 32
-            assert service.pool.num_workers == 1
             assert service.inference_dtype.name == "float64"
             assert service.monitor is not None
 

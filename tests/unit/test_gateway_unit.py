@@ -24,7 +24,7 @@ from repro.exceptions import (
     ServiceUnavailableError,
 )
 from repro.resilience import HealthPolicy
-from repro.serve import JobStore, MetricsRegistry, ReplicaPool, parse_request_head
+from repro.serve import MetricsRegistry, ReplicaPool, parse_request_head
 from repro.serve import protocol
 from repro.serve.protocol import resolve_deadline
 
@@ -124,18 +124,12 @@ class FakeService:
     def __init__(self, index: int):
         self.index = index
         self.metrics = MetricsRegistry()
-        self.jobs = JobStore()
         self.calls = 0
         self.closed = False
 
     def diagnose(self, name, inputs, labels, **kwargs):
         self.calls += 1
         return {"replica": self.index, "model": name}
-
-    def submit_diagnosis(self, name, inputs, labels, **kwargs):
-        job = self.jobs.create(kind="diagnosis", details={"replica": self.index})
-        self.jobs.mark_succeeded(job.job_id, {"replica": self.index})
-        return job
 
     def stats(self):
         return {"replica": self.index}
@@ -229,26 +223,6 @@ class TestReplicaPoolAdmission:
             make_pool(num_replicas=1, max_inflight=0)
 
 
-class TestReplicaPoolJobs:
-    def test_submit_job_routes_and_find_job_searches_all_stores(self):
-        pool = make_pool(num_replicas=2)
-        replica_index, job = pool.submit_job("m", [], [])
-        found_index, found = pool.find_job(job.job_id)
-        assert found_index == replica_index
-        assert found.job_id == job.job_id
-        with pytest.raises(ServeError):
-            pool.find_job("missing")
-
-    def test_list_jobs_merges_across_replicas(self):
-        pool = make_pool(num_replicas=2)
-        ids = {pool.submit_job("m", [], [])[1].job_id for _ in range(4)}
-        listed = pool.list_jobs()
-        assert {record["job_id"] for record in listed} == ids
-        assert {record["replica"] for record in listed} == {0, 1}
-        stamps = [record["submitted_at"] for record in listed]
-        assert stamps == sorted(stamps, reverse=True)
-
-
 class TestReplicaPoolLifecycle:
     def test_close_closes_every_replica_and_blocks_acquire(self):
         pool = make_pool(num_replicas=2)
@@ -256,8 +230,6 @@ class TestReplicaPoolLifecycle:
         assert all(service.closed for service in pool.replicas)
         with pytest.raises(ServeError):
             pool.acquire()
-        with pytest.raises(ServeError):
-            pool.submit_job("m", [], [])
 
     def test_stats_shape(self):
         pool = make_pool(num_replicas=2, max_queue_per_replica=4)

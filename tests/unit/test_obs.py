@@ -24,7 +24,6 @@ from repro.obs import (
     load_jsonl,
     sanitize_trace_id,
 )
-from repro.serve.jobs import JobStore
 from repro.serve.metrics import MetricsRegistry, render_registries_text
 from repro.serve.protocol import resolve_request_id, wants_text_metrics
 
@@ -391,33 +390,6 @@ class TestRequestIdResolution:
         assert not wants_text_metrics("", "application/json")
         assert not wants_text_metrics("format=json", None)
         assert not wants_text_metrics("", None)
-
-
-class TestJobMonotonicTiming:
-    def test_durations_use_monotonic_clocks(self):
-        store = JobStore()
-        job = store.create("diagnosis")
-        assert job.queue_seconds is None
-        assert job.run_seconds is None
-        store.mark_running(job.job_id)
-        store.mark_succeeded(job.job_id, {"ok": True})
-        assert job.queue_seconds >= 0.0
-        assert job.run_seconds >= 0.0
-        payload = job.as_dict()
-        assert payload["queue_seconds"] == job.queue_seconds
-        assert payload["run_seconds"] == job.run_seconds
-        # Wall-clock fields remain for display.
-        assert payload["submitted_at"] <= payload["finished_at"]
-
-    def test_wall_clock_jump_cannot_produce_negative_durations(self):
-        store = JobStore()
-        job = store.create("diagnosis")
-        store.mark_running(job.job_id)
-        # Simulate a backwards wall-clock step after start: monotonic math
-        # is unaffected, and the properties clamp defensively anyway.
-        job.started_monotonic = job.submitted_monotonic + 0.5
-        job.finished_monotonic = job.started_monotonic - 1.0
-        assert job.run_seconds == 0.0
 
 
 class TestTraceCli:

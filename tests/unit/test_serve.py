@@ -14,11 +14,8 @@ from repro.serve import (
     ArtifactRegistry,
     BatchingEngine,
     ExtractionRequest,
-    JobStatus,
-    JobStore,
     LRUCache,
     MetricsRegistry,
-    WorkerPool,
 )
 
 NUM_LAYERS = 3
@@ -431,7 +428,7 @@ class TestServiceEviction:
         inputs, labels = test.arrays()
         registry = ArtifactRegistry(tmp_path / "registry")
         registry.register("m", fitted_deepmorph)
-        with DiagnosisService(registry, num_workers=1) as service:
+        with DiagnosisService(registry) as service:
             service.diagnose("m", inputs, labels)
             assert service.loaded_models() == ["m@v1"]
             service.unregister("m", "v1")
@@ -449,13 +446,13 @@ class TestServiceEviction:
         inputs, labels = test.arrays()
         registry = ArtifactRegistry(tmp_path / "registry")
         registry.register("a", fitted_deepmorph)
-        with DiagnosisService(registry, num_workers=1) as service:
+        with DiagnosisService(registry) as service:
             before = service.diagnose("a", inputs, labels, version="v1")
             service.unregister("a")
             refit = DeepMorph(probe_epochs=2, rng=7).fit(trained_tiny_model, train)
             registry.register("a", refit, version="v1")
             report = service.diagnose("a", inputs, labels, version="v1")
-        with DiagnosisService(registry, num_workers=1) as fresh:
+        with DiagnosisService(registry) as fresh:
             expected = fresh.diagnose("a", inputs, labels, version="v1")
         assert report.as_dict() == expected.as_dict()
         assert report.ratios != before.ratios
@@ -471,7 +468,7 @@ class TestServiceExtraction:
         inputs, labels = test.arrays()
         registry = ArtifactRegistry(tmp_path / "registry")
         registry.register("m", fitted_deepmorph)
-        with DiagnosisService(registry, num_workers=1) as service:
+        with DiagnosisService(registry) as service:
             first = service.diagnose("m", inputs, labels)
             second = service.diagnose("m", inputs, labels)
             metrics = service.metrics.as_dict()
@@ -492,14 +489,14 @@ class TestServiceExtraction:
         noise = np.random.default_rng(8).standard_normal(inputs.shape)
         registry = ArtifactRegistry(tmp_path / "registry")
         registry.register("m", fitted_deepmorph)
-        with DiagnosisService(registry, num_workers=1) as service:
+        with DiagnosisService(registry) as service:
             service.diagnose(
                 "m",
                 np.concatenate([noise, inputs]),
                 np.concatenate([np.roll(labels, 1), labels]),
             )
             report = service.diagnose("m", inputs, labels)
-        with DiagnosisService(registry, num_workers=1) as fresh:
+        with DiagnosisService(registry) as fresh:
             expected = fresh.diagnose("m", inputs, labels)
         assert report.as_dict() == expected.as_dict()
 
@@ -521,7 +518,7 @@ class TestServiceDeadline:
             time.sleep(min(timeout, 0.5))
             raise TimeoutError("extraction did not finish")
 
-        with DiagnosisService(registry, num_workers=1) as service:
+        with DiagnosisService(registry) as service:
             monkeypatch.setattr(service.engine, "extract", stalled_extract)
             # Without a deadline the wait is the request's own timeout, and
             # running out of it is the engine's fault.
@@ -539,6 +536,20 @@ class TestServiceDeadline:
         assert 0.0 < waits[1] <= 0.05
 
 
+class TestServiceStats:
+    def test_stats_have_no_job_or_worker_fields(self, tmp_path, fitted_deepmorph):
+        from repro.serve import DiagnosisService
+
+        registry = ArtifactRegistry(tmp_path / "registry")
+        registry.register("m", fitted_deepmorph)
+        with DiagnosisService(registry) as service:
+            stats = service.stats()
+        # Diagnosis is synchronous only: no job store, no worker pool.
+        assert set(stats) == {
+            "engine", "loaded_models", "registered_models", "inference_dtype", "monitor",
+        }
+
+
 class TestServiceInferenceDtype:
     def test_override_forces_loaded_models_to_float64(
         self, tmp_path, fitted_deepmorph, tiny_splits
@@ -550,7 +561,7 @@ class TestServiceInferenceDtype:
         registry = ArtifactRegistry(tmp_path / "registry")
         registry.register("m", fitted_deepmorph)
         with DiagnosisService(
-            registry, num_workers=1, inference_dtype="float64"
+            registry, inference_dtype="float64"
         ) as service:
             report = service.diagnose("m", inputs, labels)
             assert report.num_cases > 0
@@ -563,7 +574,7 @@ class TestServiceInferenceDtype:
 
         registry = ArtifactRegistry(tmp_path / "registry")
         registry.register("m", fitted_deepmorph)
-        with DiagnosisService(registry, num_workers=1) as service:
+        with DiagnosisService(registry) as service:
             entry = service._entry(service.resolve_key("m"))
             # Artifacts record their own policy (float32 by default).
             assert entry.morph.instrumented.inference_dtype == np.float32
@@ -591,49 +602,3 @@ class TestServiceInferenceDtype:
         assert reloaded.instrumented.inference_dtype == np.float64
         # The facade stays in lockstep so a refit keeps the artifact's policy.
         assert reloaded.inference_dtype == "float64"
-
-
-# ---------------------------------------------------------------------- jobs
-
-
-class TestJobs:
-    def test_job_lifecycle(self):
-        pool = WorkerPool(num_workers=1)
-        try:
-            job = pool.submit(lambda: {"answer": 42}, details={"model_key": "m@v1"})
-            job = pool.wait_for(job.job_id, timeout=5)
-            assert job.status == JobStatus.SUCCEEDED
-            assert job.result == {"answer": 42}
-            assert job.details == {"model_key": "m@v1"}
-            assert job.started_at is not None and job.finished_at is not None
-        finally:
-            pool.shutdown()
-
-    def test_failed_job_captures_error(self):
-        pool = WorkerPool(num_workers=1)
-        try:
-            def boom():
-                raise ValueError("bad batch")
-
-            job = pool.wait_for(pool.submit(boom).job_id, timeout=5)
-            assert job.status == JobStatus.FAILED
-            assert "ValueError" in job.error and "bad batch" in job.error
-        finally:
-            pool.shutdown()
-
-    def test_store_eviction_keeps_unfinished_jobs(self):
-        store = JobStore(max_jobs=2)
-        finished = store.create("diagnosis")
-        store.mark_running(finished.job_id)
-        store.mark_succeeded(finished.job_id, {})
-        pending = [store.create("diagnosis") for _ in range(2)]
-        counts = store.counts()
-        assert counts["total"] == 2
-        assert counts.get(JobStatus.SUCCEEDED, 0) == 0, "finished job evicted first"
-        for job in pending:
-            assert store.get(job.job_id).status == JobStatus.PENDING
-
-    def test_unknown_job_raises(self):
-        store = JobStore()
-        with pytest.raises(ServeError):
-            store.get("nope")

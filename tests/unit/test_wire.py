@@ -167,7 +167,7 @@ class TestJsonCodec:
     def test_error_and_document_round_trip(self):
         payload = {"error": "boom", "error_type": "ServeError"}
         assert JSON.decode_error(JSON.encode_error(payload)) == payload
-        document = {"jobs": [], "count": 0}
+        document = {"models": [], "count": 0}
         assert JSON.decode_document(JSON.encode_document(document)) == document
 
 
