@@ -18,6 +18,7 @@ the version, not by smuggling loose keys past validation, so a client typo
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
@@ -93,6 +94,9 @@ def _check_schema_version(payload: JsonDict, kind: str) -> None:
         )
 
 
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
 def validate_arrays(
     inputs: ArrayLike, labels: ArrayLike, num_classes: Optional[int] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -107,7 +111,9 @@ def validate_arrays(
     is served as float32, no silent up-then-down round-trip), anything else —
     including JSON nested lists, which numpy reads as float64 — is cast to the
     active compute dtype (float64 unless overridden).  Inputs must be finite
-    after that cast: one NaN or infinite value would turn every ratio of the
+    after that cast and no larger in magnitude than float32's largest value,
+    since extraction runs in float32 by default: one NaN or infinite value,
+    or one that overflows the float32 cast, would turn every ratio of the
     report into NaN, which is not JSON, so the error names the first such row.
 
     Labels must be class ids (:func:`repro.core.footprint.validate_labels`):
@@ -127,11 +133,14 @@ def validate_arrays(
         )
     if inputs_arr.shape[0] == 0:
         raise ConfigurationError("cannot diagnose an empty batch of production cases")
-    finite = np.isfinite(inputs_arr)
-    if not finite.all():
-        finite_rows = finite.reshape(inputs_arr.shape[0], -1).all(axis=1)
+    # NaN compares false, so this one pass also catches NaN and infinity.
+    in_range = np.abs(inputs_arr) <= _FLOAT32_MAX
+    if not in_range.all():
+        row = int(np.argmin(in_range.reshape(inputs_arr.shape[0], -1).all(axis=1)))
+        held = ("NaN or infinity" if not np.isfinite(inputs_arr[row]).all()
+                else f"a value beyond float32's range (|x| > {_FLOAT32_MAX:.4g})")
         raise ConfigurationError(
-            f"inputs must be finite: row {int(np.argmin(finite_rows))} holds NaN or infinity"
+            f"inputs must be finite and within float32's range: row {row} holds {held}"
         )
     labels_arr = validate_labels(labels, num_classes)
     if labels_arr.ndim != 1 or labels_arr.shape[0] != inputs_arr.shape[0]:
@@ -242,6 +251,11 @@ class DiagnosisRequest:
         metadata = payload.get("metadata")
         if metadata is not None and not isinstance(metadata, dict):
             raise ServeError("'metadata' must be an object when given")
+        try:
+            # The report carries the metadata back, and reports are strict JSON.
+            json.dumps(metadata, allow_nan=False)
+        except ValueError:
+            raise ServeError("'metadata' must not hold NaN or infinity") from None
         return cls(
             model=model,
             inputs=payload["inputs"],

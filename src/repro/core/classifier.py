@@ -515,7 +515,8 @@ class DefectCaseClassifier:
         Batched: one ``(N, F) @ (F, D)`` score matrix, vectorized evidence
         softmax, and array reductions for the counts and ratios.  The
         report's per-case verdicts are built from these arrays only if
-        ``report.verdicts`` is read.
+        ``report.verdicts`` is read.  A case whose scores are NaN or infinite
+        (its footprint overflowed) raises :class:`ConfigurationError`.
         """
         if not isinstance(specifics, SpecificsBatch):
             specifics = list(specifics)
@@ -526,6 +527,15 @@ class DefectCaseClassifier:
             )
         context = context or DiagnosisContext()
         raw = self.score_matrix(specifics, context)
+        finite = np.isfinite(raw).all(axis=1)
+        if not finite.all():
+            # One such case would make every ratio NaN, which is not JSON.  Every
+            # diagnosis path builds its report here, so all of them refuse alike.
+            raise ConfigurationError(
+                f"{int((~finite).sum())} of {finite.size} faulty case(s) scored NaN or "
+                "infinity, so the diagnosis has no finite ratios; an input too large "
+                "for the model's forward pass overflows it"
+            )
         weights = self._evidence_weights(raw)
 
         evidence_totals = weights.sum(axis=0)

@@ -13,7 +13,9 @@ Two taps feed it, with no double counting:
   the per-model :class:`~repro.monitor.update.PatternUpdater` buffers.
 
 Both taps follow the obs discipline: they never raise and never block — any
-internal failure bumps an error counter and the request proceeds untouched.
+internal failure bumps an error counter, logs a warning with the exception's
+type and message, becomes the ``last_error`` of ``GET /monitor``, and the
+request proceeds untouched.
 
 The sink is deliberately ignorant of :mod:`repro.serve` (cycle-free): the
 pattern libraries, metrics registry, update runner, and updater factory are
@@ -22,6 +24,7 @@ all injected as plain callables/duck-typed objects by whoever wires it up.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from typing import Callable, Dict, Optional, Protocol
@@ -30,12 +33,15 @@ import numpy as np
 
 from ..core.patterns import PatternLibrary
 from ..obs import span as obs_span
+from ..obs.logging import get_logger, log_event
 from .alerts import LEVEL_OK, AlertManager, level_severity
 from .drift import DriftDetector, DriftReport, DriftThresholds
 from .update import PatternUpdater
 from .window import MonitorWindow
 
 __all__ = ["MonitorSink", "MetricsLike"]
+
+_log = get_logger("monitor")
 
 
 class _CounterLike(Protocol):
@@ -150,6 +156,8 @@ class MonitorSink:
         )
         self._lock = threading.Lock()
         self._models: Dict[str, _ModelMonitor] = {}
+        #: The latest swallowed failure: stage, model, type, message, time.
+        self.last_error: Optional[Dict[str, object]] = None
 
         metric = self.metrics
         self._observed = metric.counter(
@@ -239,8 +247,8 @@ class MonitorSink:
                     if state.since_evaluation >= self.evaluate_every:
                         state.since_evaluation = 0
                         self._evaluate_state(model_key, state)
-        except Exception:
-            self._errors.inc()
+        except Exception as error:
+            self._record_error("window", model_key, error)
 
     def observe_labeled(
         self,
@@ -263,18 +271,33 @@ class MonitorSink:
                 updater.add(trajectories, final_probs, labels)
                 self._gauge_pending.set(updater.pending_cases)
                 if updater.ready():
-                    self._update_runner(lambda: self._apply_update(updater))
-        except Exception:
-            self._errors.inc()
+                    self._update_runner(lambda: self._apply_update(model_key, updater))
+        except Exception as error:
+            self._record_error("labeled", model_key, error)
 
-    def _apply_update(self, updater: PatternUpdater) -> None:
+    def _apply_update(self, model_key: str, updater: PatternUpdater) -> None:
         try:
             result = updater.maybe_apply()
             if result is not None:
                 self._updates.inc()
                 self._gauge_pending.set(updater.pending_cases)
-        except Exception:
-            self._errors.inc()
+        except Exception as error:
+            self._record_error("update", model_key, error)
+
+    def _record_error(self, stage: str, model_key: str, error: Exception) -> None:
+        """Count, log and keep a failure that must not reach the request."""
+        self._errors.inc()
+        self.last_error = {
+            "stage": stage,
+            "model": model_key,
+            "type": type(error).__name__,
+            "message": str(error),
+            "time": time.time(),
+        }
+        log_event(
+            _log, "monitor error", level=logging.WARNING, stage=stage, model=model_key,
+            error_type=type(error).__name__, error_message=str(error),
+        )
 
     # -- evaluation and reporting --------------------------------------------------
 
@@ -305,11 +328,11 @@ class MonitorSink:
         for model_key in list(self._models):
             try:
                 self.evaluate(model_key)
-            except Exception:
-                self._errors.inc()
+            except Exception as error:
+                self._record_error("refresh", model_key, error)
 
     def payload(self) -> Dict[str, object]:
-        """The ``GET /monitor`` document: windows, drift, alerts, updates."""
+        """The ``GET /monitor`` document: windows, drift, alerts, updates, last error."""
         with self._lock:
             models = dict(self._models)
         model_payloads: Dict[str, Dict[str, object]] = {}
@@ -327,6 +350,7 @@ class MonitorSink:
             "thresholds": self.thresholds.as_dict(),
             "models": model_payloads,
             "alerts": self.alerts.snapshot(),
+            "last_error": self.last_error,
         }
 
     def worst_level(self) -> str:

@@ -21,11 +21,15 @@ Conventions
     output row the ``kh`` input rows beneath it are gathered in tiles of
     ``span`` contiguous columns (each a run of ``span · C_in`` floats) and
     multiplied by a banded ``(kh · span · C_in, tile · C_out)`` weight that
-    computes ``tile`` neighbouring output columns at once.  The tile is
-    fixed by kernel and stride (:func:`_band_tile`: 8 output columns at
-    stride 1, 4 at stride 2, one for 1×1 kernels), so the band does not grow
-    with the input width; for a 1×1 kernel the band is the plain weight
-    matrix.
+    computes ``tile`` neighbouring output columns at once.  The tile is a
+    function of the whole layer shape (:func:`_band_tile`): of the tiles up
+    to 8 output columns at stride 1 and 4 at stride 2, the one that
+    minimises the floats gathered times their cost, one copy plus the band's
+    width ``tile · C_out``.  Layers with few output channels take wide tiles
+    and those with many narrow ones, the band never exceeds 8 (or 4)
+    columns, and for a 1×1 kernel it is the plain weight matrix.
+    ``benchmarks/conv_tiles.py`` prints the per-shape table: the time of
+    every tile on every conv layer of the four scaled models.
   - Max and average pooling are ``kernel²`` strided ``np.maximum`` /
     ``np.add`` passes over the padded input; max pooling records its argmax
     only when asked (training mode).
@@ -212,23 +216,53 @@ def col2im(
     return img[:, :, pad:-pad, pad:-pad]
 
 
-def _band_tile(kernel_w: int, stride: int, out_w: int) -> int:
+#: Cost of copying one gathered float, in multiply-adds, for :func:`_band_tile`.
+_GATHER_COST = 64
+
+
+def _band_tiles(stride: int, out_w: int) -> range:
+    """The tiles :func:`_band_tile` chooses among.
+
+    One to ``8 // stride`` output columns, never wider than the output, and
+    always the one-column tile, the only one left at a stride above 8.
+    """
+    return range(1, max(1, min(8 // stride, out_w)) + 1)
+
+
+def _band_tile(weight_shape: Tuple[int, int, int, int], stride: int, out_w: int) -> int:
     """Output columns computed per band tile of :func:`conv2d_forward`.
 
-    Neighbouring windows share ``kernel_w - stride`` input columns, and a tile
+    Neighbouring windows share ``kw - stride`` input columns, and a tile
     reads each shared column once instead of once per window, at the cost of
-    multiplying the band's zeros.  Eight output columns at stride 1 and four
-    at stride 2 (a span of 9-12 input columns for 3×3 and 5×5 kernels) ran
-    ahead of im2col on every LeNet/ResNet 3×3 and 5×5 shape from 4 to 64 px,
-    in float32 and float64, on a 2-core VM; a full-width band fell behind
-    im2col on the ResNet shapes at 32-64 px.  Kernels whose windows do not
+    multiplying the band's zeros.  So a wide tile gathers fewer floats and
+    multiplies each by a wider band.  The rule picks, among
+    :func:`_band_tiles` (1 to ``8 // stride`` columns, never wider than the
+    output), the one that minimises ::
+
+        ceil(out_w / tile) · kh · span · C_in · (64 + tile · C_out)
+
+    with ``span = (tile - 1) · stride + kw``: the floats gathered (the last,
+    partial, tile counts in full), times one copy, costed as 64
+    multiply-adds, plus the band's width.  The smaller tile wins a tie.  A
+    layer with few output channels takes a wide tile (LeNet's 5×5 layers: 7
+    columns) and one with many a narrow tile (ResNet's 24→48 stride-2 layer:
+    one column); ``benchmarks/conv_tiles.py`` prints the time of every tile
+    on every conv layer of the four scaled models.  Tiles stop at
+    8 columns (4 at stride 2) because a full-width band fell behind im2col
+    on the ResNet shapes at 32-64 px.  Kernels whose windows do not
     overlap (1×1, or a stride of at least the kernel width) have nothing to
     share and take the one-column tile, where the band is the plain weight
-    matrix.  The tile never exceeds the output width.
+    matrix.
     """
-    if kernel_w <= stride:
+    c_out, c_in, kh, kw = weight_shape
+    if kw <= stride:
         return 1
-    return max(1, min(8 // stride, out_w))
+
+    def cost(tile: int) -> int:
+        gathered = -(-out_w // tile) * kh * ((tile - 1) * stride + kw) * c_in
+        return gathered * (_GATHER_COST + tile * c_out)
+
+    return min(_band_tiles(stride, out_w), key=cost)
 
 
 def _conv_band(weight: np.ndarray, tile: int, stride: int, dtype) -> np.ndarray:
@@ -292,11 +326,23 @@ def conv2d_forward(
         raise ShapeError(
             f"input has {x.shape[1]} channels but weight expects {weight.shape[1]}"
         )
+    out_w = conv_output_size(x.shape[3], weight.shape[3], stride, pad)
+    return _banded_conv2d(x, weight, bias, stride, pad, _band_tile(weight.shape, stride, out_w))
+
+
+def _banded_conv2d(
+    x: np.ndarray,
+    weight: np.ndarray,
+    bias: np.ndarray | None,
+    stride: int,
+    pad: int,
+    tile: int,
+) -> np.ndarray:
+    """The banded kernel of :func:`conv2d_forward`, at a given ``tile`` of output columns."""
     n, c_in, h, w = x.shape
     c_out, _, kh, kw = weight.shape
     out_h = conv_output_size(h, kh, stride, pad)
     out_w = conv_output_size(w, kw, stride, pad)
-    tile = _band_tile(kw, stride, out_w)
     tiles = -(-out_w // tile)
     span = (tile - 1) * stride + kw
 

@@ -20,11 +20,14 @@ class Conv2D(Layer):
     """2-D convolution over NCHW inputs.
 
     The forward pass, in training and eval mode alike, is the width-tiled
-    banded matmul of :func:`repro.nn.functional.conv2d_forward`: a tile of
-    8 output columns at stride 1 and 4 at stride 2 (one column for 1×1
-    kernels), so the band does not grow with the input width.  Training-mode
-    forwards cache the input, and the backward pass builds its im2col matrix
-    from it.
+    banded matmul of :func:`repro.nn.functional.conv2d_forward`.  Its tile
+    of output columns is chosen from the layer's whole shape (kernel,
+    stride, output width and channels; ``_band_tile``): up to 8 columns at
+    stride 1 and 4 at stride 2, wide for few output channels and narrow for
+    many (ResNet's scaled layers take 4, 2 or 1, LeNet's 7), and one column
+    for 1×1 kernels.  ``benchmarks/conv_tiles.py`` times every tile of every
+    conv layer of the scaled models.  Training-mode forwards cache the
+    input, and the backward pass builds its im2col matrix from it.
 
     Parameters
     ----------

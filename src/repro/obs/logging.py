@@ -77,9 +77,11 @@ def configure_logging(
     return root
 
 
-def log_event(logger: logging.Logger, message: str, **fields: object) -> None:
-    """Emit an info record with structured ``fields`` (joinable on request id)."""
-    logger.info(message, extra={"fields": dict(fields)})
+def log_event(
+    logger: logging.Logger, message: str, level: int = logging.INFO, **fields: object
+) -> None:
+    """Emit a record (info by default) with structured ``fields`` (joinable on request id)."""
+    logger.log(level, message, extra={"fields": dict(fields)})
 
 
 __all__.append("log_event")

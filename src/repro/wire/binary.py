@@ -11,7 +11,7 @@ same ``v1`` documents so arrays cross the wire as raw machine bytes:
     ------  ----  ------------------------------------------------------
     0       4     magic  b"RPWB"
     4       1     frame version  (currently 1)
-    5       1     kind   (1=request, 2=report, 3=error, 4=document)
+    5       1     kind   (1=request, 2=report)
     6       4     header length N, unsigned little-endian
     10      N     header: compact UTF-8 JSON
                   {"doc": {...non-array fields, incl. "schema": "v1"...},
@@ -56,14 +56,7 @@ _PRELUDE = struct.Struct("<4sBBI")
 
 _KIND_REQUEST = 1
 _KIND_REPORT = 2
-_KIND_ERROR = 3
-_KIND_DOCUMENT = 4
-_KIND_NAMES = {
-    _KIND_REQUEST: "request",
-    _KIND_REPORT: "report",
-    _KIND_ERROR: "error",
-    _KIND_DOCUMENT: "document",
-}
+_KIND_NAMES = {_KIND_REQUEST: "request", _KIND_REPORT: "report"}
 
 #: Dtypes an array record may declare.  Always little-endian on the wire
 #: (the encoder byte-swaps on big-endian hosts); anything outside this set —
@@ -105,8 +98,10 @@ def _encode_frame(kind: int, doc: JsonDict, arrays: Sequence[Tuple[str, np.ndarr
             {"name": name, "dtype": wire.dtype.str, "shape": list(wire.shape)}
         )
         buffers.append(wire.tobytes())
+    # Strict JSON, as the JSON codec's reports: a NaN raises rather than
+    # leave as a bare ``NaN`` token.
     header = json.dumps(
-        {"doc": doc, "arrays": descriptors}, separators=(",", ":")
+        {"doc": doc, "arrays": descriptors}, separators=(",", ":"), allow_nan=False
     ).encode("utf-8")
     prelude = _PRELUDE.pack(MAGIC, FRAME_VERSION, kind, len(header))
     return b"".join([prelude, header, *buffers])
@@ -255,19 +250,3 @@ class BinaryCodec(Codec):
         if arrays:
             raise CodecError("report frames carry no array records")
         return DiagnosisReport.from_dict(doc, cache_state=cache_state)
-
-    # -- errors and auxiliary documents -------------------------------------------
-
-    def encode_error(self, payload: JsonDict) -> bytes:
-        return _encode_frame(_KIND_ERROR, dict(payload), [])
-
-    def decode_error(self, data: bytes) -> JsonDict:
-        doc, _ = _decode_frame(data, _KIND_ERROR)
-        return doc
-
-    def encode_document(self, document: JsonDict) -> bytes:
-        return _encode_frame(_KIND_DOCUMENT, dict(document), [])
-
-    def decode_document(self, data: bytes) -> JsonDict:
-        doc, _ = _decode_frame(data, _KIND_DOCUMENT)
-        return doc

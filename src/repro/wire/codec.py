@@ -87,24 +87,6 @@ class Codec(abc.ABC):
     def decode_report(self, data: bytes, cache_state: Optional[str] = None) -> DiagnosisReport:
         """Parse and validate wire bytes into a typed report."""
 
-    # -- errors and auxiliary documents -------------------------------------------
-
-    @abc.abstractmethod
-    def encode_error(self, payload: JsonDict) -> bytes:
-        """An ``{"error", "error_type", ...}`` document as wire bytes."""
-
-    @abc.abstractmethod
-    def decode_error(self, data: bytes) -> JsonDict:
-        """Parse an error document from wire bytes."""
-
-    @abc.abstractmethod
-    def encode_document(self, document: JsonDict) -> bytes:
-        """A free-form JSON-able document (stats, health) as wire bytes."""
-
-    @abc.abstractmethod
-    def decode_document(self, data: bytes) -> JsonDict:
-        """Parse a free-form document from wire bytes."""
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(content_type={self.content_type!r})"
 
@@ -154,24 +136,14 @@ class JsonCodec(Codec):
         return DiagnosisRequest.from_dict(_parse_json_object(data, "request"))
 
     def encode_report(self, report: ReportLike) -> bytes:
-        return json.dumps(_report_document(report)).encode("utf-8")
+        # A NaN or infinite ratio raises here rather than leave as a bare
+        # ``NaN`` token, which is not JSON.
+        return json.dumps(_report_document(report), allow_nan=False).encode("utf-8")
 
     def decode_report(self, data: bytes, cache_state: Optional[str] = None) -> DiagnosisReport:
         return DiagnosisReport.from_dict(
             _parse_json_object(data, "report"), cache_state=cache_state
         )
-
-    def encode_error(self, payload: JsonDict) -> bytes:
-        return json.dumps(payload).encode("utf-8")
-
-    def decode_error(self, data: bytes) -> JsonDict:
-        return _parse_json_object(data, "error document")
-
-    def encode_document(self, document: JsonDict) -> bytes:
-        return json.dumps(document).encode("utf-8")
-
-    def decode_document(self, data: bytes) -> JsonDict:
-        return _parse_json_object(data, "document")
 
 
 # -- the registry --------------------------------------------------------------------

@@ -792,6 +792,45 @@ class TestGatewayWireNegotiation:
         finally:
             gateway.shutdown()
 
+    @pytest.mark.parametrize("codec", ["json", "binary"])
+    def test_a_diagnosis_with_nan_ratios_is_a_400_that_is_never_cached(
+        self, pool, payload, monkeypatch, codec
+    ):
+        from repro.api import DiagnosisRequest
+        from repro.core.classifier import DefectCaseClassifier
+        from repro.wire import get_codec
+
+        # A case whose footprint overflowed scores NaN.  Stand one in rather
+        # than overflow the forward pass, which warns on the replica thread.
+        score_matrix = DefectCaseClassifier.score_matrix
+
+        def one_nan_case(self, specifics, context=None):
+            raw = score_matrix(self, specifics, context)
+            raw[0] = np.nan
+            return raw
+
+        monkeypatch.setattr(DefectCaseClassifier, "score_matrix", one_nan_case)
+        wire = get_codec(codec)
+        body = wire.encode_request(DiagnosisRequest.from_dict(dict(payload)))
+        headers = {"Content-Type": wire.content_type, "Accept": wire.content_type}
+        gateway = DiagnosisGateway(pool, port=0, response_cache_size=64).start()
+        try:
+            for _ in range(2):  # the repeat is diagnosed again, not a cached failure
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    self._exchange(gateway.url + "/diagnose", body, headers)
+                assert excinfo.value.code == 400
+                assert "X-Response-Cache" not in excinfo.value.headers
+                document = json.loads(excinfo.value.read())
+                assert document["error_type"] == "ConfigurationError"
+                assert "1 of " in document["error"]
+                assert "scored NaN or infinity" in document["error"]
+            monkeypatch.undo()
+            report, response_headers = self._exchange(gateway.url + "/diagnose", body, headers)
+            assert response_headers["X-Response-Cache"] == "miss"
+            assert wire.decode_report(report).num_cases >= 1
+        finally:
+            gateway.shutdown()
+
     def test_request_id_header_echoed_for_binary_requests(self, gateway, payload):
         from repro.api import DiagnosisRequest
         from repro.wire import BinaryCodec

@@ -9,7 +9,9 @@ the gateway and ``DeepMorph.diagnose`` alike.  A spy on the instrumented
 forward pass shows that a rejected request never reaches extraction.
 
 The same validation refuses a NaN or infinite input value, naming its row:
-it would turn every ratio of the report into NaN, which is not JSON.
+it would turn every ratio of the report into NaN, which is not JSON.  An
+input within float32's range can still overflow the forward pass; that
+diagnosis is refused where its report is built.
 """
 
 from __future__ import annotations
@@ -99,6 +101,26 @@ def test_a_label_beyond_int64_reports_its_real_range(num_classes):
     """The range is checked before the int64 cast, which would wrap the value."""
     with pytest.raises(ConfigurationError, match=r"got range \[2\.0, 1e\+300\]"):
         validate_labels([2.0, 1e300], num_classes)
+
+
+@pytest.mark.parametrize("pipeline", ["local", "deepmorph"])
+def test_an_input_that_overflows_the_forward_pass_is_refused(
+    registry_dir, fitted_deepmorph, batch, pipeline
+):
+    """Float32's largest value passes the range check, yet a row of it
+    overflows the forward pass, and its scores turn NaN."""
+    inputs, labels = batch
+    inputs, labels = inputs.copy(), labels.copy()
+    inputs[3] = np.finfo(np.float32).max
+    labels[3] = 1  # NaN probabilities predict class 0, so the row is a faulty case
+    if pipeline == "local":
+        diagnose = LocalDiagnoser.from_registry(registry_dir, "tiny").diagnose_arrays
+    else:
+        diagnose = fitted_deepmorph.diagnose
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ConfigurationError, match=r"1 of \d+ faulty case\(s\) scored NaN or infinity"
+    ):
+        diagnose(inputs, labels)
 
 
 class TestLocalDiagnoser:

@@ -17,6 +17,7 @@ JSONL trace offline.
 from __future__ import annotations
 
 import json
+import logging
 import threading
 import time
 import urllib.request
@@ -227,12 +228,19 @@ class TestUpdateThread:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(PatternLibrary, "partial_fit_arrays", fail_first)
+        # Its own handler: the "repro" logger may not propagate to caplog's.
+        records = []
+        handler = logging.Handler()
+        handler.emit = records.append
+        monitor_log = logging.getLogger("repro.monitor")
+        monitor_log.addHandler(handler)
         service = self._service(registry, len(test))
 
         def counter(name: str) -> float:
             return service.metrics.as_dict()[name]["value"]
 
         try:
+            started = time.time()
             service.diagnose("tiny", inputs, labels, version="v1")
             deadline = time.monotonic() + 30.0
             while counter("monitor.errors") < 1 and time.monotonic() < deadline:
@@ -240,10 +248,24 @@ class TestUpdateThread:
             service.diagnose("tiny", inputs, labels, version="v1")
             while counter("monitor.updates_applied") < 1 and time.monotonic() < deadline:
                 time.sleep(0.02)
+            last_error = service.monitor_payload()["last_error"]
         finally:
             service.close()
+            monitor_log.removeHandler(handler)
         assert (counter("monitor.errors"), counter("monitor.updates_applied")) == (1, 1)
         assert registry.versions("tiny") == ["v1", "v2"]
+        # The failure is logged and shown in GET /monitor, not only counted.
+        (record,) = records
+        assert (record.getMessage(), record.levelno) == ("monitor error", logging.WARNING)
+        assert record.fields == {
+            "stage": "update", "model": "tiny@v1",
+            "error_type": "RuntimeError", "error_message": "partial_fit exploded",
+        }
+        assert started <= last_error.pop("time") <= time.time()
+        assert last_error == {
+            "stage": "update", "model": "tiny@v1",
+            "type": "RuntimeError", "message": "partial_fit exploded",
+        }
 
     def test_the_update_thread_starts_with_the_first_update(
         self, registry, tiny_splits

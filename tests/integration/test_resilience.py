@@ -128,8 +128,8 @@ def _post_head_then_body(gateway, path: str, document, headers, pause: float):
 def _one_pixel(value: float):
     """Bad fields: the valid payload's inputs with one pixel of row 3 set to ``value``.
 
-    Only one pixel changes, so the shape checks pass and the finiteness
-    check is what answers.
+    Only one pixel changes, so the shape checks pass and the check that
+    inputs are finite and within float32's range is what answers.
     """
 
     def fields(payload):
@@ -235,6 +235,7 @@ class TestQuarantineAndReadmission:
             _one_pixel(float("nan")),
             _one_pixel(float("inf")),
             _one_pixel(float("-inf")),
+            _one_pixel(1e300),
         ],
         ids=[
             "non-numeric-input",
@@ -244,6 +245,7 @@ class TestQuarantineAndReadmission:
             "nan-input",
             "inf-input",
             "-inf-input",
+            "1e300-input",
         ],
     )
     def test_bad_requests_are_400s_that_never_eject_the_replica(

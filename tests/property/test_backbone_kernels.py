@@ -3,8 +3,9 @@
 Three groups, each against ``tests/reference/backbone_oracle.py``:
 
 1. The width-tiled banded convolution against an im2col-matmul oracle, over
-   empty batches, 1×1/3×3/5×5 kernels, strides 1-2, paddings up to ``k - 1``
-   and widths from a single partial tile to several tiles (64 px).
+   empty batches, 1×1/3×3/5×5 kernels, strides 1-2, paddings up to ``k - 1``,
+   widths from a single partial tile to several tiles (64 px), and channel
+   counts that lead the tile rule to every tile it can pick, 1 through 8.
 2. Offset-pass max and average pooling against a sliding-window oracle, on
    values drawn from a few integers so that ties and all-negative windows
    beside ``-inf`` padding are common; the argmax must make the same
@@ -25,6 +26,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import pool_activation
+from repro.experiments.config import preset
+from repro.experiments.runner import make_model
 from repro.nn import functional as F
 from tests.reference import backbone_oracle as oracle
 
@@ -73,8 +76,9 @@ def spy_on_bands(monkeypatch) -> list:
 # (1) banded convolution vs im2col matmul
 # ---------------------------------------------------------------------------
 
-def check_conv(x: np.ndarray, weight: np.ndarray, bias, stride: int, pad: int) -> None:
-    out = F.conv2d_forward(x, weight, bias, stride, pad)
+def check_conv(x: np.ndarray, weight: np.ndarray, bias, stride: int, pad: int,
+               conv=None) -> None:
+    out = (conv or F.conv2d_forward)(x, weight, bias, stride, pad)
     assert out.dtype == x.dtype
     wide = x.astype(np.float64)
     expected = oracle.conv2d_forward(wide, weight, bias, stride, pad)
@@ -84,18 +88,62 @@ def check_conv(x: np.ndarray, weight: np.ndarray, bias, stride: int, pad: int) -
     assert_close(out, expected, scale, x.dtype)
 
 
+KERNELS = (1, 3, 5)
+WIDEST = 64
+#: Output channel counts of the hypothesis draws: few channels lead the tile
+#: rule to wide tiles, many to narrow ones (ResNet's 12, 24 and 48).
+C_OUT = (1, 2, 3, 4, 6, 12, 16, 24, 48)
+
+#: The tile :func:`F._band_tile` picks for every conv layer of the four scaled
+#: Table I models, keyed by ``(weight shape, stride, output width)``.
+SCALED_MODEL_TILES = {
+    "lenet": {
+        ((6, 1, 5, 5), 1, 14): 7,
+        ((16, 6, 5, 5), 1, 7): 7,
+    },
+    "alexnet": {
+        ((16, 1, 3, 3), 1, 14): 2,
+        ((32, 16, 3, 3), 1, 7): 1,
+        ((48, 32, 3, 3), 1, 3): 1,
+        ((48, 48, 3, 3), 1, 3): 1,
+        ((32, 48, 3, 3), 1, 3): 3,
+    },
+    "resnet": {
+        ((12, 3, 3, 3), 1, 16): 4,
+        ((12, 12, 3, 3), 1, 16): 4,
+        ((24, 12, 3, 3), 2, 8): 1,
+        ((24, 24, 3, 3), 1, 8): 2,
+        ((24, 12, 1, 1), 2, 8): 1,
+        ((48, 24, 3, 3), 2, 4): 1,
+        ((48, 48, 3, 3), 1, 4): 2,
+        ((48, 24, 1, 1), 2, 4): 1,
+    },
+    "densenet": {
+        ((12, 3, 3, 3), 1, 16): 4,
+        ((6, 12, 3, 3), 1, 16): 4,
+        ((6, 18, 3, 3), 1, 16): 4,
+        ((12, 24, 1, 1), 1, 16): 1,
+        ((6, 12, 3, 3), 1, 8): 4,
+        ((6, 18, 3, 3), 1, 8): 4,
+        ((12, 24, 1, 1), 1, 8): 1,
+        ((6, 12, 3, 3), 1, 4): 4,
+        ((6, 18, 3, 3), 1, 4): 4,
+    },
+}
+
+
 class TestBandedConvolution:
     @EXAMPLE_SETTINGS
     @given(data=st.data())
     def test_matches_im2col_oracle(self, data):
-        kernel = data.draw(st.sampled_from([1, 3, 5]), label="kernel")
+        kernel = data.draw(st.sampled_from(KERNELS), label="kernel")
         stride = data.draw(st.integers(1, 2), label="stride")
         pad = data.draw(st.integers(0, kernel - 1), label="pad")
         n = data.draw(st.integers(0, 3), label="n")
-        c_in = data.draw(st.integers(1, 3), label="c_in")
-        c_out = data.draw(st.integers(1, 4), label="c_out")
+        c_in = data.draw(st.integers(1, 48), label="c_in")
+        c_out = data.draw(st.sampled_from(C_OUT), label="c_out")
         h = spatial_size(data, kernel, pad, 7, "h")
-        w = spatial_size(data, kernel, pad, 64, "w")
+        w = spatial_size(data, kernel, pad, WIDEST, "w")
         dtype = data.draw(DTYPES, label="dtype")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         x = channels_last(data, rng.uniform(-1, 1, (n, c_in, h, w)).astype(dtype))
@@ -113,6 +161,7 @@ class TestBandedConvolution:
         (3, 1, 1, 64),   # eight full tiles
         (5, 2, 4, 61),   # large padding, 33 columns
         (1, 2, 0, 16),   # 1×1 projection: one-column tiles
+        (11, 9, 1, 30),  # a stride above 8: overlapping windows, one-column tiles
     ])
     def test_partial_and_multiple_tiles(self, kernel, stride, pad, width, dtype):
         rng = np.random.default_rng(width)
@@ -120,15 +169,39 @@ class TestBandedConvolution:
         weight = rng.uniform(-1, 1, (4, 3, kernel, kernel))
         check_conv(x, weight, rng.uniform(-1, 1, 4), stride, pad)
 
-    @pytest.mark.parametrize("stride, tile", [(1, 8), (2, 4)])
-    def test_band_size_is_independent_of_input_width(self, monkeypatch, stride, tile):
+    def test_draws_reach_every_tile(self):
+        tiles = {
+            F._band_tile((c_out, 1, kernel, kernel), stride,
+                         F.conv_output_size(w, kernel, stride, pad))
+            for kernel in KERNELS for stride in (1, 2) for pad in range(kernel)
+            for w in range(max(1, kernel - 2 * pad), WIDEST + 1) for c_out in C_OUT
+        }
+        assert tiles == set(range(1, 9))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("tile", range(1, 9))
+    def test_every_tile_matches_the_oracle(self, tile, dtype):
+        rng = np.random.default_rng(tile)
+        x = rng.uniform(-1, 1, (2, 5, 6, 19)).astype(dtype)
+        weight = rng.uniform(-1, 1, (4, 5, 3, 3))
+        check_conv(x, weight, rng.uniform(-1, 1, 4), 1, 1,
+                   conv=lambda *args: F._banded_conv2d(*args, tile))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("c_out", [1, 4, 48])
+    def test_band_never_exceeds_eight_columns(self, monkeypatch, stride, c_out):
+        """The rule counts partial-tile waste, so the tile may vary with the
+        input width, but the band stays within 8 columns (4 at stride 2)."""
         shapes = spy_on_bands(monkeypatch)
         rng = np.random.default_rng(0)
-        weight = rng.standard_normal((4, 3, 3, 3))
-        for size in (16, 32, 64):
-            F.conv2d_forward(rng.standard_normal((1, 3, size, size)), weight, None, stride, 1)
-        span = (tile - 1) * stride + 3
-        assert shapes == [(3 * span * 3, tile * 4)] * 3
+        weight = rng.standard_normal((c_out, 3, 3, 3))
+        widths = range(2, 97)
+        for size in widths:
+            F.conv2d_forward(rng.standard_normal((1, 3, 3, size)), weight, None, stride, 1)
+        widest = 8 // stride
+        span = (widest - 1) * stride + 3
+        assert len(shapes) == len(widths)
+        assert all(rows <= 3 * span * 3 and cols <= widest * c_out for rows, cols in shapes)
 
     def test_one_by_one_kernel_multiplies_by_the_weight_matrix(self, monkeypatch):
         rng = np.random.default_rng(1)
@@ -143,12 +216,32 @@ class TestBandedConvolution:
         expected = np.einsum("nchw,oc->nohw", x[:, :, ::2, ::2], weight.reshape(5, 3))
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
-    def test_band_tile_rule(self):
-        assert F._band_tile(5, 1, 14) == 8
-        assert F._band_tile(3, 2, 32) == 4
-        assert F._band_tile(3, 1, 4) == 4   # never wider than the output
-        assert F._band_tile(1, 1, 64) == 1  # windows do not overlap
-        assert F._band_tile(2, 2, 64) == 1
+    @pytest.mark.parametrize("model", sorted(SCALED_MODEL_TILES))
+    def test_band_tile_rule(self, monkeypatch, model):
+        expected = SCALED_MODEL_TILES[model]
+        for (shape, stride, out_w), tile in expected.items():
+            assert F._band_tile(shape, stride, out_w) == tile, (shape, stride, out_w)
+        # The table covers every conv layer the model runs.
+        asked = set()
+        rule = F._band_tile
+
+        def recording(shape, stride, out_w):
+            asked.add((tuple(shape), stride, out_w))
+            return rule(shape, stride, out_w)
+
+        monkeypatch.setattr(F, "_band_tile", recording)
+        net = make_model(preset("quick").for_model(model))
+        net.eval()
+        net.predict(np.zeros((1, *net.input_shape)))
+        assert asked == set(expected)
+
+    def test_band_tile_limits(self):
+        assert F._band_tile((4, 3, 3, 3), 1, 4) == 4    # never wider than the output
+        assert F._band_tile((1, 1, 3, 3), 1, 64) == 8   # one channel: the widest tile
+        assert F._band_tile((48, 48, 3, 3), 2, 64) == 1
+        assert F._band_tile((4, 3, 1, 1), 1, 64) == 1   # windows do not overlap
+        assert F._band_tile((4, 3, 2, 2), 2, 64) == 1
+        assert F._band_tile((4, 3, 11, 11), 9, 5) == 1  # a stride above 8
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,10 @@ class TestDiagnosisRequestSchema:
             DiagnosisRequest.from_dict({**base, "version": 3})
         with pytest.raises(ServeError):
             DiagnosisRequest.from_dict({**base, "metadata": "nope"})
+        # The report carries the metadata back, and a report is strict JSON.
+        for value in (float("nan"), float("inf"), [1.0, float("-inf")]):
+            with pytest.raises(ServeError, match="'metadata' must not hold NaN or infinity"):
+                DiagnosisRequest.from_dict({**base, "metadata": {"note": {"value": value}}})
         with pytest.raises(ServeError):
             DiagnosisRequest.from_dict({**base, "surprise": True})
         with pytest.raises(ServeError):
@@ -136,6 +140,18 @@ class TestDiagnosisRequestSchema:
         # Finite values at the edges of float32 pass.
         edge = np.full((1, 2), np.finfo(np.float32).max, dtype=np.float32)
         assert validate_arrays(edge, [0])[0].dtype == np.float32
+        assert validate_arrays(-edge.astype(np.float64), [0])[0].dtype == np.float64
+
+    @pytest.mark.parametrize("value", [1e300, -1e39])
+    def test_validate_arrays_names_the_first_row_beyond_float32(self, value):
+        # Finite in float64, but the float32 cast of extraction would overflow.
+        inputs = np.zeros((4, 3))
+        inputs[1, 2] = value
+        inputs[3, 0] = np.nan
+        with pytest.raises(ConfigurationError, match="row 1 holds a value beyond float32's range"):
+            validate_arrays(inputs, [0] * 4)
+        with pytest.raises(ConfigurationError, match="row 1 holds a value beyond float32's range"):
+            validate_arrays(inputs.tolist(), [0] * 4)
 
 
 class TestDiagnosisReportSchema:

@@ -305,11 +305,18 @@ class TestMonitorSink:
             raise RuntimeError("registry exploded")
 
         sink = MonitorSink(broken_resolver, metrics=MetricsRegistry())
+        assert sink.payload()["last_error"] is None
         sink.observe_extracted("m", _stack(2), np.eye(NUM_CLASSES)[[0, 1]])
+        assert sink.payload()["last_error"]["stage"] == "window"
         sink.observe_labeled(
             "m", _stack(2), np.eye(NUM_CLASSES)[[0, 1]], np.array([0, 1])
         )
         assert sink.metrics.as_dict()["monitor.errors"]["value"] == 2
+        last_error = sink.payload()["last_error"]
+        assert {key: last_error[key] for key in ("stage", "model", "type", "message")} == {
+            "stage": "labeled", "model": "m", "type": "RuntimeError",
+            "message": "registry exploded",
+        }
 
     def test_disabled_payload_shape(self):
         payload = MonitorSink.disabled_payload()
